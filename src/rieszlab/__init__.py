@@ -29,7 +29,7 @@ from .family import (
     verify_left_inverse,
 )
 from .ladder import LadderSet, MetricOperator, build_ladder, dual_ladder, metric_operator, shift_matrices
-from .linalg import adjoint, inner, null_space, rank_one, solve_inverse
+from .linalg import Factorization, adjoint, inner, null_space, rank_one, solve_inverse
 from .models import ModelSpec, instantiate, instantiate_pair, instantiate_system
 from .pseudoboson import PseudoBosonSystem, generate_families, ground_states
 from .riesz import ConstructingPair, check_constructing, domain_norm_identity, dual_family
@@ -43,6 +43,7 @@ __all__ = [
     "BiorthogonalPair",
     "ConstructingPair",
     "DimensionMismatchError",
+    "Factorization",
     "LadderSet",
     "MetricOperator",
     "ModelError",

@@ -17,10 +17,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import diagnostics, io, ladder, linalg, models, pseudoboson, riesz
-from .errors import RieszLabError, SingularOperatorError
+from .errors import ModelError, RieszLabError, SingularOperatorError
 from .family import (
     PAIR_TOLERANCE,
     BiorthogonalPair,
@@ -28,7 +27,9 @@ from .family import (
     build_analysis,
     build_coanalysis,
     check_pairing,
-    pair_to_square,
+    embed_pair,
+    pad_to_square,
+    pairing_defect,
     verify_left_inverse,
 )
 
@@ -88,7 +89,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise ValueError(f"config: file not found: {path}")
-        loaded = yaml.safe_load(path.read_text())
+        import yaml  # only --config needs it; keeps `import rieszlab.cli` light
+
+        try:
+            loaded = yaml.safe_load(path.read_text())
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config: malformed YAML in {path}: {exc}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -116,6 +122,14 @@ def _require(cfg: dict, key: str, default=None):
     if default is not None:
         return default
     raise ValueError(f"{key}: missing required value (flag --{key} or config key)")
+
+
+def _dim(value) -> int:
+    """A truncation dimension from a flag or config value, within the dense limit."""
+    dim = int(value)
+    if dim > linalg.DENSE_DIM_LIMIT:
+        raise ValueError(f"dim: {dim} exceeds the dense limit {linalg.DENSE_DIM_LIMIT}")
+    return dim
 
 
 def _model_spec(cfg: dict, dim: int) -> models.ModelSpec:
@@ -165,7 +179,7 @@ class CheckTable:
 
 
 def cmd_analyze(cfg: dict) -> int:
-    dim = int(_require(cfg, "dim", 16))
+    dim = _dim(_require(cfg, "dim", 16))
     pair = _load_pair_model(cfg, dim)
     dim = pair.dim  # file models carry their own dimension
     tol_pair = float(cfg["tolerances"].get("pair", PAIR_TOLERANCE))
@@ -174,32 +188,33 @@ def cmd_analyze(cfg: dict) -> int:
     table = CheckTable()
     table.add("pairing residual", pair.pairing_residual, tol_pair)
 
-    sq = pair_to_square(pair)
-    T = build_analysis(sq.phi)
+    # The one factorization of T: every check below reads from it.
+    phi_full = SequenceFamily(pad_to_square(pair.phi).coeffs)
+    cp = riesz.ConstructingPair.from_family(phi_full)
+    fac = cp.factorization
+    sq = embed_pair(pair, fac)
+    T = cp.T
     K = build_coanalysis(sq.phi)
     table.add("coanalysis == adjoint(analysis)", linalg.max_abs(K - linalg.adjoint(T)), 0.0)
     action = max(
         float(np.linalg.norm(T[:, k] - sq.phi.coeffs[:, k])) for k in range(sq.phi.size)
     )
     table.add("analysis action T e_k == phi_k", action, 1e-12)
-    table.add("left-inverse identity", verify_left_inverse(pair), dim * tol_pair)
+    table.add("left-inverse identity", verify_left_inverse(sq), dim * tol_pair)
 
-    phi_full = SequenceFamily(sq.phi.coeffs)
-    cp = riesz.ConstructingPair.from_family(phi_full)
     dual = riesz.dual_family(cp)
-    dual_defect = diagnostics.pairing_defect(BiorthogonalPair(phi_full, dual))
+    dual_defect = pairing_defect(BiorthogonalPair(phi_full, dual))
     table.add("dual family pairing", dual_defect, max(tol_pair, cp.kappa * 1e-12 * dim))
 
     tol_ladder = ladder.ladder_tolerance(cp.kappa, tol_ladder_base) * 10
-    ls_phi = ladder.build_ladder(cp.T, side="phi")
+    ls_phi = ladder.build_ladder(fac, side="phi")
     table.add("ladder actions (phi side)",
               ladder.verify_ladder_actions(ls_phi, phi_full, window=dim - 2), tol_ladder)
-    ls_psi = ladder.dual_ladder(cp.T, side="psi")
-    psi_sq = SequenceFamily(linalg.adjoint(linalg.solve_inverse(cp.T)))
+    ls_psi = ladder.dual_ladder(fac, side="psi")
     table.add("ladder actions (psi side)",
-              ladder.verify_ladder_actions(ls_psi, psi_sq, window=dim - 2), tol_ladder)
+              ladder.verify_ladder_actions(ls_psi, dual, window=dim - 2), tol_ladder)
 
-    metric = ladder.metric_operator(cp.T, source="analysis operator")
+    metric = ladder.metric_operator(fac, source="analysis operator")
     table.add("metric intertwining",
               ladder.intertwining_residual(metric, ls_phi.number), tol_ladder)
 
@@ -216,9 +231,9 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     dims_value = _require(cfg, "dims")
     if isinstance(dims_value, str):
-        dims = [int(d) for d in dims_value.split(",") if d.strip()]
+        dims = [_dim(d) for d in dims_value.split(",") if d.strip()]
     else:
-        dims = [int(d) for d in dims_value]
+        dims = [_dim(d) for d in dims_value]
     if not dims:
         raise ValueError("dims: at least one dimension required")
     probes = cfg.get("probes") or ["e_0", "e_1"]
@@ -249,7 +264,7 @@ def _load_system(cfg: dict, dim: int, window: int | None):
 
 
 def cmd_pseudoboson(cfg: dict) -> int:
-    dim = int(_require(cfg, "dim", 32))
+    dim = _dim(_require(cfg, "dim", 32))
     window = cfg.get("window")
     window = int(window) if window is not None else None
     system = _load_system(cfg, dim, window)
@@ -268,7 +283,7 @@ def cmd_pseudoboson(cfg: dict) -> int:
     phi, psi = pseudoboson.generate_families(system, count)
     tol_pb = pseudoboson.pb_tolerance(phi, psi, base=tol_pb_base)
     table.add("generated pairing residual",
-              diagnostics.pairing_defect(BiorthogonalPair(phi, psi)), tol_pb)
+              pairing_defect(BiorthogonalPair(phi, psi)), tol_pb)
 
     nmax = min(6, count - 1, system.window // 2)
     for npow in range(nmax + 1):
@@ -278,9 +293,8 @@ def cmd_pseudoboson(cfg: dict) -> int:
     table.add("number eigen-relations (m <= 3)",
               pseudoboson.number_eigen_check(system, (phi, psi), mmax=3), tol_pb * 10)
 
-    sq_phi = pseudoboson.SequenceFamily(_square_family_matrix(system, n, side="phi"))
-    T = build_analysis(sq_phi)
-    ls_phi = ladder.build_ladder(T, side="phi")
+    sq_phi, _ = pseudoboson.generate_families(system, n)
+    ls_phi = ladder.build_ladder(build_analysis(sq_phi), side="phi")
     table.add("restriction containment (phi side)",
               pseudoboson.restriction_containment(system, ls_phi, phi, side="phi"), tol_pb)
     table.add("span invariance (phi side)",
@@ -293,22 +307,15 @@ def cmd_pseudoboson(cfg: dict) -> int:
     return EXIT_CHECK if table.failed else EXIT_OK
 
 
-def _square_family_matrix(system, n: int, side: str) -> np.ndarray:
-    phi, psi = pseudoboson.generate_families(system, n)
-    fam = phi if side == "phi" else psi
-    return fam.coeffs
-
-
 def cmd_ladder(cfg: dict) -> int:
-    dim = int(_require(cfg, "dim", 16))
+    dim = _dim(_require(cfg, "dim", 16))
     side = str(cfg.get("side") or "phi")
     pair = _load_pair_model(cfg, dim)
-    sq = pair_to_square(pair)
-    T = build_analysis(sq.phi)
+    fac = linalg.Factorization(build_analysis(pad_to_square(pair.phi)))
     if side == "phi":
-        ls = ladder.build_ladder(T, side="phi")
+        ls = ladder.build_ladder(fac, side="phi")
     else:
-        ls = ladder.dual_ladder(T, side="psi")
+        ls = ladder.dual_ladder(fac, side="psi")
     tol = ladder.ladder_tolerance(ls.kappa)
     out = cfg.get("out") or "."
     written = io.save_ladder(ls, out, tolerance=tol)
@@ -345,14 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     except RieszLabError as exc:
         # Pairing/vacuum failures are mathematical outcomes, not input errors,
         # unless they come from unreadable input handled above.
-        from .errors import ModelError
-
         if isinstance(exc, ModelError):
             sys.stderr.write(f"input error: {exc}\n")
             return EXIT_INPUT
         sys.stderr.write(f"check failure: {exc}\n")
         return EXIT_CHECK
-    except (ValueError, OSError, yaml.YAMLError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
 

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SingularOperatorError, SweepError
-from .family import BiorthogonalPair, SequenceFamily, domain_partial_sum, pad_to_square
+from .family import (
+    BiorthogonalPair,
+    SequenceFamily,
+    domain_partial_sum,
+    pad_to_square,
+    pairing_defect,
+)
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,6 @@ def quasi_basis_residual(pair: BiorthogonalPair, f, g) -> float:
     s1 = complex(np.vdot(g, phi @ (psi.conj().T @ f)))
     s2 = complex(np.vdot(g, psi @ (phi.conj().T @ f)))
     return max(abs(ref - s1), abs(ref - s2))
-
-
-def pairing_defect(pair: BiorthogonalPair) -> float:
-    gram = pair.psi.family_coeffs.conj().T @ pair.phi.family_coeffs
-    d = np.abs(gram - np.eye(gram.shape[0]))
-    return float(d.max()) if d.size else 0.0
 
 
 @dataclass

@@ -9,7 +9,7 @@ flagged through n_padding and never count as family members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,6 +138,18 @@ def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
         )
 
 
+def _gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
+    """|(phi_n | psi_m) - delta_nm| over the family columns, indexed [m, n]."""
+    gram = psi.family_coeffs.conj().T @ phi.family_coeffs
+    return np.abs(gram - np.eye(gram.shape[0]))
+
+
+def pairing_defect(pair: BiorthogonalPair) -> float:
+    """Max-norm of the pairing defect of a pair, recomputed from its columns."""
+    defect = _gram_defect(pair.phi, pair.psi)
+    return float(defect.max()) if defect.size else 0.0
+
+
 def check_pairing(phi: SequenceFamily, psi: SequenceFamily,
                   tolerance: float = PAIR_TOLERANCE) -> BiorthogonalPair:
     """Verify (phi_n | psi_m) = delta_nm over the family columns.
@@ -146,8 +158,7 @@ def check_pairing(phi: SequenceFamily, psi: SequenceFamily,
     pairing defect exceeds tolerance.
     """
     _require_compatible(phi, psi)
-    gram = psi.family_coeffs.conj().T @ phi.family_coeffs
-    defect = np.abs(gram - np.eye(gram.shape[0]))
+    defect = _gram_defect(phi, psi)
     residual = float(defect.max()) if defect.size else 0.0
     if residual > tolerance:
         m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)
@@ -219,12 +230,24 @@ def pair_to_square(pair: BiorthogonalPair, onb: ONB | None = None) -> Biorthogon
     """
     if pair.phi.is_square() and pair.psi.is_square():
         return pair
+    T = build_analysis(pad_to_square(pair.phi, onb), onb)
+    return embed_pair(pair, linalg.Factorization(T), onb)
+
+
+def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization,
+               onb: ONB | None = None) -> BiorthogonalPair:
+    """pair_to_square, given the Factorization of the padded analysis operator.
+
+    The padding columns of psi are read from fac.dual, so a caller that needs
+    the factorization anyway (kappa, dual family, ladders) pays for it once.
+    A pair that is square already is returned unchanged.
+    """
+    if pair.phi.is_square() and pair.psi.is_square():
+        return pair
     phi_sq = pad_to_square(pair.phi, onb)
-    T = build_analysis(phi_sq, onb)
-    dual = linalg.adjoint(linalg.solve_inverse(T))
     U = onb.columns if onb is not None else np.eye(pair.dim, dtype=np.complex128)
     k = pair.psi.index_offset
-    pad = dual @ U[:, :k]
+    pad = fac.dual @ U[:, :k]
     psi_sq = SequenceFamily(np.hstack([pad, pair.psi.coeffs]), index_offset=0, n_padding=k)
     return BiorthogonalPair(phi=phi_sq, psi=psi_sq, pairing_residual=pair.pairing_residual)
 

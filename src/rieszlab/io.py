@@ -18,6 +18,7 @@ import numpy as np
 
 from .family import SequenceFamily
 from .ladder import LadderSet
+from .linalg import DENSE_DIM_LIMIT
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -37,14 +38,9 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 def _matrix_to_csv(mat: np.ndarray) -> str:
     n, m = mat.shape
     header = ",".join(f"re_{k},im_{k}" for k in range(m))
-    lines = [header]
-    for i in range(n):
-        cells = []
-        for k in range(m):
-            z = mat[i, k]
-            cells.append(f"{z.real:.17g},{z.imag:.17g}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cells = np.ascontiguousarray(mat).view(np.float64)  # re_k, im_k interleaved per row
+    row = ",".join(["%.17g"] * (2 * m))
+    return "\n".join([header, *(row % tuple(r.tolist()) for r in cells)]) + "\n"
 
 
 def _matrix_from_csv(text: str) -> np.ndarray:
@@ -55,6 +51,9 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     if len(header) % 2 or not header[0].startswith("re_"):
         raise ValueError("malformed family CSV header")
     m = len(header) // 2
+    if max(m, len(lines) - 1) > DENSE_DIM_LIMIT:
+        raise ValueError(f"CSV matrix of {len(lines) - 1} x {m} exceeds the dense limit "
+                         f"{DENSE_DIM_LIMIT}")
     rows = []
     for ln in lines[1:]:
         parts = [float(p) for p in ln.split(",")]

@@ -3,13 +3,18 @@
 For an invertible T the family chi_n = T e_n inherits the ladder structure of
 the standard shift matrices by similarity: A = T S_- T^-1 lowers, B = T S_+ T^-1
 raises, and the number operator T diag(k) T^-1 has chi_n as eigenvector with
-eigenvalue n.  The dual family uses the same construction with adjoint(T^-1).
+eigenvalue n.  The dual family uses the same construction with adjoint(T^-1),
+whose inverse is adjoint(T), so no second inversion is needed.
+
+Both sides and the metric run through one linalg.Factorization of T.  Since
+T S_- and T S_+ are column shifts of T weighted by sqrt(k) and T diag(k) is a
+column scaling, each transported operator costs a single matrix product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,25 +74,50 @@ class MetricOperator:
     source: str = ""
 
 
-def build_ladder(T, side: str = "phi") -> LadderSet:
-    """Transport the standard ladder through T: (T S_- T^-1, T S_+ T^-1, T N0 T^-1)."""
-    T = linalg.as_operator(T)
-    n = T.shape[0]
-    t_inv = linalg.solve_inverse(T)
-    s_minus, s_plus, n0 = shift_matrices(n)
+def _transport(M: np.ndarray, M_inv: np.ndarray, side: str, kappa: float) -> LadderSet:
+    """(M S_- M^-1, M S_+ M^-1, M N0 M^-1) with M S_-, M S_+, M N0 formed column-wise.
+
+    Column k of M S_- is sqrt(k) M e_{k-1}, column k of M S_+ is
+    sqrt(k+1) M e_{k+1}, and column k of M N0 is k M e_k.
+    """
+    n = M.shape[0]
+    if n < 2:
+        raise DimensionMismatchError("shift matrices need dimension >= 2")
+    ks = np.arange(n, dtype=np.float64)
+    weights = np.sqrt(ks[1:])
+    m_lower = np.zeros_like(M)
+    m_lower[:, 1:] = M[:, :-1] * weights
+    m_raise = np.zeros_like(M)
+    m_raise[:, :-1] = M[:, 1:] * weights
+    m_number = np.zeros_like(M)
+    m_number[:, 1:] = M[:, 1:] * ks[1:]
     return LadderSet(
-        lowering=T @ s_minus @ t_inv,
-        raising=T @ s_plus @ t_inv,
-        number=T @ n0 @ t_inv,
+        lowering=m_lower @ M_inv,
+        raising=m_raise @ M_inv,
+        number=m_number @ M_inv,
         side=side,
         window=n - 1,
-        kappa=linalg.condition_number(T),
+        kappa=kappa,
     )
 
 
+def build_ladder(T, side: str = "phi") -> LadderSet:
+    """Transport the standard ladder through T: (T S_- T^-1, T S_+ T^-1, T N0 T^-1).
+
+    T may be a linalg.Factorization; its inverse and kappa are reused.
+    """
+    fac = linalg.as_factorization(T)
+    return _transport(fac.T, fac.inverse, side, fac.kappa)
+
+
 def dual_ladder(T, side: str = "psi") -> LadderSet:
-    """Ladder set for the dual family, built from adjoint(inverse(T))."""
-    return build_ladder(linalg.adjoint(linalg.solve_inverse(T)), side=side)
+    """Ladder set for the dual family, transported by D = adjoint(T^-1).
+
+    D^-1 = adjoint(T), so the dual side costs no inversion beyond T's own;
+    kappa(D) = kappa(T) is read from the same singular values.
+    """
+    fac = linalg.as_factorization(T)
+    return _transport(fac.dual, linalg.adjoint(fac.T), side, fac.kappa)
 
 
 def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
@@ -121,11 +151,12 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
 
 
 def metric_operator(T, source: str = "") -> MetricOperator:
-    """Metric G = adjoint(T^-1) T^-1 for the quasi-Hermitian number operator."""
-    T = linalg.as_operator(T)
-    t_inv = linalg.solve_inverse(T)
-    G = linalg.adjoint(t_inv) @ t_inv
-    return MetricOperator(matrix=G, source=source)
+    """Metric G = adjoint(T^-1) T^-1 for the quasi-Hermitian number operator.
+
+    T may be a linalg.Factorization; its inverse is reused.
+    """
+    fac = linalg.as_factorization(T)
+    return MetricOperator(matrix=fac.dual @ fac.inverse, source=source)
 
 
 def intertwining_residual(metric: MetricOperator, number_op) -> float:

@@ -3,9 +3,15 @@
 Vectors are length-N complex ndarrays, operators are N x N complex
 ndarrays.  The inner product is linear in the FIRST argument, so that the
 rank-one tensor satisfies rank_one(x, y) @ xi == inner(xi, y) * x.
+
+Every operator T is factorized once (see Factorization): one values-only SVD
+for the rank gate, kappa and sigma_min, one LU solve for the inverse.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -13,11 +19,9 @@ from .errors import DimensionMismatchError, SingularOperatorError
 
 EPS = float(np.finfo(np.float64).eps)
 
-#: Largest truncation dimension the dense kernel is meant to serve.
+#: Largest truncation dimension the dense kernel serves; larger inputs are
+#: rejected before anything of size N^2 is allocated.
 DENSE_DIM_LIMIT = 4096
-
-#: Above this condition number, inversion switches from a direct solve to SVD.
-SVD_KAPPA_SWITCH = 1e8
 
 
 def as_vector(x) -> np.ndarray:
@@ -73,42 +77,75 @@ def singular_values(T) -> np.ndarray:
     return np.linalg.svd(as_operator(T), compute_uv=False)
 
 
-def rank_tolerance(T, sigma: np.ndarray | None = None) -> float:
-    """Numerical-rank cutoff N * eps * sigma_max(T)."""
-    T = as_operator(T)
-    if sigma is None:
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """One factorization of an invertible operator T, shared by every check on it.
+
+    The singular values come from one values-only SVD; the rank gate
+    sigma_min <= N * eps * sigma_max raises SingularOperatorError at
+    construction.  The inverse is one LU solve of T X = I, made on first use,
+    and the dual operator adjoint(T^-1) is derived from it.  Whatever needs
+    kappa, sigma_min, the inverse, the dual family, the metric or either
+    ladder side of T reads it from here instead of factoring T again.
+    """
+
+    T: np.ndarray
+    sigma: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        T = as_operator(self.T)
         sigma = singular_values(T)
-    smax = float(sigma[0]) if sigma.size else 0.0
-    return T.shape[0] * EPS * smax
+        smin = float(sigma[-1]) if sigma.size else 0.0
+        if smin <= T.shape[0] * EPS * (float(sigma[0]) if sigma.size else 0.0):
+            raise SingularOperatorError(smin)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def dim(self) -> int:
+        return self.T.shape[0]
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.sigma[-1])
+
+    @property
+    def kappa(self) -> float:
+        return float(self.sigma[0] / self.sigma[-1])
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        inv = np.linalg.solve(self.T, np.eye(self.dim, dtype=np.complex128))
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """adjoint(T^-1): maps e_k to the dual family member psi_k."""
+        d = adjoint(self.inverse)
+        d.setflags(write=False)
+        return d
+
+
+def as_factorization(T) -> Factorization:
+    """T itself when it already is a Factorization, else a new one of T."""
+    return T if isinstance(T, Factorization) else Factorization(T)
 
 
 def condition_number(T) -> float:
-    s = singular_values(T)
+    """sigma_max / sigma_min of T (or of a Factorization); inf when exactly singular."""
+    s = T.sigma if isinstance(T, Factorization) else singular_values(T)
     if s.size == 0 or s[-1] == 0.0:
         return np.inf
     return float(s[0] / s[-1])
 
 
 def solve_inverse(T) -> np.ndarray:
-    """Inverse of T, with a singularity gate at the rank tolerance.
-
-    Well-conditioned matrices go through a direct solve; once the condition
-    number passes SVD_KAPPA_SWITCH the inverse is assembled from the SVD so
-    that near-rank-deficiency stays diagnosable.
+    """Inverse of T (or of a Factorization), gated at the rank tolerance.
 
     Raises SingularOperatorError when sigma_min <= N * eps * sigma_max.
     """
-    T = as_operator(T)
-    n = T.shape[0]
-    u, s, vh = np.linalg.svd(T)
-    tol = n * EPS * (float(s[0]) if s.size else 0.0)
-    smin = float(s[-1]) if s.size else 0.0
-    if smin <= tol:
-        raise SingularOperatorError(smin)
-    kappa = float(s[0] / s[-1])
-    if kappa > SVD_KAPPA_SWITCH:
-        return (vh.conj().T * (1.0 / s)) @ u.conj().T
-    return np.linalg.solve(T, np.eye(n, dtype=np.complex128))
+    return as_factorization(T).inverse
 
 
 def null_space(T) -> list[np.ndarray]:
@@ -133,9 +170,3 @@ def max_abs(M) -> float:
     M = np.asarray(M)
     return float(np.max(np.abs(M))) if M.size else 0.0
 
-
-def assert_finite(arr, what: str = "result") -> np.ndarray:
-    arr = np.asarray(arr)
-    if not np.all(np.isfinite(arr.view(np.float64) if arr.dtype == np.complex128 else arr)):
-        raise FloatingPointError(f"{what} contains non-finite entries")
-    return arr

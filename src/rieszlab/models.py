@@ -9,15 +9,14 @@ without a general expression language.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import ModelError
 from .family import BiorthogonalPair, SequenceFamily, check_pairing
 from .ladder import shift_matrices
-from .pseudoboson import PseudoBosonSystem
+from .pseudoboson import PseudoBosonSystem, generate_families, pb_tolerance
 
 MODEL_KINDS = ("identity", "paper_example", "diagonal", "random_regular", "ccr", "similarity")
 
@@ -118,14 +117,12 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
         rng = np.random.default_rng(spec.seed)
         u = random_unitary(n, rng)
         s = np.geomspace(1.0, spec.kappa_max, n)
-        phi_mat = u * s  # unitary times diagonal
-        phi = SequenceFamily(phi_mat)
-        psi = SequenceFamily(linalg.adjoint(linalg.solve_inverse(phi_mat)))
+        # phi = u diag(s) with u unitary, so psi = adjoint(phi^-1) = u diag(1/s).
+        phi = SequenceFamily(u * s)
+        psi = SequenceFamily(u / s)
         return check_pairing(phi, psi, tolerance=max(1e-10, spec.kappa_max * 1e-13 * n))
     if spec.is_system:
         system = instantiate_system(spec)
-        from .pseudoboson import generate_families, pb_tolerance
-
         phi, psi = generate_families(system, count=n)
         return check_pairing(phi, psi, tolerance=pb_tolerance(phi, psi))
     raise ModelError(f"cannot build a pair from model kind {spec.kind!r}")

@@ -5,6 +5,9 @@ family it constructs has columns T e_k.  At finite truncation every matrix is
 closed and everywhere defined, so the infinite-dimensional domain conditions
 degenerate; the condition number and smallest singular value are recorded so
 that sweeps can extrapolate which conditions would fail as N grows.
+
+A constructing pair holds the one linalg.Factorization of T; kappa, sigma_min
+and the dual family all come from it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SingularOperatorError
 from .family import ONB, BiorthogonalPair, SequenceFamily, build_analysis, check_pairing
 
 #: Action tolerance for T e_k == phi_k.
@@ -23,26 +26,26 @@ ACTION_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class ConstructingPair:
-    """(e, T) with T invertible at the rank tolerance."""
+    """(e, T) with T invertible at the rank tolerance.
+
+    T may be given as a linalg.Factorization, which is then kept as is.
+    """
 
     onb: ONB
     T: np.ndarray
+    factorization: linalg.Factorization = field(init=False, repr=False)
     kappa: float = field(init=False)
     sigma_min: float = field(init=False)
 
     def __post_init__(self):
-        T = linalg.as_operator(self.T)
-        if T.shape[0] != self.onb.dim:
+        fac = linalg.as_factorization(self.T)
+        if fac.dim != self.onb.dim:
             raise DimensionMismatchError("operator and ONB dimensions differ")
-        sigma = linalg.singular_values(T)
-        if sigma[-1] <= linalg.rank_tolerance(T, sigma):
-            from .errors import SingularOperatorError
-
-            raise SingularOperatorError(float(sigma[-1]))
-        T.setflags(write=False)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "kappa", float(sigma[0] / sigma[-1]))
-        object.__setattr__(self, "sigma_min", float(sigma[-1]))
+        fac.T.setflags(write=False)
+        object.__setattr__(self, "T", fac.T)
+        object.__setattr__(self, "factorization", fac)
+        object.__setattr__(self, "kappa", fac.kappa)
+        object.__setattr__(self, "sigma_min", fac.sigma_min)
 
     @classmethod
     def from_family(cls, phi: SequenceFamily, onb: ONB | None = None) -> "ConstructingPair":
@@ -61,8 +64,7 @@ def constructed_family(cp: ConstructingPair) -> SequenceFamily:
 
 def dual_family(cp: ConstructingPair) -> SequenceFamily:
     """Dual family psi_k = adjoint(inverse(T)) e_k; biorthogonal to {T e_k}."""
-    dual = linalg.adjoint(linalg.solve_inverse(cp.T))
-    return SequenceFamily(dual @ cp.onb.columns)
+    return SequenceFamily(cp.factorization.dual @ cp.onb.columns)
 
 
 def dual_pair(cp: ConstructingPair) -> BiorthogonalPair:
@@ -95,8 +97,9 @@ def check_constructing(T, phi: SequenceFamily, onb: ONB | None = None,
     T = linalg.as_operator(T)
     if T.shape[0] != phi.dim:
         raise DimensionMismatchError("operator and family dimensions differ")
-    sigma = linalg.singular_values(T)
-    if sigma[-1] <= linalg.rank_tolerance(T, sigma):
+    try:
+        linalg.Factorization(T)
+    except SingularOperatorError:
         return False
     U = onb.columns if onb is not None else np.eye(phi.dim, dtype=np.complex128)
     for k in range(phi.n_padding, phi.size):

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 import yaml
 
 from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
@@ -60,6 +66,33 @@ class TestInputErrors:
     def test_missing_config_file(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.yaml"]) == EXIT_INPUT
         capsys.readouterr()
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("model: [identity\ndims: {8, 16\n")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_INPUT
+        assert "malformed YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "identity", "--dim", "4097"],
+        ["ladder", "--model", "identity", "--dim", "4097"],
+        ["pseudoboson", "--model", "ccr", "--dim", "4097"],
+        ["sweep", "--model", "identity", "--dims", "8,4097"],
+    ])
+    def test_dimension_above_dense_limit(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        assert "exceeds the dense limit 4096" in capsys.readouterr().err
+
+    def test_file_model_above_dense_limit(self, tmp_path, capsys):
+        m = 4097
+        text = (",".join(f"re_{k},im_{k}" for k in range(m)) + "\n"
+                + ",".join(["1"] * (2 * m)) + "\n")
+        (tmp_path / "phi.csv").write_text(text)
+        (tmp_path / "psi.csv").write_text(text)
+        code = main(["analyze", "--model",
+                     f"file:{tmp_path / 'phi.csv'},{tmp_path / 'psi.csv'}"])
+        assert code == EXIT_INPUT
+        assert "exceeds the dense limit" in capsys.readouterr().err
 
     def test_missing_model(self, capsys):
         assert main(["sweep", "--dims", "8,16"]) == EXIT_INPUT
@@ -139,3 +172,14 @@ class TestLadder:
 
         meta = json.loads((tmp_path / "ladder.meta.json").read_text())
         assert meta["side"] == "psi"
+
+
+def test_import_does_not_load_yaml():
+    # Only --config needs yaml; the import every CLI call pays stays without it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rieszlab.cli; print('yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 
 from rieszlab.family import SequenceFamily, pad_to_square
 from rieszlab.io import (
+    _matrix_to_csv,
     atomic_write_text,
     load_family,
     load_matrix,
@@ -36,6 +37,33 @@ class TestMatrixRoundTrip:
         save_matrix(np.eye(2), p)
         header = p.read_text().splitlines()[0]
         assert header == "re_0,im_0,re_1,im_1"
+
+    def test_writer_matches_per_cell_formatting_byte_for_byte(self, rng):
+        def per_cell(mat):
+            # reference: one f-string per cell
+            lines = [",".join(f"re_{k},im_{k}" for k in range(mat.shape[1]))]
+            for i in range(mat.shape[0]):
+                lines.append(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in mat[i]))
+            return "\n".join(lines) + "\n"
+
+        tiny = 5e-324  # smallest subnormal
+        edge = np.array([
+            [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), tiny],
+            [complex(-tiny, 2.5e-310), 1e30 / 3, complex(-1e30, 1e30 / 7), 2.0 ** -1074 * 3],
+            [complex(np.nextafter(1.0, 2.0), -np.nextafter(1.0, 0.0)), 0.1, -1j, 1e-300],
+        ])
+        assert _matrix_to_csv(edge) == per_cell(edge)
+        scaled = random_complex(rng, 5, 7) * 1e30
+        assert _matrix_to_csv(scaled) == per_cell(scaled)
+        assert _matrix_to_csv(-scaled / 1e60) == per_cell(-scaled / 1e60)
+
+    def test_oversized_matrix_rejected(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        m = 4097
+        p.write_text(",".join(f"re_{k},im_{k}" for k in range(m)) + "\n"
+                     + ",".join(["0"] * (2 * m)) + "\n")
+        with pytest.raises(ValueError, match="dense limit"):
+            load_matrix(p)
 
     def test_malformed_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
