@@ -87,6 +87,9 @@ class Factorization:
     and the dual operator adjoint(T^-1) is derived from it.  Whatever needs
     kappa, sigma_min, the inverse, the dual family, the metric or either
     ladder side of T reads it from here instead of factoring T again.
+
+    T is kept by reference: it must not be modified while the factorization
+    is in use.
     """
 
     T: np.ndarray
