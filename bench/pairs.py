@@ -4,11 +4,11 @@
 Usage, from the root of a checkout (PARENT is a second checkout of the parent
 commit, e.g. made with `git archive`):
 
-    python3 bench/pairs.py --parent PARENT --change . --pairs 10 --seconds 28 \
-        --out BENCH_2.json
+    python3 bench/pairs.py --parent PARENT --change . --out BENCH_2.json
 
-For every workload in BENCHMARK.json, pair i runs `perfbench/run.py --trace 0`
-once in each checkout with the same seed (base seed + i); which side goes
+For every workload in BENCHMARK.json, pair i of PAIRS runs
+`perfbench/run.py --trace 0` for the benchmark's run_seconds once in each
+checkout with the same seed (BASE_SEED + i); which side goes
 first alternates from pair to pair, so drift of a shared machine hits both
 sides alike.  Then one `--trace 1` run per side records the per-layer
 factorization counts.  The output holds, per workload and end-to-end metric,
@@ -28,6 +28,8 @@ from pathlib import Path
 TRACE_KEYS = ("linalg.factorizations", "linalg.svd_calls", "linalg.svd_values_calls",
               "linalg.solve_calls", "linalg.qr_calls", "linalg.factor_s",
               "linalg.distinct_factor_ratio", "io.write_s")
+PAIRS = 10
+BASE_SEED = 100
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -49,31 +51,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=28)
-    parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--workload", action="append", help="default: all in BENCHMARK.json")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = [m["name"] for m in bench["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
-    report: dict = {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+    report: dict = {"pairs": PAIRS, "seconds": seconds, "workloads": {}}
 
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         samples = {side: {m: [] for m in metrics} for side in sides}
         failed = {side: 0 for side in sides}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                info, result = run(sides[side], workload, args.seed + i, args.seconds, 0)
+                info, result = run(sides[side], workload, BASE_SEED + i, seconds, 0)
                 report.setdefault("environment", {})[side] = info["environment"]
                 failed[side] += result["failed"]
                 for m in metrics:
                     samples[side][m].append(result["metrics"][m]["value"])
-            sys.stderr.write(f"{workload} pair {i + 1}/{args.pairs} done\n")
+            sys.stderr.write(f"{workload} pair {i + 1}/{PAIRS} done\n")
         entry: dict = {"failed": failed}
         for m in metrics:
             par, chg = samples["parent"][m], samples["change"][m]
@@ -85,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
             }
         entry["trace"] = {}
         for side, checkout in sides.items():
-            info, result = run(checkout, workload, args.seed, args.seconds, 1)
+            info, result = run(checkout, workload, BASE_SEED, seconds, 1)
             entry["trace"][side] = {k: result["metrics"][k]["value"] for k in TRACE_KEYS}
             entry["trace"][side]["command_counts"] = info["command_counts"]
         report["workloads"][workload] = entry

@@ -31,18 +31,24 @@ def ladder_tolerance(kappa: float, base: float = LADDER_TOL_BASE) -> float:
     return base * kappa * kappa
 
 
+def _shift_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(1), ..., sqrt(dim-1)) of the shifts and (0, 1, ..., dim-1) of N0."""
+    if dim < 2:
+        raise DimensionMismatchError("shift matrices need dimension >= 2")
+    ks = np.arange(dim, dtype=np.float64)
+    return np.sqrt(ks[1:]), ks
+
+
 def shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated CCR shifts: (S_minus, S_plus, N0).
 
     S_minus has sqrt(k+1) at (k, k+1), S_plus is its adjoint, and
     N0 = S_plus @ S_minus = diag(0, 1, ..., dim-1).
     """
-    if dim < 2:
-        raise DimensionMismatchError("shift matrices need dimension >= 2")
-    weights = np.sqrt(np.arange(1, dim, dtype=np.float64))
+    weights, ks = _shift_weights(dim)
     s_minus = np.diag(weights, k=1).astype(np.complex128)
     s_plus = linalg.adjoint(s_minus)
-    n0 = np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
+    n0 = np.diag(ks).astype(np.complex128)
     return s_minus, s_plus, n0
 
 
@@ -81,10 +87,7 @@ def _transport(M: np.ndarray, M_inv: np.ndarray, side: str, kappa: float) -> Lad
     sqrt(k+1) M e_{k+1}, and column k of M N0 is k M e_k.
     """
     n = M.shape[0]
-    if n < 2:
-        raise DimensionMismatchError("shift matrices need dimension >= 2")
-    ks = np.arange(n, dtype=np.float64)
-    weights = np.sqrt(ks[1:])
+    weights, ks = _shift_weights(n)
     m_lower = np.zeros_like(M)
     m_lower[:, 1:] = M[:, :-1] * weights
     m_raise = np.zeros_like(M)

@@ -147,8 +147,12 @@ def solve_inverse(T) -> np.ndarray:
     """Inverse of T (or of a Factorization), gated at the rank tolerance.
 
     Raises SingularOperatorError when sigma_min <= N * eps * sigma_max.
+    For a plain matrix the result is a new writable array; for a
+    Factorization it is the shared, read-only Factorization.inverse.
     """
-    return as_factorization(T).inverse
+    if isinstance(T, Factorization):
+        return T.inverse
+    return Factorization(T).inverse.copy()
 
 
 def null_space(T) -> list[np.ndarray]:

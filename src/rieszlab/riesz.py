@@ -34,8 +34,6 @@ class ConstructingPair:
     onb: ONB
     T: np.ndarray
     factorization: linalg.Factorization = field(init=False, repr=False)
-    kappa: float = field(init=False)
-    sigma_min: float = field(init=False)
 
     def __post_init__(self):
         fac = linalg.as_factorization(self.T)
@@ -44,8 +42,6 @@ class ConstructingPair:
         fac.T.setflags(write=False)
         object.__setattr__(self, "T", fac.T)
         object.__setattr__(self, "factorization", fac)
-        object.__setattr__(self, "kappa", fac.kappa)
-        object.__setattr__(self, "sigma_min", fac.sigma_min)
 
     @classmethod
     def from_family(cls, phi: SequenceFamily, onb: ONB | None = None) -> "ConstructingPair":
@@ -55,6 +51,14 @@ class ConstructingPair:
     @property
     def dim(self) -> int:
         return self.onb.dim
+
+    @property
+    def kappa(self) -> float:
+        return self.factorization.kappa
+
+    @property
+    def sigma_min(self) -> float:
+        return self.factorization.sigma_min
 
 
 def constructed_family(cp: ConstructingPair) -> SequenceFamily:

@@ -126,6 +126,18 @@ class TestSolveInverse:
             linalg.solve_inverse(np.diag([1.0, 0.0]))
         assert exc.value.sigma_min == 0.0
 
+    def test_plain_matrix_gives_writable_copy(self):
+        inv = linalg.solve_inverse(np.diag([1.0, 2.0]))
+        inv[0, 0] = 3.0
+        assert inv[0, 0] == 3.0
+
+    def test_factorization_gives_its_shared_read_only_inverse(self):
+        fac = linalg.Factorization(np.diag([1.0, 2.0]))
+        inv = linalg.solve_inverse(fac)
+        assert inv is fac.inverse
+        with pytest.raises(ValueError):
+            inv[0, 0] = 3.0
+
     def test_residual_contract_well_conditioned(self, rng):
         for _ in range(10):
             T = random_well_conditioned(rng, 12, kappa=1e3)
