@@ -22,7 +22,8 @@ from .errors import DimensionMismatchError, SingularOperatorError, SweepError
 from .family import (
     BiorthogonalPair,
     SequenceFamily,
-    domain_partial_sum,
+    analysis_coefficients,
+    coefficient_energy,
     pad_to_square,
     pairing_defect,
 )
@@ -87,13 +88,25 @@ class ProbeSpec:
         return v / np.linalg.norm(v)
 
 
+def span_distances(fam: SequenceFamily, vectors) -> list[float]:
+    """Distance from each vector to the span of the family columns (padding excluded).
+
+    One QR of the family serves every vector; Q and Q^H are freed on return.
+    """
+    vectors = [linalg.as_vector(x) for x in vectors]
+    for x in vectors:
+        if x.shape[0] != fam.dim:
+            raise DimensionMismatchError(
+                f"vector length {x.shape[0]} != family dimension {fam.dim}")
+    # [0] drops R at once instead of keeping an N x M array alive.
+    q = np.linalg.qr(fam.family_coeffs)[0]
+    qh = q.conj().T
+    return [float(np.linalg.norm(x - q @ (qh @ x))) for x in vectors]
+
+
 def span_distance(fam: SequenceFamily, x) -> float:
     """Distance from x to the span of the family columns (padding excluded)."""
-    x = linalg.as_vector(x)
-    if x.shape[0] != fam.dim:
-        raise DimensionMismatchError(f"vector length {x.shape[0]} != family dimension {fam.dim}")
-    q, _ = np.linalg.qr(fam.family_coeffs)
-    return float(np.linalg.norm(x - q @ (q.conj().T @ x)))
+    return span_distances(fam, [x])[0]
 
 
 def quasi_basis_residual(pair: BiorthogonalPair, f, g) -> float:
@@ -104,10 +117,16 @@ def quasi_basis_residual(pair: BiorthogonalPair, f, g) -> float:
         raise DimensionMismatchError("probe vectors do not match the pair dimension")
     phi = pair.phi.family_coeffs
     psi = pair.psi.family_coeffs
+    return _quasi_basis_defect(f, g, phi @ (psi.conj().T @ f), psi @ (phi.conj().T @ f))
+
+
+def _quasi_basis_defect(f: np.ndarray, g: np.ndarray,
+                        phi_psih_f: np.ndarray, psi_phih_f: np.ndarray) -> float:
+    """quasi_basis_residual, given Phi Psi^H f and Psi Phi^H f, which serve every g."""
     ref = linalg.inner(f, g)
     # sum_k (f|psi_k)(phi_k|g) = g^H Phi Psi^H f, and the role-swapped sum.
-    s1 = complex(np.vdot(g, phi @ (psi.conj().T @ f)))
-    s2 = complex(np.vdot(g, psi @ (phi.conj().T @ f)))
+    s1 = complex(np.vdot(g, phi_psih_f))
+    s2 = complex(np.vdot(g, psi_phih_f))
     return max(abs(ref - s1), abs(ref - s2))
 
 
@@ -234,20 +253,25 @@ def run_sweep(pair_factory: Callable[[int], BiorthogonalPair],
 def _evaluate_dim(pair: BiorthogonalPair, probes: list[ProbeSpec]) -> dict:
     rec: dict = {}
     vectors = {p.name: p.instantiate(pair.dim) for p in probes}
-    for name, x in vectors.items():
-        rec[("span_dist_phi", name)] = span_distance(pair.phi, x)
-        rec[("span_dist_psi", name)] = span_distance(pair.psi, x)
-        rec[("domain_partial_phi", name)] = domain_partial_sum(pair.phi, x)
-        rec[("domain_partial_psi", name)] = domain_partial_sum(pair.psi, x)
-    T = pad_to_square(pair.phi).coeffs if not pair.phi.is_square() else pair.phi.coeffs
-    sigma = np.linalg.svd(T, compute_uv=False)
+    xs = list(vectors.values())
+    # One side after the other, so that the N x M temporaries of a side (Q, Q^H,
+    # the conjugate family) are freed before the next side allocates its own.
+    coeffs = {}
+    for side, fam in (("phi", pair.phi), ("psi", pair.psi)):
+        coeffs[side] = analysis_coefficients(fam, xs)
+        for name, dist, c in zip(vectors, span_distances(fam, xs), coeffs[side]):
+            rec[(f"span_dist_{side}", name)] = dist
+            rec[(f"domain_partial_{side}", name)] = coefficient_energy(c)
+    sigma = linalg.singular_values(pad_to_square(pair.phi).coeffs)
     rec[("op_norm", "")] = float(sigma[0])
     rec[("inv_norm", "")] = float(1.0 / sigma[-1]) if sigma[-1] > 0 else float("inf")
     rec[("pairing_residual", "")] = pairing_defect(pair)
     worst_qb = 0.0
-    for f in vectors.values():
-        for g in vectors.values():
-            worst_qb = max(worst_qb, quasi_basis_residual(pair, f, g))
+    for f, c_phi, c_psi in zip(xs, coeffs["phi"], coeffs["psi"]):
+        phi_psih_f = pair.phi.family_coeffs @ c_psi
+        psi_phih_f = pair.psi.family_coeffs @ c_phi
+        for g in xs:
+            worst_qb = max(worst_qb, _quasi_basis_defect(f, g, phi_psih_f, psi_phih_f))
     rec[("quasi_basis_residual", "")] = worst_qb
     return rec
 

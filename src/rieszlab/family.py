@@ -265,10 +265,25 @@ def verify_left_inverse(pair: BiorthogonalPair, onb: ONB | None = None) -> float
     return linalg.max_abs(K @ T - np.eye(n))
 
 
+def analysis_coefficients(phi: SequenceFamily, vectors) -> list[np.ndarray]:
+    """The coefficients ((x | phi_k))_k over the family columns, one array per vector.
+
+    The conjugate transpose of the family is formed once for all vectors.
+    """
+    vectors = [linalg.as_vector(x) for x in vectors]
+    for x in vectors:
+        if x.shape[0] != phi.dim:
+            raise DimensionMismatchError(
+                f"vector length {x.shape[0]} != family dimension {phi.dim}")
+    adj = phi.family_coeffs.conj().T
+    return [adj @ x for x in vectors]
+
+
+def coefficient_energy(coeffs: np.ndarray) -> float:
+    """sum_k |c_k|^2 of a coefficient array."""
+    return float(np.sum(np.abs(coeffs) ** 2))
+
+
 def domain_partial_sum(phi: SequenceFamily, x) -> float:
     """Truncated membership functional sum_k |(x | phi_k)|^2 over family columns."""
-    x = linalg.as_vector(x)
-    if x.shape[0] != phi.dim:
-        raise DimensionMismatchError(f"vector length {x.shape[0]} != family dimension {phi.dim}")
-    coeffs = phi.family_coeffs.conj().T @ x
-    return float(np.sum(np.abs(coeffs) ** 2))
+    return coefficient_energy(analysis_coefficients(phi, [x])[0])
