@@ -178,7 +178,16 @@ class SweepReport:
         for key in sorted(self.fit_exponents):
             metric, probe = key
             tag = f"{metric}[{probe}]" if probe else metric
-            lines.append(f"  slope {tag}: {self.fit_exponents[key]:+.3f}")
+            if metric.startswith("span_dist_") and self.series(*key)[1][-1] <= t.density_floor:
+                # _dense_verdict decides on the floor alone; a slope fitted to
+                # rounding-level distances would flip with the last bits.
+                slope = "below floor"
+            else:
+                slope = f"{self.fit_exponents[key]:+.3f}"
+                if slope == "-0.000":
+                    # The sign of a slope that rounds to zero is rounding noise.
+                    slope = "+0.000"
+            lines.append(f"  slope {tag}: {slope}")
         if self.skipped:
             for dim, reason in self.skipped:
                 lines.append(f"  skipped dim {dim}: {reason}")

@@ -9,7 +9,7 @@ flagged through n_padding and never count as family members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,19 +26,28 @@ PAIR_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class ONB:
-    """Orthonormal basis of the truncated space: column k is e_k."""
+    """Orthonormal basis of the truncated space: column k is e_k.
+
+    is_standard is True when the columns are exactly the identity; that basis is
+    orthonormal by construction and skips the O(N^3) Gram check.
+    """
 
     columns: np.ndarray
+    is_standard: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         U = np.asarray(self.columns, dtype=np.complex128)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise TruncationShapeError(f"ONB must be square, got {U.shape}")
-        defect = linalg.max_abs(U.conj().T @ U - np.eye(U.shape[0]))
-        if defect > 1e-12:
-            raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
+        identity = np.eye(U.shape[0])
+        standard = bool(np.array_equal(U, identity))
+        if not standard:
+            defect = linalg.max_abs(U.conj().T @ U - identity)
+            if defect > 1e-12:
+                raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
         U.setflags(write=False)
         object.__setattr__(self, "columns", U)
+        object.__setattr__(self, "is_standard", standard)
 
     @classmethod
     def standard(cls, dim: int) -> "ONB":

@@ -61,14 +61,19 @@ class ConstructingPair:
         return self.factorization.sigma_min
 
 
+def _on_basis(cp: ConstructingPair, M: np.ndarray) -> SequenceFamily:
+    """The family {M e_k}; with the standard ONB that is M itself, no product."""
+    return SequenceFamily(M if cp.onb.is_standard else M @ cp.onb.columns)
+
+
 def constructed_family(cp: ConstructingPair) -> SequenceFamily:
     """The family {T e_k} of the constructing pair."""
-    return SequenceFamily(cp.T @ cp.onb.columns)
+    return _on_basis(cp, cp.T)
 
 
 def dual_family(cp: ConstructingPair) -> SequenceFamily:
     """Dual family psi_k = adjoint(inverse(T)) e_k; biorthogonal to {T e_k}."""
-    return SequenceFamily(cp.factorization.dual @ cp.onb.columns)
+    return _on_basis(cp, cp.factorization.dual)
 
 
 def dual_pair(cp: ConstructingPair) -> BiorthogonalPair:

@@ -11,9 +11,10 @@ from rieszlab.diagnostics import (
     quasi_basis_residual,
     run_sweep,
     span_distance,
+    span_distances,
 )
-from rieszlab.errors import SweepError
-from rieszlab.family import BiorthogonalPair, SequenceFamily, check_pairing
+from rieszlab.errors import DimensionMismatchError, SweepError
+from rieszlab.family import BiorthogonalPair, SequenceFamily, check_pairing, domain_partial_sum
 from rieszlab.models import ModelSpec, pair_factory, paper_example_pair
 
 from conftest import random_complex, random_well_conditioned
@@ -62,6 +63,16 @@ class TestSpanDistance:
     def test_paper_example_psi_closed_form(self):
         pair = paper_example_pair(8)
         assert span_distance(pair.psi, linalg.basis_vector(0, 8)) == pytest.approx(1.0, abs=1e-14)
+
+
+    def test_many_vectors_match_one_at_a_time(self, rng):
+        fam = SequenceFamily(random_well_conditioned(rng, 6)[:, :4])
+        xs = [random_complex(rng, 6) for _ in range(3)]
+        assert span_distances(fam, xs) == [span_distance(fam, x) for x in xs]
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            span_distances(SequenceFamily.identity(4), [linalg.basis_vector(0, 4), np.ones(5)])
 
 
 class TestQuasiBasisResidual:
@@ -161,3 +172,55 @@ class TestRunSweep:
         report = run_sweep(pair_factory(ModelSpec("paper_example", 8)),
                            [8, 16, 32, 64], ["e_0"], thresholds=thr)
         assert report.flags["span_dense_phi"] is False
+
+
+EPS = np.finfo(np.float64).eps
+DEFINITION_PROBES = ["e_0", "geom:0.5", "random:7"]
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("paper_example", 8),
+                                  ModelSpec("random_regular", 8, kappa_max=50.0)])
+def test_sweep_record_equals_public_definitions(spec):
+    # The sweep shares one factorization per side among its probes; every
+    # value must still be exactly what the one-vector public functions give.
+    factory = pair_factory(spec)
+    report = run_sweep(factory, [16, 32], DEFINITION_PROBES)
+    rec = report.records[report.dims.index(32)]
+    pair = factory(32)
+    vectors = {p: ProbeSpec.parse(p).instantiate(32) for p in DEFINITION_PROBES}
+    for name, x in vectors.items():
+        for side, fam in (("phi", pair.phi), ("psi", pair.psi)):
+            assert rec[(f"span_dist_{side}", name)] == span_distance(fam, x)
+            assert rec[(f"domain_partial_{side}", name)] == domain_partial_sum(fam, x)
+    worst = max(quasi_basis_residual(pair, f, g)
+                for f in vectors.values() for g in vectors.values())
+    assert rec[("quasi_basis_residual", "")] == worst
+
+
+class TestVerdictSlopes:
+    DIMS = [16, 32, 64, 128]
+
+    @staticmethod
+    def scaled(factory, s):
+        def build(dim):
+            pair = factory(dim)
+            return BiorthogonalPair(SequenceFamily(pair.phi.coeffs * s),
+                                    SequenceFamily(pair.psi.coeffs * s),
+                                    pair.pairing_residual)
+        return build
+
+    def test_rounding_level_span_distances_print_below_floor(self):
+        # random_regular families are square and invertible: every span
+        # distance is rounding noise, and its fitted slope means nothing.
+        factory = pair_factory(ModelSpec("random_regular", 8, kappa_max=50.0))
+        text = run_sweep(factory, self.DIMS, DEFINITION_PROBES).verdict_text()
+        span_lines = [line for line in text.splitlines() if "slope span_dist_" in line]
+        assert len(span_lines) == 6
+        assert all(line.endswith(": below floor") for line in span_lines)
+        scaled = self.scaled(factory, 1.0 + 4.0 * EPS)
+        assert run_sweep(scaled, self.DIMS, DEFINITION_PROBES).verdict_text() == text
+
+    def test_slopes_above_floor_are_printed(self):
+        # dist(e_0, span phi) = 1/sqrt(N) in the paper example.
+        report = run_sweep(pair_factory(ModelSpec("paper_example", 8)), self.DIMS, ["e_0"])
+        assert "  slope span_dist_phi[e_0]: -0.500" in report.verdict_text().splitlines()

@@ -3,7 +3,9 @@
 numpy.linalg.svd, solve and qr are counted around one CLI call.  An analyze
 run factors its analysis operator T once (one values-only SVD for the rank
 gate and kappa, one solve for the inverse) and spends one QR on the psi-side
-span distance; every other check reuses that factorization.
+span distance; every other check reuses that factorization.  A sweep factors
+each family once per dimension: one QR per side serves the span distance of
+every probe, and one values-only SVD of T gives op_norm and inv_norm.
 """
 
 from collections import Counter
@@ -67,3 +69,13 @@ def test_pseudoboson_factors_each_operator_at_most_once(factor_counts, capsys):
     capsys.readouterr()
     assert factor_counts["svd"] + factor_counts["svd_values"] <= 3
     assert factor_counts["solve"] <= 1
+
+
+@pytest.mark.parametrize("probes", [["e_0"], ["e_0", "geom:0.5", "random:7"]])
+def test_sweep_factors_each_family_once_per_dimension(factor_counts, capsys, probes):
+    argv = ["sweep", "--model", "paper_example", "--dims", "8,16,32"]
+    for p in probes:
+        argv += ["--probe", p]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert factor_counts == Counter({"qr": 2 * 3, "svd_values": 3})

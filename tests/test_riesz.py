@@ -75,6 +75,20 @@ class TestDualFamily:
         assert np.allclose(dual.coeffs[:, 1:], np.eye(n)[:, 1:], atol=1e-13)
 
 
+    def test_standard_onb_shares_the_dual_operator(self, rng):
+        # With the standard ONB, psi_k = dual e_k is the dual matrix itself;
+        # a rotated ONB still multiplies by its columns.
+        T = random_well_conditioned(rng, 5)
+        cp = ConstructingPair(ONB.standard(5), T)
+        assert cp.onb.is_standard
+        assert dual_family(cp).coeffs is cp.factorization.dual
+        assert constructed_family(cp).coeffs is cp.T
+        u = np.linalg.qr(random_well_conditioned(rng, 5))[0]
+        rotated = ConstructingPair(ONB(u), T)
+        assert not rotated.onb.is_standard
+        assert np.array_equal(dual_family(rotated).coeffs, cp.factorization.dual @ u)
+
+
 class TestDomainNormIdentity:
     def test_identity_operator(self, rng):
         cp = ConstructingPair(ONB.standard(5), np.eye(5))
