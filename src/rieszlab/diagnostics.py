@@ -7,6 +7,11 @@ log-log slopes, and maps the fitted trends to a classification through
 declared cutpoints.  "inconclusive" is a first-class outcome: when the slope
 fitted over all dimensions and the slope fitted over the top half disagree on
 a verdict, no branch is forced.
+
+Each family is factored once per dimension: one QR per side serves the span
+distance of every probe, one conjugate transpose per side gives the
+coefficients (x | phi_k) that the domain sums and the quasi-basis residual
+share, and one values-only SVD of T gives op_norm and inv_norm.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .family import (
     BiorthogonalPair,
     SequenceFamily,
     analysis_coefficients,
+    as_vectors,
     coefficient_energy,
     pad_to_square,
     pairing_defect,
@@ -93,11 +99,7 @@ def span_distances(fam: SequenceFamily, vectors) -> list[float]:
 
     One QR of the family serves every vector; Q and Q^H are freed on return.
     """
-    vectors = [linalg.as_vector(x) for x in vectors]
-    for x in vectors:
-        if x.shape[0] != fam.dim:
-            raise DimensionMismatchError(
-                f"vector length {x.shape[0]} != family dimension {fam.dim}")
+    vectors = as_vectors(fam, vectors)
     # [0] drops R at once instead of keeping an N x M array alive.
     q = np.linalg.qr(fam.family_coeffs)[0]
     qh = q.conj().T

@@ -274,16 +274,22 @@ def verify_left_inverse(pair: BiorthogonalPair, onb: ONB | None = None) -> float
     return linalg.max_abs(K @ T - np.eye(n))
 
 
+def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:
+    """The vectors as complex arrays, each checked against the family dimension."""
+    vectors = [linalg.as_vector(x) for x in vectors]
+    for x in vectors:
+        if x.shape[0] != fam.dim:
+            raise DimensionMismatchError(
+                f"vector length {x.shape[0]} != family dimension {fam.dim}")
+    return vectors
+
+
 def analysis_coefficients(phi: SequenceFamily, vectors) -> list[np.ndarray]:
     """The coefficients ((x | phi_k))_k over the family columns, one array per vector.
 
     The conjugate transpose of the family is formed once for all vectors.
     """
-    vectors = [linalg.as_vector(x) for x in vectors]
-    for x in vectors:
-        if x.shape[0] != phi.dim:
-            raise DimensionMismatchError(
-                f"vector length {x.shape[0]} != family dimension {phi.dim}")
+    vectors = as_vectors(phi, vectors)
     adj = phi.family_coeffs.conj().T
     return [adj @ x for x in vectors]
 
