@@ -64,7 +64,6 @@ class TestSpanDistance:
         pair = paper_example_pair(8)
         assert span_distance(pair.psi, linalg.basis_vector(0, 8)) == pytest.approx(1.0, abs=1e-14)
 
-
     def test_many_vectors_match_one_at_a_time(self, rng):
         fam = SequenceFamily(random_well_conditioned(rng, 6)[:, :4])
         xs = [random_complex(rng, 6) for _ in range(3)]

@@ -74,7 +74,6 @@ class TestDualFamily:
         assert np.allclose(dual.coeffs[:, 0], expected_first, atol=1e-13)
         assert np.allclose(dual.coeffs[:, 1:], np.eye(n)[:, 1:], atol=1e-13)
 
-
     def test_standard_onb_shares_the_dual_operator(self, rng):
         # With the standard ONB, psi_k = dual e_k is the dual matrix itself;
         # a rotated ONB still multiplies by its columns.
