@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of a fixed list of rieszlab CLI runs, for byte-identity checks.
+
+Usage, from the root of a checkout (PARENT is a second checkout of the parent
+commit, e.g. made with `git archive`):
+
+    python3 bench/digests.py --checkout PARENT > parent.txt
+    python3 bench/digests.py > change.txt
+    diff parent.txt change.txt
+
+Each command of COMMANDS runs as `python -m rieszlab.cli` from the `src/` of
+the checkout (default: the one this script lives in), in its own working
+directory, with `--out` pointing at a relative directory, so that no absolute
+path reaches stdout or the written files.  For every command the output holds
+its exit code, one digest of its stdout and one digest per written file (paths
+relative to the output directory).  The pseudo-boson file inputs are written by
+perfbench's own writer, so the `pseudoboson-pipeline` commands run exactly as
+in the benchmark.  BLAS runs on one thread, so that the digests do not depend
+on the thread count of the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.workloads import commands, write_inputs  # noqa: E402
+
+#: Input seed of the perfbench commands and of the seeded models.
+SEED = 3
+PROBES = ["--probe", "e_0", "--probe", "geom:0.5", "--probe", f"random:{SEED}"]
+PIPELINE = "pseudoboson-pipeline"
+
+
+def _command_list() -> list[list[str]]:
+    cmds = []
+    for model in ("identity", "paper_example", "diagonal:k+1", "random_regular:50",
+                  "ccr", "similarity:1.01^k"):
+        for n in (64, 128, 256):
+            cmds.append(["analyze", "--model", model, "--dim", str(n), "--seed", str(SEED)])
+    for model in ("ccr", "similarity:1.01^k"):
+        for n in (64, 128):
+            cmds.append(["pseudoboson", "--model", model, "--dim", str(n)])
+            cmds.append(["pseudoboson", "--model", model, "--dim", str(n),
+                         "--window", str(n // 2), "--count", str(n // 4)])
+    cmds += [argv for _, argv in commands(PIPELINE, "full", SEED)]
+    for model, side in (("random_regular:50", "phi"), ("random_regular:50", "psi"),
+                        ("paper_example", "phi"), ("paper_example", "psi")):
+        cmds.append(["ladder", "--model", model, "--dim", "64", "--seed", str(SEED),
+                     "--side", side])
+    cmds += [
+        ["sweep", "--model", "paper_example", "--dims", "16,32,64,128", *PROBES],
+        ["sweep", "--model", "random_regular:50", "--dims", "16,32,64,128",
+         "--seed", str(SEED), *PROBES],
+        ["sweep", "--model", "diagonal:k+1", "--dims", "16,32,64,128", *PROBES],
+        ["sweep", "--model", "similarity:1.01^k", "--dims", "16,32,64", *PROBES],
+    ]
+    # Check failures (exit 2): FAIL lines under tight tolerances, a singular operator.
+    cmds += [
+        ["analyze", "--model", "random_regular:50", "--dim", "64", "--tol-pair", "1e-30"],
+        ["pseudoboson", "--model", "similarity:1.01^k", "--dim", "64", "--tol-pb", "1e-30"],
+        ["pseudoboson", "--model", "similarity:2^k", "--dim", "64"],
+    ]
+    return cmds
+
+
+COMMANDS = _command_list()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all(checkout: Path, work: Path) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    lines = []
+    for i, argv in enumerate(COMMANDS):
+        cwd = work / f"c{i:02d}"
+        cwd.mkdir()
+        if argv[2].startswith("file:"):
+            write_inputs(PIPELINE, "full", SEED, cwd)
+        proc = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--out", "out"],
+                              cwd=cwd, env=env, capture_output=True, timeout=600)
+        lines.append(f"exit {proc.returncode}  {' '.join(argv)}")
+        lines.append(f"  {_sha(proc.stdout)}  stdout")
+        out = cwd / "out"
+        files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
+        for p in files:
+            lines.append(f"  {_sha(p.read_bytes())}  {p.relative_to(out).as_posix()}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT,
+                        help="checkout whose src/rieszlab runs (default: this one)")
+    args = parser.parse_args(argv)
+    work = Path(tempfile.mkdtemp(prefix="rieszlab-digests-"))
+    try:
+        lines = run_all(args.checkout.resolve(), work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

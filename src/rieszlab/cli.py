@@ -29,7 +29,6 @@ from .family import (
     check_pairing,
     embed_pair,
     pad_to_square,
-    pairing_defect,
     verify_left_inverse,
 )
 
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ladder", help="build and export ladder operators")
     common(p)
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--side", choices=("phi", "psi"), default="phi")
+    p.add_argument("--side", default=None, help="phi or psi (default phi)")
 
     p = sub.add_parser("example-list", help="list built-in models")
     return parser
@@ -203,8 +202,8 @@ def cmd_analyze(cfg: dict) -> int:
     table.add("left-inverse identity", verify_left_inverse(sq), dim * tol_pair)
 
     dual = riesz.dual_family(cp)
-    dual_defect = pairing_defect(BiorthogonalPair(phi_full, dual))
-    table.add("dual family pairing", dual_defect, max(tol_pair, cp.kappa * 1e-12 * dim))
+    table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
+              max(tol_pair, cp.kappa * 1e-12 * dim))
 
     tol_ladder = ladder.ladder_tolerance(cp.kappa, tol_ladder_base) * 10
     ls_phi = ladder.build_ladder(fac, side="phi")
@@ -269,7 +268,10 @@ def cmd_pseudoboson(cfg: dict) -> int:
     window = int(window) if window is not None else None
     system = _load_system(cfg, dim, window)
     n = system.dim
-    count = int(cfg.get("count") or min(system.window, n - 1))
+    count = cfg.get("count")
+    count = int(count) if count is not None else min(system.window, n - 1)
+    if not 1 <= count <= n:
+        raise ValueError(f"count: must lie in 1..{n}, got {count}")
     tol_pb_base = float(cfg["tolerances"].get("pb", pseudoboson.PB_TOL_BASE))
 
     table = CheckTable()
@@ -280,10 +282,15 @@ def cmd_pseudoboson(cfg: dict) -> int:
     table.add(f"commutator defect on window {system.window}",
               system.commutator_defect(), pseudoboson.COMMUTATOR_TOLERANCE)
 
-    phi, psi = pseudoboson.generate_families(system, count)
+    # The families are generated once, at full truncation.  Each column is
+    # computed from the one before, so their first count columns are exactly
+    # what generating count columns gives; those keep their own pairing check.
+    sq_phi, sq_psi = pseudoboson.generate_families(system, n)
+    phi = SequenceFamily(sq_phi.coeffs[:, :count])
+    psi = SequenceFamily(sq_psi.coeffs[:, :count])
+    pair = check_pairing(phi, psi, tolerance=pseudoboson.pb_tolerance(phi, psi))
     tol_pb = pseudoboson.pb_tolerance(phi, psi, base=tol_pb_base)
-    table.add("generated pairing residual",
-              pairing_defect(BiorthogonalPair(phi, psi)), tol_pb)
+    table.add("generated pairing residual", pair.pairing_residual, tol_pb)
 
     nmax = min(6, count - 1, system.window // 2)
     for npow in range(nmax + 1):
@@ -293,7 +300,6 @@ def cmd_pseudoboson(cfg: dict) -> int:
     table.add("number eigen-relations (m <= 3)",
               pseudoboson.number_eigen_check(system, (phi, psi), mmax=3), tol_pb * 10)
 
-    sq_phi, _ = pseudoboson.generate_families(system, n)
     ls_phi = ladder.build_ladder(build_analysis(sq_phi), side="phi")
     table.add("restriction containment (phi side)",
               pseudoboson.restriction_containment(system, ls_phi, phi, side="phi"), tol_pb)
@@ -309,7 +315,9 @@ def cmd_pseudoboson(cfg: dict) -> int:
 
 def cmd_ladder(cfg: dict) -> int:
     dim = _dim(_require(cfg, "dim", 16))
-    side = str(cfg.get("side") or "phi")
+    side = cfg.get("side") or "phi"
+    if side not in ("phi", "psi"):
+        raise ValueError(f"side: must be phi or psi, got {side!r}")
     pair = _load_pair_model(cfg, dim)
     fac = linalg.Factorization(build_analysis(pad_to_square(pair.phi)))
     if side == "phi":

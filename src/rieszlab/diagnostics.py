@@ -31,7 +31,6 @@ from .family import (
     as_vectors,
     coefficient_energy,
     pad_to_square,
-    pairing_defect,
 )
 
 
@@ -276,7 +275,7 @@ def _evaluate_dim(pair: BiorthogonalPair, probes: list[ProbeSpec]) -> dict:
     sigma = linalg.singular_values(pad_to_square(pair.phi).coeffs)
     rec[("op_norm", "")] = float(sigma[0])
     rec[("inv_norm", "")] = float(1.0 / sigma[-1]) if sigma[-1] > 0 else float("inf")
-    rec[("pairing_residual", "")] = pairing_defect(pair)
+    rec[("pairing_residual", "")] = pair.pairing_residual
     worst_qb = 0.0
     for f, c_phi, c_psi in zip(xs, coeffs["phi"], coeffs["psi"]):
         phi_psih_f = pair.phi.family_coeffs @ c_psi

@@ -10,6 +10,7 @@ flagged through n_padding and never count as family members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +58,6 @@ class ONB:
     def dim(self) -> int:
         return self.columns.shape[0]
 
-    def vector(self, k: int) -> np.ndarray:
-        return self.columns[:, k].copy()
-
 
 @dataclass(frozen=True)
 class SequenceFamily:
@@ -95,11 +93,6 @@ class SequenceFamily:
     def identity(cls, dim: int) -> "SequenceFamily":
         return cls(np.eye(dim, dtype=np.complex128))
 
-    @classmethod
-    def from_columns(cls, cols, index_offset: int = 0) -> "SequenceFamily":
-        return cls(np.column_stack([np.asarray(c, dtype=np.complex128) for c in cols]),
-                   index_offset=index_offset)
-
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
@@ -114,28 +107,33 @@ class SequenceFamily:
         """Coefficient block of the actual family members (padding dropped)."""
         return self.coeffs[:, self.n_padding:]
 
-    @property
-    def family_size(self) -> int:
-        return self.size - self.n_padding
-
-    def column(self, k: int) -> np.ndarray:
-        return self.coeffs[:, k].copy()
-
     def is_square(self) -> bool:
         return self.size == self.dim
 
 
 @dataclass(frozen=True)
 class BiorthogonalPair:
-    """Two families with (phi_n | psi_m) = delta_nm up to pairing_residual."""
+    """Two families with (phi_n | psi_m) = delta_nm up to pairing_residual.
+
+    The pair computes its pairing residual from its own columns, once; only
+    that float is kept, so no pair can claim a better pairing than it has.
+    """
 
     phi: SequenceFamily
     psi: SequenceFamily
-    pairing_residual: float = 0.0
+
+    def __post_init__(self):
+        _require_compatible(self.phi, self.psi)
 
     @property
     def dim(self) -> int:
         return self.phi.dim
+
+    @cached_property
+    def pairing_residual(self) -> float:
+        """max_{n,m} |(phi_n | psi_m) - delta_nm| over the family columns."""
+        defect = _gram_defect(self.phi, self.psi)
+        return float(defect.max()) if defect.size else 0.0
 
 
 def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
@@ -153,26 +151,19 @@ def _gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
     return np.abs(gram - np.eye(gram.shape[0]))
 
 
-def pairing_defect(pair: BiorthogonalPair) -> float:
-    """Max-norm of the pairing defect of a pair, recomputed from its columns."""
-    defect = _gram_defect(pair.phi, pair.psi)
-    return float(defect.max()) if defect.size else 0.0
-
-
 def check_pairing(phi: SequenceFamily, psi: SequenceFamily,
                   tolerance: float = PAIR_TOLERANCE) -> BiorthogonalPair:
     """Verify (phi_n | psi_m) = delta_nm over the family columns.
 
-    Raises NotBiorthogonalError carrying the worst (n, m) when the max
-    pairing defect exceeds tolerance.
+    Gates on the pair's pairing_residual; only a failing pair rebuilds the
+    defect matrix, to raise NotBiorthogonalError carrying the worst (n, m).
     """
-    _require_compatible(phi, psi)
-    defect = _gram_defect(phi, psi)
-    residual = float(defect.max()) if defect.size else 0.0
-    if residual > tolerance:
+    pair = BiorthogonalPair(phi=phi, psi=psi)
+    if pair.pairing_residual > tolerance:
+        defect = _gram_defect(phi, psi)
         m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)
-        raise NotBiorthogonalError(n=n, m=m, value=residual, tolerance=tolerance)
-    return BiorthogonalPair(phi=phi, psi=psi, pairing_residual=residual)
+        raise NotBiorthogonalError(n=n, m=m, value=pair.pairing_residual, tolerance=tolerance)
+    return pair
 
 
 def build_analysis(phi: SequenceFamily, onb: ONB | None = None) -> np.ndarray:
@@ -205,7 +196,7 @@ def build_coanalysis(phi: SequenceFamily, onb: ONB | None = None) -> np.ndarray:
     return onb.columns @ phi.coeffs.conj().T
 
 
-def pad_to_square(fam: SequenceFamily, onb: ONB | None = None) -> SequenceFamily:
+def pad_to_square(fam: SequenceFamily) -> SequenceFamily:
     """Embed a family with index_offset > 0 into a square truncation.
 
     The missing leading indices k < index_offset are filled with the basis
@@ -220,8 +211,7 @@ def pad_to_square(fam: SequenceFamily, onb: ONB | None = None) -> SequenceFamily
         )
     if fam.n_padding:
         raise TruncationShapeError("family already carries padding columns")
-    U = onb.columns if onb is not None else np.eye(fam.dim, dtype=np.complex128)
-    pad = U[:, : fam.index_offset]
+    pad = np.eye(fam.dim, dtype=np.complex128)[:, : fam.index_offset]
     return SequenceFamily(
         np.hstack([pad, fam.coeffs]),
         index_offset=0,
@@ -229,7 +219,7 @@ def pad_to_square(fam: SequenceFamily, onb: ONB | None = None) -> SequenceFamily
     )
 
 
-def pair_to_square(pair: BiorthogonalPair, onb: ONB | None = None) -> BiorthogonalPair:
+def pair_to_square(pair: BiorthogonalPair) -> BiorthogonalPair:
     """Embed both sides of a pair in a square truncation, keeping exact duality.
 
     The phi side pads with basis vectors.  The psi side pads with the columns
@@ -239,12 +229,11 @@ def pair_to_square(pair: BiorthogonalPair, onb: ONB | None = None) -> Biorthogon
     """
     if pair.phi.is_square() and pair.psi.is_square():
         return pair
-    T = build_analysis(pad_to_square(pair.phi, onb), onb)
-    return embed_pair(pair, linalg.Factorization(T), onb)
+    T = build_analysis(pad_to_square(pair.phi))
+    return embed_pair(pair, linalg.Factorization(T))
 
 
-def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization,
-               onb: ONB | None = None) -> BiorthogonalPair:
+def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization) -> BiorthogonalPair:
     """pair_to_square, given the Factorization of the padded analysis operator.
 
     The padding columns of psi are read from fac.dual, so a caller that needs
@@ -253,25 +242,22 @@ def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization,
     """
     if pair.phi.is_square() and pair.psi.is_square():
         return pair
-    phi_sq = pad_to_square(pair.phi, onb)
-    U = onb.columns if onb is not None else np.eye(pair.dim, dtype=np.complex128)
     k = pair.psi.index_offset
-    pad = fac.dual @ U[:, :k]
+    pad = fac.dual @ np.eye(pair.dim, dtype=np.complex128)[:, :k]
     psi_sq = SequenceFamily(np.hstack([pad, pair.psi.coeffs]), index_offset=0, n_padding=k)
-    return BiorthogonalPair(phi=phi_sq, psi=psi_sq, pairing_residual=pair.pairing_residual)
+    return BiorthogonalPair(phi=pad_to_square(pair.phi), psi=psi_sq)
 
 
-def verify_left_inverse(pair: BiorthogonalPair, onb: ONB | None = None) -> float:
+def verify_left_inverse(pair: BiorthogonalPair) -> float:
     """Residual of the left-inverse identity T_{e,psi} T_{phi,e} = I.
 
     Returns the max-norm of the defect at square truncation (the pair is
     embedded first when its index set starts above 0).
     """
-    sq = pair_to_square(pair, onb)
-    K = build_coanalysis(sq.psi, onb)
-    T = build_analysis(sq.phi, onb)
-    n = sq.dim
-    return linalg.max_abs(K @ T - np.eye(n))
+    sq = pair_to_square(pair)
+    K = build_coanalysis(sq.psi)
+    T = build_analysis(sq.phi)
+    return linalg.max_abs(K @ T - np.eye(sq.dim))
 
 
 def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ModelError
 from .family import BiorthogonalPair, SequenceFamily, check_pairing
 from .ladder import shift_matrices
-from .pseudoboson import PseudoBosonSystem, generate_families, pb_tolerance
+from .pseudoboson import PseudoBosonSystem, generate_families
 
 MODEL_KINDS = ("identity", "paper_example", "diagonal", "random_regular", "ccr", "similarity")
 
@@ -100,7 +100,7 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
     """Build the biorthogonal pair a model describes.
 
     Pseudo-bosonic kinds (ccr, similarity) are materialized through their
-    generated families at full square truncation.
+    generated families at full square truncation, pairing-checked there.
     """
     n = spec.dim
     if spec.kind == "identity":
@@ -122,9 +122,7 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
         psi = SequenceFamily(u / s)
         return check_pairing(phi, psi, tolerance=max(1e-10, spec.kappa_max * 1e-13 * n))
     if spec.is_system:
-        system = instantiate_system(spec)
-        phi, psi = generate_families(system, count=n)
-        return check_pairing(phi, psi, tolerance=pb_tolerance(phi, psi))
+        return BiorthogonalPair(*generate_families(instantiate_system(spec), count=n))
     raise ModelError(f"cannot build a pair from model kind {spec.kind!r}")
 
 
@@ -135,10 +133,10 @@ def instantiate_system(spec: ModelSpec, window: int | None = None) -> PseudoBoso
     if spec.kind == "ccr":
         return PseudoBosonSystem.build(s_minus, s_plus, window=window)
     if spec.kind == "similarity":
+        # S M S^-1 with S = diag(s): scale the rows by s and the columns by 1/s.
         s = evaluate_rule(spec.rule, np.arange(n))
-        S = np.diag(s)
-        S_inv = np.diag(1.0 / s)
-        return PseudoBosonSystem.build(S @ s_minus @ S_inv, S @ s_plus @ S_inv, window=window)
+        row, col = s[:, None], (1.0 / s)[None, :]
+        return PseudoBosonSystem.build(row * s_minus * col, row * s_plus * col, window=window)
     raise ModelError(f"model kind {spec.kind!r} is not a pseudo-bosonic system")
 
 

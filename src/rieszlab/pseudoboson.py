@@ -74,7 +74,7 @@ class PseudoBosonSystem:
     """Operator pair (a, b) with its vacua and number operators.
 
     number_op = b a (forced by N phi_n = n phi_n together with the ladder
-    actions) and number_dag = adjoint(a) adjoint(b).
+    actions) and number_dag = adjoint(number_op) = adjoint(a) adjoint(b).
     """
 
     a: np.ndarray
@@ -101,10 +101,11 @@ class PseudoBosonSystem:
             raise AmbiguousVacuumError(0, which="a (vacuum residual over tolerance)")
         if np.linalg.norm(linalg.adjoint(b) @ psi0) > vacuum_tolerance:
             raise AmbiguousVacuumError(0, which="adjoint(b) (vacuum residual over tolerance)")
+        number_op = b @ a
         return cls(
             a=a, b=b, phi0=phi0, psi0=psi0,
-            number_op=b @ a,
-            number_dag=linalg.adjoint(a) @ linalg.adjoint(b),
+            number_op=number_op,
+            number_dag=linalg.adjoint(number_op),
             window=w,
         )
 

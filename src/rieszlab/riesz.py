@@ -44,9 +44,9 @@ class ConstructingPair:
         object.__setattr__(self, "factorization", fac)
 
     @classmethod
-    def from_family(cls, phi: SequenceFamily, onb: ONB | None = None) -> "ConstructingPair":
-        onb = onb if onb is not None else ONB.standard(phi.dim)
-        return cls(onb=onb, T=build_analysis(phi, onb))
+    def from_family(cls, phi: SequenceFamily) -> "ConstructingPair":
+        """The pair (e, T) on the standard basis: T is the coefficient matrix of phi."""
+        return cls(onb=ONB.standard(phi.dim), T=build_analysis(phi))
 
     @property
     def dim(self) -> int:
@@ -97,11 +97,11 @@ def domain_norm_identity(cp: ConstructingPair, x) -> tuple[float, float]:
     return lhs, rhs
 
 
-def check_constructing(T, phi: SequenceFamily, onb: ONB | None = None,
+def check_constructing(T, phi: SequenceFamily,
                        tolerance: float = ACTION_TOLERANCE) -> bool:
     """True iff T is invertible and T e_{k+offset} == phi_k for every family column.
 
-    Compares actions rather than matrices, so T may be supplied in any basis.
+    T e_j is the column j of T in the standard basis.
     """
     T = linalg.as_operator(T)
     if T.shape[0] != phi.dim:
@@ -110,9 +110,7 @@ def check_constructing(T, phi: SequenceFamily, onb: ONB | None = None,
         linalg.Factorization(T)
     except SingularOperatorError:
         return False
-    U = onb.columns if onb is not None else np.eye(phi.dim, dtype=np.complex128)
     for k in range(phi.n_padding, phi.size):
-        idx = phi.index_offset + k
-        if np.linalg.norm(T @ U[:, idx] - phi.coeffs[:, k]) > tolerance:
+        if np.linalg.norm(T[:, phi.index_offset + k] - phi.coeffs[:, k]) > tolerance:
             return False
     return True

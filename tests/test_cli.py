@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -152,6 +153,21 @@ class TestPseudoboson:
         capsys.readouterr()
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("count", [0, -1, 17])
+    def test_count_outside_range_is_input_error(self, tmp_path, capsys, count):
+        argv = ["pseudoboson", "--model", "ccr", "--dim", "16"]
+        assert main([*argv, "--count", str(count)]) == EXIT_INPUT
+        assert "count: must lie in 1..16" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"count": count}))
+        assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT
+        assert "count: must lie in 1..16" in capsys.readouterr().err
+
+    def test_count_reports_its_leading_columns(self, capsys):
+        assert main(["pseudoboson", "--model", "ccr", "--dim", "16", "--count", "16"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "generated columns 16" in out and "FAIL" not in out
+
 
 class TestLadder:
     def test_export(self, tmp_path, capsys):
@@ -168,10 +184,32 @@ class TestLadder:
                      "--seed", "2", "--side", "psi", "--out", str(tmp_path)])
         assert code == EXIT_OK
         capsys.readouterr()
-        import json
-
         meta = json.loads((tmp_path / "ladder.meta.json").read_text())
         assert meta["side"] == "psi"
+
+    def test_config_side_is_used(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"model": "paper_example", "dim": 8, "side": "psi"}))
+        out = tmp_path / "out"
+        assert main(["ladder", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        meta = json.loads((out / "ladder.meta.json").read_text())
+        assert meta["side"] == "psi"
+        # A flag that is given still overrides the config file.
+        code = main(["ladder", "--config", str(cfg), "--side", "phi", "--out", str(out)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        assert json.loads((out / "ladder.meta.json").read_text())["side"] == "phi"
+
+    def test_unknown_side_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"model": "identity", "dim": 8, "side": "phy"}))
+        assert main(["ladder", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INPUT
+        assert "side: must be phi or psi" in capsys.readouterr().err
+        assert main(["ladder", "--model", "identity", "--dim", "8", "--side", "phy",
+                     "--out", str(tmp_path)]) == EXIT_INPUT
+        assert "side: must be phi or psi" in capsys.readouterr().err
+        assert not (tmp_path / "ladder.meta.json").exists()
 
 
 def test_import_does_not_load_yaml():

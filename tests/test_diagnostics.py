@@ -7,7 +7,6 @@ from rieszlab import linalg
 from rieszlab.diagnostics import (
     ProbeSpec,
     Thresholds,
-    pairing_defect,
     quasi_basis_residual,
     run_sweep,
     span_distance,
@@ -107,12 +106,12 @@ class TestQuasiBasisResidual:
 class TestPairingDefect:
     def test_identity(self):
         fam = SequenceFamily.identity(5)
-        assert pairing_defect(BiorthogonalPair(fam, fam)) == 0.0
+        assert BiorthogonalPair(fam, fam).pairing_residual == 0.0
 
     def test_detects_scaling(self):
         phi = SequenceFamily.identity(4)
         psi = SequenceFamily(2.0 * np.eye(4))
-        assert pairing_defect(BiorthogonalPair(phi, psi)) == pytest.approx(1.0)
+        assert BiorthogonalPair(phi, psi).pairing_residual == pytest.approx(1.0)
 
 
 class TestRunSweep:
@@ -204,8 +203,7 @@ class TestVerdictSlopes:
         def build(dim):
             pair = factory(dim)
             return BiorthogonalPair(SequenceFamily(pair.phi.coeffs * s),
-                                    SequenceFamily(pair.psi.coeffs * s),
-                                    pair.pairing_residual)
+                                    SequenceFamily(pair.psi.coeffs * s))
         return build
 
     def test_rounding_level_span_distances_print_below_floor(self):

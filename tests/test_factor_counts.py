@@ -5,7 +5,8 @@ run factors its analysis operator T once (one values-only SVD for the rank
 gate and kappa, one solve for the inverse) and spends one QR on the psi-side
 span distance; every other check reuses that factorization.  A sweep factors
 each family once per dimension: one QR per side serves the span distance of
-every probe, and one values-only SVD of T gives op_norm and inv_norm.
+every probe, and one values-only SVD of T gives op_norm and inv_norm.  A
+pseudoboson run generates each family once, at full truncation.
 """
 
 from collections import Counter
@@ -13,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rieszlab import pseudoboson
 from rieszlab.cli import EXIT_OK, main
 
 
@@ -79,3 +81,19 @@ def test_sweep_factors_each_family_once_per_dimension(factor_counts, capsys, pro
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert factor_counts == Counter({"qr": 2 * 3, "svd_values": 3})
+
+
+def test_pseudoboson_generates_each_family_once(factor_counts, monkeypatch, capsys):
+    # phi and psi are generated at full truncation; the count columns the
+    # checks read are their leading block, not a second generation.
+    generate = pseudoboson._generate
+
+    def counted_generate(*args):
+        factor_counts["generate"] += 1
+        return generate(*args)
+
+    monkeypatch.setattr(pseudoboson, "_generate", counted_generate)
+    assert main(["pseudoboson", "--model", "similarity:1.1^k", "--dim", "32"]) == EXIT_OK
+    capsys.readouterr()
+    assert factor_counts == Counter({"generate": 2, "svd": 2, "svd_values": 1,
+                                     "solve": 1, "qr": 1})

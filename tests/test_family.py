@@ -131,6 +131,28 @@ class TestCheckPairing:
             check_pairing(SequenceFamily.identity(4), SequenceFamily.identity(5))
 
 
+class TestPairingResidual:
+    def test_hand_built_pair_reports_its_columns(self):
+        # No constructor argument: a pair cannot claim a better pairing than
+        # its columns have.
+        pair = BiorthogonalPair(SequenceFamily.identity(4), SequenceFamily(2.0 * np.eye(4)))
+        assert pair.pairing_residual == 1.0
+
+    def test_incompatible_families_are_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            BiorthogonalPair(SequenceFamily.identity(4), SequenceFamily(np.eye(4)[:, :3]))
+
+    def test_computed_once_and_only_a_float_is_kept(self, rng):
+        phi_mat = random_well_conditioned(rng, 6)
+        pair = check_pairing(SequenceFamily(phi_mat),
+                             SequenceFamily(linalg.adjoint(linalg.solve_inverse(phi_mat))))
+        residual = pair.pairing_residual
+        assert isinstance(residual, float)
+        assert pair.pairing_residual is residual
+        kept = [v for v in vars(pair).values() if isinstance(v, np.ndarray)]
+        assert kept == []
+
+
 class TestVerifyLeftInverse:
     def test_identity_pair(self):
         fam = SequenceFamily.identity(6)

@@ -3,6 +3,7 @@ import pytest
 
 from rieszlab import linalg
 from rieszlab.errors import ModelError
+from rieszlab.ladder import shift_matrices
 from rieszlab.models import (
     MODEL_KINDS,
     ModelSpec,
@@ -120,6 +121,17 @@ class TestInstantiation:
         assert isinstance(sys, PseudoBosonSystem)
         pair = instantiate_pair(ModelSpec("similarity", 8, rule="k+1"))
         assert pair.phi.is_square()
+
+    @pytest.mark.parametrize("rule", ["2^k", "k+1", "1.01^k"])
+    def test_similarity_equals_dense_product(self, rule):
+        # Row and column scaling is S M S^-1 with S = diag(s), entry for entry.
+        n = 32
+        sys = instantiate_system(ModelSpec("similarity", n, rule=rule))
+        s = evaluate_rule(rule, np.arange(n))
+        S, S_inv = np.diag(s), np.diag(1.0 / s)
+        s_minus, s_plus, _ = shift_matrices(n)
+        assert np.array_equal(sys.a, S @ s_minus @ S_inv)
+        assert np.array_equal(sys.b, S @ s_plus @ S_inv)
 
     def test_catalogue_covers_all_kinds(self):
         names = " ".join(name for name, _ in model_catalogue())
