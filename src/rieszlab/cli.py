@@ -7,7 +7,8 @@ Commands:
   ladder        build and export the ladder operators of a model
   example-list  catalogue of built-in models
 
-Exit codes: 0 success, 1 input/config error, 2 mathematical check failure.
+Exit codes: 0 success, 1 input/config error (usage errors included),
+2 mathematical check failure.
 """
 
 from __future__ import annotations
@@ -195,10 +196,8 @@ def cmd_analyze(cfg: dict) -> int:
     T = cp.T
     K = build_coanalysis(sq.phi)
     table.add("coanalysis == adjoint(analysis)", linalg.max_abs(K - linalg.adjoint(T)), 0.0)
-    action = max(
-        float(np.linalg.norm(T[:, k] - sq.phi.coeffs[:, k])) for k in range(sq.phi.size)
-    )
-    table.add("analysis action T e_k == phi_k", action, 1e-12)
+    table.add("analysis action T e_k == phi_k",
+              linalg.max_column_norm(T - sq.phi.coeffs), 1e-12)
     table.add("left-inverse identity", verify_left_inverse(sq), dim * tol_pair)
 
     dual = riesz.dual_family(cp)
@@ -258,6 +257,8 @@ def _load_system(cfg: dict, dim: int, window: int | None):
             raise ValueError("model: file form needs two paths: file:a.csv,b.csv")
         a = io.load_matrix(paths[0].strip())
         b = io.load_matrix(paths[1].strip())
+        if a.shape != b.shape or a.shape[0] != a.shape[1]:
+            raise ValueError(f"model: a {a.shape} and b {b.shape} must be square and of one size")
         return pseudoboson.PseudoBosonSystem.build(a, b, window=window)
     return models.instantiate_system(_model_spec(cfg, dim), window=window)
 
@@ -324,7 +325,8 @@ def cmd_ladder(cfg: dict) -> int:
         ls = ladder.build_ladder(fac, side="phi")
     else:
         ls = ladder.dual_ladder(fac, side="psi")
-    tol = ladder.ladder_tolerance(ls.kappa)
+    tol = ladder.ladder_tolerance(
+        ls.kappa, float(cfg["tolerances"].get("ladder", ladder.LADDER_TOL_BASE)))
     out = cfg.get("out") or "."
     written = io.save_ladder(ls, out, tolerance=tol)
     for p in written:
@@ -339,8 +341,10 @@ def cmd_example_list() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         if args.command == "example-list":
             return cmd_example_list()

@@ -211,7 +211,7 @@ def pad_to_square(fam: SequenceFamily) -> SequenceFamily:
         )
     if fam.n_padding:
         raise TruncationShapeError("family already carries padding columns")
-    pad = np.eye(fam.dim, dtype=np.complex128)[:, : fam.index_offset]
+    pad = np.eye(fam.dim, fam.index_offset, dtype=np.complex128)
     return SequenceFamily(
         np.hstack([pad, fam.coeffs]),
         index_offset=0,
@@ -243,8 +243,8 @@ def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization) -> Biorthogona
     if pair.phi.is_square() and pair.psi.is_square():
         return pair
     k = pair.psi.index_offset
-    pad = fac.dual @ np.eye(pair.dim, dtype=np.complex128)[:, :k]
-    psi_sq = SequenceFamily(np.hstack([pad, pair.psi.coeffs]), index_offset=0, n_padding=k)
+    psi_sq = SequenceFamily(np.hstack([fac.dual[:, :k], pair.psi.coeffs]),
+                            index_offset=0, n_padding=k)
     return BiorthogonalPair(phi=pad_to_square(pair.phi), psi=psi_sq)
 
 

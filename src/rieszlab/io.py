@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import TruncationShapeError
 from .family import SequenceFamily
 from .ladder import LadderSet
 from .linalg import DENSE_DIM_LIMIT
@@ -54,13 +55,15 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     if max(m, len(lines) - 1) > DENSE_DIM_LIMIT:
         raise ValueError(f"CSV matrix of {len(lines) - 1} x {m} exceeds the dense limit "
                          f"{DENSE_DIM_LIMIT}")
-    rows = []
-    for ln in lines[1:]:
-        parts = [float(p) for p in ln.split(",")]
-        if len(parts) != 2 * m:
-            raise ValueError("row width does not match header")
-        rows.append([complex(parts[2 * k], parts[2 * k + 1]) for k in range(m)])
-    return np.asarray(rows, dtype=np.complex128)
+    if len(lines) < 2:
+        raise ValueError("CSV has a header but no data rows")
+    rows = [[float(p) for p in ln.split(",")] for ln in lines[1:]]
+    if any(len(r) != 2 * m for r in rows):
+        raise ValueError("row width does not match header")
+    cells = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(cells)):
+        raise ValueError("CSV contains non-finite values")
+    return cells.view(np.complex128)  # re_k, im_k interleaved per row, as written
 
 
 def _sidecar(path: Path) -> Path:
@@ -93,7 +96,10 @@ def load_family(path: str | os.PathLike) -> SequenceFamily:
             )
         index_offset = int(meta.get("index_offset", 0))
         n_padding = int(meta.get("n_padding", 0))
-    return SequenceFamily(mat, index_offset=index_offset, n_padding=n_padding)
+    try:
+        return SequenceFamily(mat, index_offset=index_offset, n_padding=n_padding)
+    except TruncationShapeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:

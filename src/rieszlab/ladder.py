@@ -13,7 +13,6 @@ column scaling, each transported operator costs a single matrix product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +30,26 @@ def ladder_tolerance(kappa: float, base: float = LADDER_TOL_BASE) -> float:
     return base * kappa * kappa
 
 
-def _shift_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(1), ..., sqrt(dim-1)) of the shifts and (0, 1, ..., dim-1) of N0."""
-    if dim < 2:
+def _shifted(M: np.ndarray):
+    """Yield M S_-, M S_+ and M N0 (shifts on M's columns) one at a time, as new arrays.
+
+    Column k of M S_- is sqrt(k) M e_{k-1}, column k of M S_+ is
+    sqrt(k+1) M e_{k+1}, and column k of M N0 is k M e_k.  M's rows span the
+    truncated space, whose dimension must be at least 2.
+    """
+    if M.shape[0] < 2:
         raise DimensionMismatchError("shift matrices need dimension >= 2")
-    ks = np.arange(dim, dtype=np.float64)
-    return np.sqrt(ks[1:]), ks
+    ks = np.arange(M.shape[1], dtype=np.float64)
+    weights = np.sqrt(ks[1:])
+    out = np.zeros_like(M)
+    out[:, 1:] = M[:, :-1] * weights
+    yield out
+    out = np.zeros_like(M)
+    out[:, :-1] = M[:, 1:] * weights
+    yield out
+    out = np.zeros_like(M)
+    out[:, 1:] = M[:, 1:] * ks[1:]
+    yield out
 
 
 def shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -45,11 +58,7 @@ def shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S_minus has sqrt(k+1) at (k, k+1), S_plus is its adjoint, and
     N0 = S_plus @ S_minus = diag(0, 1, ..., dim-1).
     """
-    weights, ks = _shift_weights(dim)
-    s_minus = np.diag(weights, k=1).astype(np.complex128)
-    s_plus = linalg.adjoint(s_minus)
-    n0 = np.diag(ks).astype(np.complex128)
-    return s_minus, s_plus, n0
+    return tuple(_shifted(np.eye(dim, dtype=np.complex128)))
 
 
 @dataclass(frozen=True)
@@ -81,27 +90,10 @@ class MetricOperator:
 
 
 def _transport(M: np.ndarray, M_inv: np.ndarray, side: str, kappa: float) -> LadderSet:
-    """(M S_- M^-1, M S_+ M^-1, M N0 M^-1) with M S_-, M S_+, M N0 formed column-wise.
-
-    Column k of M S_- is sqrt(k) M e_{k-1}, column k of M S_+ is
-    sqrt(k+1) M e_{k+1}, and column k of M N0 is k M e_k.
-    """
-    n = M.shape[0]
-    weights, ks = _shift_weights(n)
-    m_lower = np.zeros_like(M)
-    m_lower[:, 1:] = M[:, :-1] * weights
-    m_raise = np.zeros_like(M)
-    m_raise[:, :-1] = M[:, 1:] * weights
-    m_number = np.zeros_like(M)
-    m_number[:, 1:] = M[:, 1:] * ks[1:]
-    return LadderSet(
-        lowering=m_lower @ M_inv,
-        raising=m_raise @ M_inv,
-        number=m_number @ M_inv,
-        side=side,
-        window=n - 1,
-        kappa=kappa,
-    )
+    """(M S_- M^-1, M S_+ M^-1, M N0 M^-1), with M S_-, M S_+, M N0 from _shifted."""
+    lowering, raising, number = (shifted @ M_inv for shifted in _shifted(M))
+    return LadderSet(lowering=lowering, raising=raising, number=number,
+                     side=side, window=M.shape[0] - 1, kappa=kappa)
 
 
 def build_ladder(T, side: str = "phi") -> LadderSet:
@@ -125,10 +117,10 @@ def dual_ladder(T, side: str = "psi") -> LadderSet:
 
 def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
                           window: int | None = None) -> float:
-    """Worst column residual of the ladder actions on the family.
+    """Largest column norm of the defects A chi - chi S_-, B chi - chi S_+ and N chi - chi N0.
 
-    Checks A chi_n == sqrt(n) chi_{n-1} (0 for n = 0), N chi_n == n chi_n for
-    n < window, and B chi_n == sqrt(n+1) chi_{n+1} for n < window - 1 (the
+    They check A chi_n == sqrt(n) chi_{n-1} (0 for n = 0) and N chi_n == n chi_n
+    for n < window, and B chi_n == sqrt(n+1) chi_{n+1} for n < window - 1 (the
     raising action at the top checked index leaves the truncation).
     """
     if fam.dim != ls.dim:
@@ -136,20 +128,15 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
     cols = fam.coeffs
     m = cols.shape[1]
     w = ls.window if window is None else window
-    lower_limit = min(w, m)
-    raise_limit = min(w - 1, m - 1)
+    lower_limit = max(0, min(w, m))
+    raise_limit = max(0, min(w - 1, m - 1))
 
     worst = 0.0
-    low = ls.lowering @ cols
-    num = ls.number @ cols
-    high = ls.raising @ cols
-    for n in range(lower_limit):
-        target = math.sqrt(n) * cols[:, n - 1] if n > 0 else np.zeros(fam.dim)
-        worst = max(worst, float(np.linalg.norm(low[:, n] - target)))
-        worst = max(worst, float(np.linalg.norm(num[:, n] - n * cols[:, n])))
-    for n in range(raise_limit):
-        target = math.sqrt(n + 1) * cols[:, n + 1]
-        worst = max(worst, float(np.linalg.norm(high[:, n] - target)))
+    for op, target, limit in zip((ls.lowering, ls.raising, ls.number), _shifted(cols),
+                                 (lower_limit, raise_limit, lower_limit)):
+        defect = op @ cols
+        defect -= target
+        worst = max(worst, linalg.max_column_norm(defect[:, :limit]))
     return worst
 
 

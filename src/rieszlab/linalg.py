@@ -177,3 +177,9 @@ def max_abs(M) -> float:
     M = np.asarray(M)
     return float(np.max(np.abs(M))) if M.size else 0.0
 
+
+def max_column_norm(M) -> float:
+    """Largest Euclidean column norm of a matrix; 0.0 when it has no entries."""
+    M = np.asarray(M)
+    return float(np.linalg.norm(M, axis=0).max()) if M.size else 0.0
+

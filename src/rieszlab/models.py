@@ -3,11 +3,13 @@
 Diagonal and similarity models take a tiny index rule k -> value, restricted
 to polynomial and exponential expressions in k (digits, k, + - * / ** ^ and
 parentheses); this covers bounded, unbounded and compact-inverse regimes
-without a general expression language.
+without a general expression language.  Rules are evaluated by walking their
+syntax tree in float64, never by eval, so no rule can build a huge integer.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 
@@ -22,16 +24,34 @@ MODEL_KINDS = ("identity", "paper_example", "diagonal", "random_regular", "ccr",
 
 _RULE_TOKENS = re.compile(r"^[0-9k+\-*/^.() ]+$")
 
+_BINARY_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+               ast.Div: np.true_divide, ast.FloorDiv: np.floor_divide, ast.Pow: np.power}
+_UNARY_OPS = {ast.UAdd: np.positive, ast.USub: np.negative}
+
+
+def _evaluate_node(node: ast.AST, ks: np.ndarray):
+    """Value of a rule's syntax tree: float64 constants, the name k and arithmetic."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return np.float64(node.value)
+    if isinstance(node, ast.Name) and node.id == "k":
+        return ks
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_evaluate_node(node.left, ks),
+                                          _evaluate_node(node.right, ks))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_evaluate_node(node.operand, ks))
+    raise ValueError(f"unsupported {type(node).__name__} expression")
+
 
 def evaluate_rule(rule: str, ks: np.ndarray) -> np.ndarray:
     """Evaluate an index rule like "k+1", "2^k" or "1.1**k" on an index array."""
     if not rule or not _RULE_TOKENS.match(rule):
         raise ModelError(f"invalid index rule {rule!r}: only digits, k, +-*/^() allowed")
-    expr = rule.replace("^", "**")
     try:
+        tree = ast.parse(rule.replace("^", "**"), mode="eval")
         # non-finite intermediate values are rejected below, not warned about
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = eval(expr, {"__builtins__": {}}, {"k": ks.astype(np.float64)})  # noqa: S307
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = _evaluate_node(tree.body, ks.astype(np.float64))
     except Exception as exc:
         raise ModelError(f"index rule {rule!r} failed to evaluate: {exc}") from exc
     values = np.broadcast_to(np.asarray(values, dtype=np.complex128), ks.shape).copy()

@@ -18,7 +18,14 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SingularOperatorError
-from .family import ONB, BiorthogonalPair, SequenceFamily, build_analysis, check_pairing
+from .family import (
+    ONB,
+    BiorthogonalPair,
+    SequenceFamily,
+    build_analysis,
+    check_pairing,
+    domain_partial_sum,
+)
 
 #: Action tolerance for T e_k == phi_k.
 ACTION_TOLERANCE = 1e-10
@@ -85,14 +92,13 @@ def dual_pair(cp: ConstructingPair) -> BiorthogonalPair:
 def domain_norm_identity(cp: ConstructingPair, x) -> tuple[float, float]:
     """Both sides of sum_k |(x|phi_k)|^2 == ||adjoint(T) x||^2.
 
-    The left side is summed independently column by column; at square
-    truncation the two agree to rounding.
+    The left side is the domain partial sum over the constructed family
+    {T e_k}; at square truncation the two agree to rounding.
     """
     x = linalg.as_vector(x)
     if x.shape[0] != cp.dim:
         raise DimensionMismatchError("probe vector has wrong length")
-    phi = cp.T @ cp.onb.columns
-    lhs = float(sum(abs(linalg.inner(x, phi[:, k])) ** 2 for k in range(cp.dim)))
+    lhs = domain_partial_sum(constructed_family(cp), x)
     rhs = float(np.linalg.norm(linalg.adjoint(cp.T) @ x) ** 2)
     return lhs, rhs
 
@@ -101,7 +107,8 @@ def check_constructing(T, phi: SequenceFamily,
                        tolerance: float = ACTION_TOLERANCE) -> bool:
     """True iff T is invertible and T e_{k+offset} == phi_k for every family column.
 
-    T e_j is the column j of T in the standard basis.
+    T e_j is the column j of T in the standard basis.  Indices past the
+    dimension raise DimensionMismatchError.
     """
     T = linalg.as_operator(T)
     if T.shape[0] != phi.dim:
@@ -110,7 +117,7 @@ def check_constructing(T, phi: SequenceFamily,
         linalg.Factorization(T)
     except SingularOperatorError:
         return False
-    for k in range(phi.n_padding, phi.size):
-        if np.linalg.norm(T[:, phi.index_offset + k] - phi.coeffs[:, k]) > tolerance:
-            return False
-    return True
+    start, stop = phi.index_offset + phi.n_padding, phi.index_offset + phi.size
+    if stop > T.shape[1]:
+        raise DimensionMismatchError(f"family indices run to {stop - 1} in dimension {phi.dim}")
+    return linalg.max_column_norm(T[:, start:stop] - phi.coeffs[:, phi.n_padding:]) <= tolerance

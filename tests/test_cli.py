@@ -221,3 +221,90 @@ def test_import_does_not_load_yaml():
         [sys.executable, "-c", "import sys, rieszlab.cli; print('yaml' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "identity", "--dim", "abc"],
+        ["analyze", "--model", "identity", "--no-such-flag"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_usage_error_is_input_error(self, argv, capsys):
+        # argparse's own exit status 2 would read as a failed check
+        assert main(argv) == EXIT_INPUT
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["analyze", "--help"]) == EXIT_OK
+        assert "--dim" in capsys.readouterr().out
+
+
+class TestLadderTolerance:
+    ARGV = ["ladder", "--model", "random_regular:50", "--dim", "16"]
+
+    def _meta(self, out):
+        return json.loads((out / "ladder.meta.json").read_text())
+
+    def test_flag_and_config_set_the_base(self, tmp_path, capsys):
+        assert main([*self.ARGV, "--out", str(tmp_path / "d")]) == EXIT_OK
+        default = self._meta(tmp_path / "d")
+        assert main([*self.ARGV, "--tol-ladder", "1e-3", "--out", str(tmp_path / "f")]) == EXIT_OK
+        flagged = self._meta(tmp_path / "f")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"tolerances": {"ladder": 1e-3}}))
+        assert main([*self.ARGV, "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_OK
+        configured = self._meta(tmp_path / "c")
+        capsys.readouterr()
+        kappa = default["kappa"]
+        assert default["ladder_tolerance"] == pytest.approx(1e-12 * kappa ** 2, rel=1e-12)
+        assert flagged["ladder_tolerance"] == pytest.approx(1e-3 * kappa ** 2, rel=1e-12)
+        assert configured["ladder_tolerance"] == flagged["ladder_tolerance"]
+
+
+class TestMalformedFileModels:
+    HEADER_ONLY = "re_0,im_0,re_1,im_1\n"
+
+    def _model(self, tmp_path, first, second):
+        return f"file:{tmp_path / first},{tmp_path / second}"
+
+    @pytest.mark.parametrize("command", ["analyze", "pseudoboson"])
+    def test_header_without_rows(self, tmp_path, capsys, command):
+        (tmp_path / "x.csv").write_text(self.HEADER_ONLY)
+        (tmp_path / "y.csv").write_text(self.HEADER_ONLY)
+        assert main([command, "--model", self._model(tmp_path, "x.csv", "y.csv")]) == EXIT_INPUT
+        assert "no data rows" in capsys.readouterr().err
+
+    def test_pseudoboson_pair_of_two_sizes(self, tmp_path, capsys):
+        from rieszlab.ladder import shift_matrices
+
+        save_matrix(shift_matrices(8)[0], tmp_path / "a.csv")
+        save_matrix(shift_matrices(6)[1], tmp_path / "b.csv")
+        assert main(["pseudoboson", "--model",
+                     self._model(tmp_path, "a.csv", "b.csv")]) == EXIT_INPUT
+        assert "square and of one size" in capsys.readouterr().err
+
+    def test_pseudoboson_pair_not_square(self, tmp_path, capsys):
+        save_matrix(np.ones((8, 6)), tmp_path / "a.csv")
+        save_matrix(np.ones((8, 6)), tmp_path / "b.csv")
+        assert main(["pseudoboson", "--model",
+                     self._model(tmp_path, "a.csv", "b.csv")]) == EXIT_INPUT
+        assert "square and of one size" in capsys.readouterr().err
+
+    def test_non_finite_entry(self, tmp_path, capsys):
+        from rieszlab.ladder import shift_matrices
+
+        s_minus, s_plus, _ = shift_matrices(8)
+        s_minus[3, 4] = np.nan
+        save_matrix(s_minus, tmp_path / "a.csv")
+        save_matrix(s_plus, tmp_path / "b.csv")
+        assert main(["pseudoboson", "--model",
+                     self._model(tmp_path, "a.csv", "b.csv")]) == EXIT_INPUT
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_family_with_more_columns_than_rows(self, tmp_path, capsys):
+        save_matrix(np.ones((4, 6)), tmp_path / "phi.csv")
+        save_matrix(np.ones((4, 6)), tmp_path / "psi.csv")
+        assert main(["analyze", "--model",
+                     self._model(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
+        assert "more columns" in capsys.readouterr().err

@@ -139,3 +139,43 @@ class TestSaveLadder:
         assert meta["side"] == "phi"
         assert meta["window"] == 5
         assert meta["ladder_tolerance"] == 1e-10
+
+
+class TestMatrixReadChecks:
+    def test_header_without_rows_rejected(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("re_0,im_0\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_matrix(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"re_0,im_0,re_1,im_1\n1,0,{cell},0\n0,0,1,0\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_matrix(p)
+
+    def test_reader_matches_per_cell_parsing_bit_for_bit(self, rng, tmp_path):
+        def per_cell(text):
+            # reference: one complex() per (re, im) pair
+            rows = []
+            for ln in text.strip().splitlines()[1:]:
+                parts = [float(x) for x in ln.split(",")]
+                rows.append([complex(parts[2 * k], parts[2 * k + 1])
+                             for k in range(len(parts) // 2)])
+            return np.asarray(rows, dtype=np.complex128)
+
+        mat = random_complex(rng, 5, 3) * 1e-200
+        mat[0, 0] = complex(-0.0, 5e-324)
+        p = tmp_path / "m.csv"
+        save_matrix(mat, p)
+        loaded = load_matrix(p)
+        assert loaded.shape == (5, 3) and loaded.dtype == np.complex128
+        reference = per_cell(p.read_text())
+        assert loaded.view(np.float64).tobytes() == reference.view(np.float64).tobytes()
+
+    def test_family_with_too_many_columns_is_value_error(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        save_matrix(np.ones((3, 5)), p)
+        with pytest.raises(ValueError, match="more columns"):
+            load_family(p)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,3 +143,47 @@ class TestInstantiation:
         names = " ".join(name for name, _ in model_catalogue())
         for kind in MODEL_KINDS:
             assert kind in names
+
+
+class TestRuleWalker:
+    @pytest.mark.parametrize("rule,expected", [
+        ("(k+1)^-1", [1.0, 1 / 2, 1 / 3, 1 / 4]),
+        ("-k-1", [-1.0, -2.0, -3.0, -4.0]),
+        ("+k+1", [1.0, 2.0, 3.0, 4.0]),
+        ("2^10*k+1", [1.0, 1025.0, 2049.0, 3073.0]),
+        ("(k+1)/3", [1 / 3, 2 / 3, 1.0, 4 / 3]),
+        ("3", [3.0, 3.0, 3.0, 3.0]),
+    ])
+    def test_arithmetic(self, rule, expected):
+        assert np.array_equal(evaluate_rule(rule, np.arange(4)), expected)
+
+    def test_float_powers_match_numpy(self):
+        ks = np.arange(64, dtype=np.float64)
+        assert np.array_equal(evaluate_rule("1.01^k", np.arange(64)), np.power(1.01, ks))
+
+    @pytest.mark.parametrize("rule", ["...", "k(2)", "()", "2 3",
+                                      pytest.param("9" * 400, id="int-beyond-float")])
+    def test_rejects_what_is_not_arithmetic(self, rule):
+        with pytest.raises(ModelError):
+            evaluate_rule(rule, np.arange(4))
+
+    # 9^9^9 runs in test_tower_rule_exits_at_once, under a timeout
+    @pytest.mark.parametrize("rule", ["(k+1)^400", "1/0"])
+    def test_overflow_is_a_clean_error_without_warnings(self, rule):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ModelError, match="non-finite"):
+                evaluate_rule(rule, np.arange(8))
+        assert caught == []
+
+
+def test_tower_rule_exits_at_once():
+    # 9^9^9 as Python integers would not finish; the float walker overflows to inf.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rieszlab.cli", "analyze", "--model", "diagonal:9^9^9",
+         "--dim", "8"], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert "non-finite" in proc.stderr
