@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, io, ladder, linalg, models, pseudoboson, riesz
-from .errors import ModelError, RieszLabError, SingularOperatorError
+from .errors import (
+    DimensionMismatchError,
+    ModelError,
+    RieszLabError,
+    SingularOperatorError,
+    TruncationShapeError,
+)
 from .family import (
     PAIR_TOLERANCE,
     BiorthogonalPair,
@@ -146,8 +152,14 @@ def _load_pair_model(cfg: dict, dim: int) -> BiorthogonalPair:
             raise ValueError("model: file form needs two paths: file:phi.csv,psi.csv")
         phi = io.load_family(paths[0].strip())
         psi = io.load_family(paths[1].strip())
+        if phi.dim < models.MIN_DIM:
+            raise ValueError(f"model: file families need dimension >= {models.MIN_DIM}")
         tol = float(cfg["tolerances"].get("pair", PAIR_TOLERANCE))
-        return check_pairing(phi, psi, tolerance=tol)
+        try:
+            pad_to_square(phi)  # analyze and ladder embed phi in a square truncation
+            return check_pairing(phi, psi, tolerance=tol)
+        except (DimensionMismatchError, TruncationShapeError) as exc:
+            raise ValueError(f"model: {exc}") from exc
     return models.instantiate_pair(_model_spec(cfg, dim))
 
 
@@ -197,12 +209,12 @@ def cmd_analyze(cfg: dict) -> int:
     K = build_coanalysis(sq.phi)
     table.add("coanalysis == adjoint(analysis)", linalg.max_abs(K - linalg.adjoint(T)), 0.0)
     table.add("analysis action T e_k == phi_k",
-              linalg.max_column_norm(T - sq.phi.coeffs), 1e-12)
+              linalg.max_column_norm(T - sq.phi.coeffs), riesz.ACTION_TOLERANCE)
     table.add("left-inverse identity", verify_left_inverse(sq), dim * tol_pair)
 
     dual = riesz.dual_family(cp)
     table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
-              max(tol_pair, cp.kappa * 1e-12 * dim))
+              riesz.dual_pairing_tolerance(cp, tol_pair))
 
     tol_ladder = ladder.ladder_tolerance(cp.kappa, tol_ladder_base) * 10
     ls_phi = ladder.build_ladder(fac, side="phi")
@@ -232,8 +244,8 @@ def cmd_sweep(cfg: dict) -> int:
         dims = [_dim(d) for d in dims_value.split(",") if d.strip()]
     else:
         dims = [_dim(d) for d in dims_value]
-    if not dims:
-        raise ValueError("dims: at least one dimension required")
+    if len(set(dims)) < 2:
+        raise ValueError("dims: a sweep needs at least two distinct dimensions")
     probes = cfg.get("probes") or ["e_0", "e_1"]
     spec = _model_spec(cfg, max(dims))
     report = diagnostics.run_sweep(models.pair_factory(spec), dims, probes)
@@ -259,6 +271,8 @@ def _load_system(cfg: dict, dim: int, window: int | None):
         b = io.load_matrix(paths[1].strip())
         if a.shape != b.shape or a.shape[0] != a.shape[1]:
             raise ValueError(f"model: a {a.shape} and b {b.shape} must be square and of one size")
+        if a.shape[0] < models.MIN_DIM:
+            raise ValueError(f"model: a and b need dimension >= {models.MIN_DIM}")
         return pseudoboson.PseudoBosonSystem.build(a, b, window=window)
     return models.instantiate_system(_model_spec(cfg, dim), window=window)
 
@@ -277,19 +291,20 @@ def cmd_pseudoboson(cfg: dict) -> int:
 
     table = CheckTable()
     table.add("vacuum residual ||a phi_0||",
-              float(np.linalg.norm(system.a @ system.phi0)), 1e-10)
+              float(np.linalg.norm(system.a @ system.phi0)), pseudoboson.VACUUM_TOLERANCE)
     table.add("vacuum residual ||adjoint(b) psi_0||",
-              float(np.linalg.norm(linalg.adjoint(system.b) @ system.psi0)), 1e-10)
+              float(np.linalg.norm(linalg.adjoint(system.b) @ system.psi0)),
+              pseudoboson.VACUUM_TOLERANCE)
     table.add(f"commutator defect on window {system.window}",
               system.commutator_defect(), pseudoboson.COMMUTATOR_TOLERANCE)
 
     # The families are generated once, at full truncation.  Each column is
     # computed from the one before, so their first count columns are exactly
-    # what generating count columns gives; those keep their own pairing check.
+    # what generating count columns gives; the pairing line gates those alone.
     sq_phi, sq_psi = pseudoboson.generate_families(system, n)
     phi = SequenceFamily(sq_phi.coeffs[:, :count])
     psi = SequenceFamily(sq_psi.coeffs[:, :count])
-    pair = check_pairing(phi, psi, tolerance=pseudoboson.pb_tolerance(phi, psi))
+    pair = BiorthogonalPair(phi, psi)
     tol_pb = pseudoboson.pb_tolerance(phi, psi, base=tol_pb_base)
     table.add("generated pairing residual", pair.pairing_residual, tol_pb)
 

@@ -83,7 +83,7 @@ class ProbeSpec:
         if self.kind == "basis":
             j = int(self.param)
             if j >= dim:
-                raise DimensionMismatchError(f"probe e_{j} does not exist at dim {dim}")
+                raise ValueError(f"probe e_{j} does not exist at dim {dim}")
             return linalg.basis_vector(j, dim)
         if self.kind == "geom":
             v = self.param ** np.arange(dim, dtype=np.float64)

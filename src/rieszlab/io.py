@@ -49,12 +49,12 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     if not lines:
         raise ValueError("empty CSV")
     header = lines[0].split(",")
-    if len(header) % 2 or not header[0].startswith("re_"):
-        raise ValueError("malformed family CSV header")
     m = len(header) // 2
     if max(m, len(lines) - 1) > DENSE_DIM_LIMIT:
         raise ValueError(f"CSV matrix of {len(lines) - 1} x {m} exceeds the dense limit "
                          f"{DENSE_DIM_LIMIT}")
+    if header != [f"{part}_{k}" for k in range(m) for part in ("re", "im")]:
+        raise ValueError("malformed family CSV header")
     if len(lines) < 2:
         raise ValueError("CSV has a header but no data rows")
     rows = [[float(p) for p in ln.split(",")] for ln in lines[1:]]
@@ -90,12 +90,17 @@ def load_family(path: str | os.PathLike) -> SequenceFamily:
     sidecar = _sidecar(path)
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
-        if (meta.get("N"), meta.get("M")) != mat.shape:
+        if not isinstance(meta, dict):
+            raise ValueError(f"{sidecar}: sidecar must be a JSON object")
+        meta = {"index_offset": 0, "n_padding": 0, **meta}
+        for key in ("N", "M", "index_offset", "n_padding"):
+            if type(meta.get(key)) is not int:
+                raise ValueError(f"{sidecar}: {key} must be an integer, got {meta.get(key)!r}")
+        if (meta["N"], meta["M"]) != mat.shape:
             raise ValueError(
-                f"sidecar shape ({meta.get('N')}, {meta.get('M')}) disagrees with CSV {mat.shape}"
+                f"sidecar shape ({meta['N']}, {meta['M']}) disagrees with CSV {mat.shape}"
             )
-        index_offset = int(meta.get("index_offset", 0))
-        n_padding = int(meta.get("n_padding", 0))
+        index_offset, n_padding = meta["index_offset"], meta["n_padding"]
     try:
         return SequenceFamily(mat, index_offset=index_offset, n_padding=n_padding)
     except TruncationShapeError as exc:

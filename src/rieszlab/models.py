@@ -18,7 +18,10 @@ import numpy as np
 from .errors import ModelError
 from .family import BiorthogonalPair, SequenceFamily, check_pairing
 from .ladder import shift_matrices
-from .pseudoboson import PseudoBosonSystem, generate_families
+from .pseudoboson import PseudoBosonSystem, generate_families, pb_tolerance
+
+#: Smallest truncation of any model, built-in or loaded from files.
+MIN_DIM = 4
 
 MODEL_KINDS = ("identity", "paper_example", "diagonal", "random_regular", "ccr", "similarity")
 
@@ -75,8 +78,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        if self.dim < 4:
-            raise ModelError(f"model dimension must be >= 4, got {self.dim}")
+        if self.dim < MIN_DIM:
+            raise ModelError(f"model dimension must be >= {MIN_DIM}, got {self.dim}")
         if self.kind in ("diagonal", "similarity") and not self.rule:
             raise ModelError(f"model kind {self.kind!r} requires an index rule")
         if self.kind == "random_regular" and self.kappa_max < 1:
@@ -142,7 +145,8 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
         psi = SequenceFamily(u / s)
         return check_pairing(phi, psi, tolerance=max(1e-10, spec.kappa_max * 1e-13 * n))
     if spec.is_system:
-        return BiorthogonalPair(*generate_families(instantiate_system(spec), count=n))
+        phi, psi = generate_families(instantiate_system(spec), count=n)
+        return check_pairing(phi, psi, tolerance=pb_tolerance(phi, psi))
     raise ModelError(f"cannot build a pair from model kind {spec.kind!r}")
 
 
@@ -173,8 +177,8 @@ def paper_example_pair(dim: int) -> BiorthogonalPair:
     Families carry indices 1..dim-1 (index_offset 1); square embeddings are
     obtained through family.pair_to_square.
     """
-    if dim < 4:
-        raise ModelError("paper_example needs dimension >= 4")
+    if dim < MIN_DIM:
+        raise ModelError(f"paper_example needs dimension >= {MIN_DIM}")
     eye = np.eye(dim, dtype=np.complex128)
     phi_cols = eye[:, 1:].copy()
     phi_cols[0, :] = 1.0

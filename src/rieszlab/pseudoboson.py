@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbiguousVacuumError, DimensionMismatchError
-from .family import BiorthogonalPair, SequenceFamily, check_pairing
+from .family import SequenceFamily
 from .ladder import LadderSet
 
 #: Base tolerance for the generated-family identities; scaled by the column
@@ -28,6 +28,9 @@ from .ladder import LadderSet
 PB_TOL_BASE = 1e-9
 
 COMMUTATOR_TOLERANCE = 1e-12
+
+#: Tolerance of the vacuum residuals ||a phi_0|| and ||adjoint(b) psi_0||.
+VACUUM_TOLERANCE = 1e-10
 
 
 def commutator_defect(a, b, window: int) -> float:
@@ -85,8 +88,8 @@ class PseudoBosonSystem:
     window: int
 
     @classmethod
-    def build(cls, a, b, window: int | None = None,
-              vacuum_tolerance: float = 1e-10) -> "PseudoBosonSystem":
+    def build(cls, a, b, window: int | None = None) -> "PseudoBosonSystem":
+        """The system of (a, b); raises only when a vacuum is not unique."""
         a = linalg.as_operator(a)
         b = linalg.as_operator(b)
         if a.shape != b.shape:
@@ -96,10 +99,6 @@ class PseudoBosonSystem:
         if not 0 < w < n:
             raise ValueError(f"window must lie in 1..{n - 1}, got {w}")
         phi0, psi0 = ground_states(a, b)
-        if np.linalg.norm(a @ phi0) > vacuum_tolerance:
-            raise AmbiguousVacuumError(0, which="a (vacuum residual over tolerance)")
-        if np.linalg.norm(linalg.adjoint(b) @ psi0) > vacuum_tolerance:
-            raise AmbiguousVacuumError(0, which="adjoint(b) (vacuum residual over tolerance)")
         number_op = b @ a
         return cls(
             a=a, b=b, phi0=phi0, psi0=psi0,
@@ -135,14 +134,12 @@ def pb_tolerance(*families: SequenceFamily, base: float = PB_TOL_BASE) -> float:
     return base * max(1.0, growth_proxy(*families))
 
 
-def generate_families(sys: PseudoBosonSystem, count: int,
-                      pairing_tolerance: float | None = None,
-                      ) -> tuple[SequenceFamily, SequenceFamily]:
+def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamily, SequenceFamily]:
     """Generate phi_n = b phi_{n-1} / sqrt(n) and psi_n = adjoint(a) psi_{n-1} / sqrt(n).
 
-    psi_0 is rescaled so that (phi_0 | psi_0) = 1 before pairing is checked.
-    Columns above the system window are untrusted at the truncation edge;
-    count may not exceed the dimension.
+    psi_0 is rescaled so that (phi_0 | psi_0) = 1; pairing is the caller's
+    check.  Columns above the system window are untrusted at the truncation
+    edge; count may not exceed the dimension.
     """
     if not 1 <= count <= sys.dim:
         raise ValueError(f"count must lie in 1..{sys.dim}, got {count}")
@@ -152,8 +149,6 @@ def generate_families(sys: PseudoBosonSystem, count: int,
     psi0 = sys.psi0 / np.conj(overlap)
     phi = SequenceFamily(_generate(sys.b, sys.phi0, count))
     psi = SequenceFamily(_generate(linalg.adjoint(sys.a), psi0, count))
-    tol = pairing_tolerance if pairing_tolerance is not None else pb_tolerance(phi, psi)
-    check_pairing(phi, psi, tolerance=tol)
     return phi, psi
 
 

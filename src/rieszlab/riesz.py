@@ -20,6 +20,7 @@ from . import linalg
 from .errors import DimensionMismatchError, SingularOperatorError
 from .family import (
     ONB,
+    PAIR_TOLERANCE,
     BiorthogonalPair,
     SequenceFamily,
     build_analysis,
@@ -28,7 +29,7 @@ from .family import (
 )
 
 #: Action tolerance for T e_k == phi_k.
-ACTION_TOLERANCE = 1e-10
+ACTION_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,15 @@ def dual_family(cp: ConstructingPair) -> SequenceFamily:
     return _on_basis(cp, cp.factorization.dual)
 
 
+def dual_pairing_tolerance(cp: ConstructingPair, base: float = PAIR_TOLERANCE) -> float:
+    """Pairing bound of {T e_k} and its dual: base, or kappa * 1e-12 * N if larger."""
+    return max(base, cp.kappa * 1e-12 * cp.dim)
+
+
 def dual_pair(cp: ConstructingPair) -> BiorthogonalPair:
     """Constructed family together with its dual, pairing-checked."""
     return check_pairing(constructed_family(cp), dual_family(cp),
-                         tolerance=max(1e-10, cp.kappa * 1e-12 * cp.dim))
+                         tolerance=dual_pairing_tolerance(cp))
 
 
 def domain_norm_identity(cp: ConstructingPair, x) -> tuple[float, float]:

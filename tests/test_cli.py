@@ -308,3 +308,50 @@ class TestMalformedFileModels:
         assert main(["analyze", "--model",
                      self._model(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
         assert "more columns" in capsys.readouterr().err
+
+
+class TestPseudobosonTableIsTheOneGate:
+    """build and generate_families gate nothing; each table line gates its statement."""
+
+    N, WINDOW = 32, 24
+
+    def _run(self, tmp_path, a, b, *flags):
+        save_matrix(a, tmp_path / "a.csv")
+        save_matrix(b, tmp_path / "b.csv")
+        return main(["pseudoboson", "--model", f"file:{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}",
+                     "--window", str(self.WINDOW), *flags])
+
+    def test_defect_above_the_window_does_not_fail(self, tmp_path, capsys):
+        # Only b[30, 29] differs from the canonical pair, so the generated
+        # pairing breaks at (30, 30), outside the window the checks quantify.
+        from rieszlab.ladder import shift_matrices
+
+        s_minus, s_plus, _ = shift_matrices(self.N)
+        s_plus[30, 29] *= 3
+        assert self._run(tmp_path, s_minus, s_plus) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS  generated pairing residual" in out
+
+    def _perturbed_pair(self):
+        # a = S S_- S^-1, b = S (S_+ + 1e-9 E) S^-1 with E's first row zeroed,
+        # so both vacua survive and the pairing breaks inside the window.
+        from rieszlab.ladder import shift_matrices
+
+        s_minus, s_plus, _ = shift_matrices(self.N)
+        upper = np.triu(np.random.default_rng(3).standard_normal((self.N, self.N)), 1)
+        S = np.eye(self.N) + 0.3 * upper
+        E = np.random.default_rng(11).standard_normal((self.N, self.N))
+        E[0, :] = 0.0
+        S_inv = np.linalg.inv(S)
+        return S @ s_minus @ S_inv, S @ (s_plus + 1e-9 * E) @ S_inv
+
+    def test_in_window_perturbation_prints_a_failing_table(self, tmp_path, capsys):
+        assert self._run(tmp_path, *self._perturbed_pair()) == EXIT_CHECK
+        out = capsys.readouterr().out
+        assert "PASS  vacuum residual ||a phi_0||" in out
+        assert "FAIL  generated pairing residual" in out
+        assert "span invariance (phi side)" in out  # the last line: the table is whole
+
+    def test_tol_pb_governs_the_pairing_line(self, tmp_path, capsys):
+        self._run(tmp_path, *self._perturbed_pair(), "--tol-pb", "1e6")
+        assert "PASS  generated pairing residual" in capsys.readouterr().out

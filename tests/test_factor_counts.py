@@ -97,3 +97,25 @@ def test_pseudoboson_generates_each_family_once(factor_counts, monkeypatch, caps
     capsys.readouterr()
     assert factor_counts == Counter({"generate": 2, "svd": 2, "svd_values": 1,
                                      "solve": 1, "qr": 1})
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--model", "ccr", "--dim", "16"], 15),
+    (["--model", "similarity:1.01^k", "--dim", "64", "--window", "40"], 40),
+])
+def test_pseudoboson_computes_one_pairing_gram(monkeypatch, capsys, argv, count):
+    # The table's pairing line is the one pairing check of a pseudoboson run,
+    # over the count generated columns it reports.
+    from rieszlab import family
+
+    sizes = []
+    gram_defect = family._gram_defect
+
+    def counted_gram_defect(phi, psi):
+        sizes.append(phi.size)
+        return gram_defect(phi, psi)
+
+    monkeypatch.setattr(family, "_gram_defect", counted_gram_defect)
+    assert main(["pseudoboson", *argv]) == EXIT_OK
+    capsys.readouterr()
+    assert sizes == [count]

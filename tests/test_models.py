@@ -187,3 +187,20 @@ def test_tower_rule_exits_at_once():
          "--dim", "8"], env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 1
     assert "non-finite" in proc.stderr
+
+
+def test_system_pair_is_pairing_gated(monkeypatch):
+    # generate_families gates nothing, so instantiate_pair gates the pair it returns.
+    from rieszlab import models
+    from rieszlab.errors import NotBiorthogonalError
+    from rieszlab.family import SequenceFamily
+
+    generate = models.generate_families
+
+    def generate_with_bad_psi(sys, count):
+        phi, psi = generate(sys, count)
+        return phi, SequenceFamily(2.0 * psi.coeffs)
+
+    monkeypatch.setattr(models, "generate_families", generate_with_bad_psi)
+    with pytest.raises(NotBiorthogonalError):
+        instantiate_pair(ModelSpec("ccr", 8))

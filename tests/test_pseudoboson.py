@@ -5,11 +5,12 @@ import pytest
 
 from rieszlab import linalg
 from rieszlab.errors import AmbiguousVacuumError
-from rieszlab.family import SequenceFamily, build_analysis
+from rieszlab.family import BiorthogonalPair, SequenceFamily, build_analysis
 from rieszlab.ladder import build_ladder, shift_matrices
 from rieszlab.models import ModelSpec, instantiate_system
 from rieszlab.pseudoboson import (
     COMMUTATOR_TOLERANCE,
+    VACUUM_TOLERANCE,
     PseudoBosonSystem,
     commutator_defect,
     falling_factorial_identity,
@@ -196,3 +197,23 @@ class TestModelIntegration:
         sys = instantiate_system(ModelSpec("similarity", 32, rule="2^k"), window=24)
         assert sys.window == 24
         assert sys.commutator_defect() <= COMMUTATOR_TOLERANCE
+
+
+class TestConstructionGatesNoResidual:
+    """A residual is the statement of a caller to check; constructing checks none."""
+
+    def test_generated_pair_may_fail_its_pairing(self):
+        # b tripled in one entry at the truncation edge: phi_6 = 3 e_6, phi_7 = 3 e_7.
+        s_minus, s_plus, _ = shift_matrices(8)
+        s_plus[6, 5] *= 3
+        phi, psi = generate_families(PseudoBosonSystem.build(s_minus, s_plus, window=4), 8)
+        assert BiorthogonalPair(phi, psi).pairing_residual == pytest.approx(2.0)
+
+    def test_build_keeps_a_vacuum_above_the_residual_tolerance(self):
+        # a e_0 = 1e-7 e_0 lies under the rank cut N eps sigma_max(a), so the
+        # kernel is one-dimensional; its residual is a table line's to judge.
+        s_minus, s_plus, _ = shift_matrices(8)
+        a = 1e8 * s_minus
+        a[0, 0] = 1e-7
+        sys = PseudoBosonSystem.build(a, s_plus)
+        assert np.linalg.norm(sys.a @ sys.phi0) > VACUUM_TOLERANCE
