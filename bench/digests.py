@@ -56,6 +56,9 @@ def _command_list() -> list[list[str]]:
                         ("paper_example", "phi"), ("paper_example", "psi")):
         cmds.append(["ladder", "--model", model, "--dim", "64", "--seed", str(SEED),
                      "--side", side])
+    # Above io.PARALLEL_MIN_CELLS: row blocks formatted by helper interpreters.
+    cmds.append(["ladder", "--model", "random_regular:50", "--dim", "256", "--seed", str(SEED),
+                 "--side", "phi"])
     cmds += [
         ["sweep", "--model", "paper_example", "--dims", "16,32,64,128", *PROBES],
         ["sweep", "--model", "random_regular:50", "--dims", "16,32,64,128",

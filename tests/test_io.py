@@ -1,11 +1,19 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rieszlab.io
+from rieszlab.cli import EXIT_INPUT, main
 from rieszlab.family import SequenceFamily, pad_to_square
 from rieszlab.io import (
     _matrix_to_csv,
+    _row_blocks,
     atomic_write_text,
     load_family,
     load_matrix,
@@ -179,3 +187,49 @@ class TestMatrixReadChecks:
         save_matrix(np.ones((3, 5)), p)
         with pytest.raises(ValueError, match="more columns"):
             load_family(p)
+
+
+class TestParallelWriter:
+    EDGE = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e-300]
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        # split as on a four-CPU machine, whatever this one has
+        monkeypatch.setattr(rieszlab.io, "_usable_cpus", lambda: 4)
+
+    @pytest.mark.parametrize("n, blocks", [(183, 1), (256, 2), (257, 2), (384, 4)])
+    def test_bytes_equal_the_serial_rendering(self, rng, tmp_path, four_cpus, n, blocks):
+        # 182 rows (2*182**2 cells) is the first size at the gate; 183 still fits one block
+        assert len(_row_blocks(n, 2 * n)) - 1 == blocks
+        mat = random_complex(rng, n, n)
+        cells = mat.view(np.float64)
+        cells[0, :6] = self.EDGE  # formatted by this process
+        cells[-1, -6:] = self.EDGE  # formatted by the last helper, if there is one
+        p = tmp_path / "m.csv"
+        save_matrix(mat, p)
+        assert p.read_bytes() == _matrix_to_csv(mat).encode()
+        assert load_matrix(p).view(np.float64).tobytes() == cells.tobytes()
+
+    def test_failing_helper_is_os_error_and_leaves_files_alone(self, tmp_path, monkeypatch,
+                                                               four_cpus):
+        exit_1 = shutil.which("false")
+        if exit_1 is None:
+            pytest.skip("no `false` program to stand in for the interpreter")
+        monkeypatch.setattr(sys, "executable", exit_1)
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old")
+        for p in (tmp_path / "new.csv", kept):
+            with pytest.raises(OSError, match="exited with status 1"):
+                save_matrix(np.ones((256, 256)), p)
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["kept.csv"]
+        assert kept.read_text() == "old"
+        out = tmp_path / "out"
+        argv = ["ladder", "--model", "paper_example", "--dim", "256", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert not any(q.suffix == ".tmp" for q in out.iterdir())
+
+    def test_cli_import_loads_no_subprocess(self):
+        src = str(Path(rieszlab.io.__file__).parent.parent)
+        code = "import rieszlab.cli, sys; assert 'subprocess' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -102,6 +102,34 @@ class TestSidecarThatIsNotAnIntegerRecord:
         assert "Traceback" not in capsys.readouterr().err
 
 
+class TestCellsThatFloatWouldForgive:
+    # float() reads "1_0" as 10 and strips surrounding whitespace, Unicode too
+    @pytest.mark.parametrize("cell", ["1_0", " 1 ", "1 ", "\t1", "1\x1f", "1\xa0", "\u0661"])
+    def test_value_error_and_exit_1(self, tmp_path, capsys, cell):
+        for name in ("phi.csv", "psi.csv"):
+            (tmp_path / name).write_text(f"re_0,im_0,re_1,im_1\n{cell},0,0,0\n0,0,1,0\n",
+                                         encoding="utf-8")
+        with pytest.raises(ValueError, match="must not contain"):
+            load_family(tmp_path / "phi.csv")
+        assert main(["analyze", "--model", _files(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
+        assert "must not contain" in capsys.readouterr().err
+
+
+class TestSidecarThatLeavesNoMembers:
+    def test_all_padding_is_rejected(self, tmp_path, capsys):
+        # at the parent commit this pair printed PASS for its pairing residual
+        save_family(SequenceFamily.identity(6), tmp_path / "phi.csv")
+        save_family(SequenceFamily(3 * np.eye(6)), tmp_path / "psi.csv")
+        for name in ("phi.csv", "psi.csv"):
+            meta = {"N": 6, "M": 6, "index_offset": 0, "n_padding": 6}
+            (tmp_path / f"{name}.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="no members"):
+            load_family(tmp_path / "phi.csv")
+        assert main(["analyze", "--model", _files(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "no members" in err and "Traceback" not in err
+
+
 # --- property tests -------------------------------------------------------
 
 _DIM = 4
