@@ -13,9 +13,12 @@ the checkout (default: the one this script lives in), in its own working
 directory, with `--out` pointing at a relative directory, so that no absolute
 path reaches stdout or the written files.  For every command the output holds
 its exit code, one digest of its stdout and one digest per written file (paths
-relative to the output directory).  The pseudo-boson file inputs are written by
-perfbench's own writer, so the `pseudoboson-pipeline` commands run exactly as
-in the benchmark.  BLAS runs on one thread, so that the digests do not depend
+relative to the output directory).  The file inputs are written by perfbench's
+own CSV writer, not by the rieszlab under test, so both checkouts read the same
+bytes: the pseudo-boson pair, so that the `pseudoboson-pipeline` commands run
+exactly as in the benchmark, and the paper-example family pair at N = 64
+(index offset 1, with JSON sidecars) that the file-model `analyze` and
+`ladder` runs read.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -32,12 +36,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
-from perfbench.workloads import commands, write_inputs  # noqa: E402
+import numpy as np  # noqa: E402
+
+from perfbench.workloads import _write_matrix_csv, commands, write_inputs  # noqa: E402
 
 #: Input seed of the perfbench commands and of the seeded models.
 SEED = 3
 PROBES = ["--probe", "e_0", "--probe", "geom:0.5", "--probe", f"random:{SEED}"]
 PIPELINE = "pseudoboson-pipeline"
+#: Model spec of the paper-example family pair written by _write_family_pair.
+FAMILY_MODEL = "file:phi.csv,psi.csv"
+FAMILY_DIM = 64
 
 
 def _command_list() -> list[list[str]]:
@@ -56,6 +65,8 @@ def _command_list() -> list[list[str]]:
                         ("paper_example", "phi"), ("paper_example", "psi")):
         cmds.append(["ladder", "--model", model, "--dim", "64", "--seed", str(SEED),
                      "--side", side])
+    cmds += [["analyze", "--model", FAMILY_MODEL],
+             ["ladder", "--model", FAMILY_MODEL, "--side", "psi"]]
     # Above io.PARALLEL_MIN_CELLS: row blocks formatted by helper interpreters.
     cmds.append(["ladder", "--model", "random_regular:50", "--dim", "256", "--seed", str(SEED),
                  "--side", "phi"])
@@ -78,6 +89,17 @@ def _command_list() -> list[list[str]]:
 COMMANDS = _command_list()
 
 
+def _write_family_pair(workdir: Path) -> None:
+    """phi_k = e_k + e_0 and psi_k = e_k, k = 1..N-1, as two family CSVs with sidecars."""
+    psi = np.eye(FAMILY_DIM)[:, 1:]
+    phi = psi.copy()
+    phi[0, :] = 1.0
+    meta = {"N": FAMILY_DIM, "M": FAMILY_DIM - 1, "index_offset": 1, "n_padding": 0}
+    for name, cols in zip(FAMILY_MODEL[5:].split(","), (phi, psi)):
+        _write_matrix_csv(workdir / name, cols)
+        (workdir / f"{name}.meta.json").write_text(json.dumps(meta) + "\n")
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -89,7 +111,9 @@ def run_all(checkout: Path, work: Path) -> list[str]:
     for i, argv in enumerate(COMMANDS):
         cwd = work / f"c{i:02d}"
         cwd.mkdir()
-        if argv[2].startswith("file:"):
+        if argv[2] == FAMILY_MODEL:
+            _write_family_pair(cwd)
+        elif argv[2].startswith("file:"):
             write_inputs(PIPELINE, "full", SEED, cwd)
         proc = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--out", "out"],
                               cwd=cwd, env=env, capture_output=True, timeout=600)

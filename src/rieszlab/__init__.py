@@ -16,7 +16,6 @@ from .errors import (
     TruncationShapeError,
 )
 from .family import (
-    ONB,
     PAIR_TOLERANCE,
     BiorthogonalPair,
     SequenceFamily,
@@ -28,24 +27,21 @@ from .family import (
     pair_to_square,
     verify_left_inverse,
 )
-from .ladder import LadderSet, MetricOperator, build_ladder, dual_ladder, metric_operator, shift_matrices
+from .ladder import LadderSet, build_ladder, dual_ladder, metric_operator, shift_matrices
 from .linalg import Factorization, adjoint, inner, null_space, rank_one, solve_inverse
 from .models import ModelSpec, instantiate, instantiate_pair, instantiate_system
 from .pseudoboson import PseudoBosonSystem, generate_families, ground_states
-from .riesz import ConstructingPair, check_constructing, domain_norm_identity, dual_family
+from .riesz import check_constructing, domain_norm_identity, dual_family
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ONB",
     "PAIR_TOLERANCE",
     "AmbiguousVacuumError",
     "BiorthogonalPair",
-    "ConstructingPair",
     "DimensionMismatchError",
     "Factorization",
     "LadderSet",
-    "MetricOperator",
     "ModelError",
     "ModelSpec",
     "NotBiorthogonalError",

@@ -88,6 +88,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # a YAML true is a bool, not a dimension
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_tolerance(v) -> bool:
+    # YAML reads 1e-3 (no dot) as a string; float() takes it, as for the flag
+    return type(v) in (int, float) or _is_str(v)
+
+
+#: Per config key: the test its value must pass (the type its flag gives) and
+#: the name of that type for the error message.
+_CONFIG_TYPES = {
+    "model": (_is_str, "a string"),
+    "out": (_is_str, "a string"),
+    "side": (_is_str, "a string"),
+    "dim": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "window": (_is_int, "an integer"),
+    "count": (_is_int, "an integer"),
+    "dims": (lambda v: _is_str(v) or isinstance(v, list) and all(map(_is_int, v)),
+             "a string or a list of integers"),
+    "probes": (lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
+    "tolerances": (lambda v: isinstance(v, dict) and all(map(_is_tolerance, v.values())),
+                   "a mapping of numbers"),
+}
+
+
+def _check_config_types(loaded: dict) -> None:
+    for key, (ok, what) in _CONFIG_TYPES.items():
+        val = loaded.get(key)
+        if val is not None and not ok(val):
+            raise ValueError(f"config: {key} must be {what}, got {val!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Config file values, overridden by any flags that were actually given."""
     cfg: dict = {}
@@ -105,6 +143,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             loaded = {}
         if not isinstance(loaded, dict):
             raise ValueError("config: top level must be a mapping")
+        _check_config_types(loaded)
         cfg.update(loaded)
     for key in ("model", "dim", "dims", "out", "seed", "window", "count", "side"):
         val = getattr(args, key, None)
@@ -202,21 +241,20 @@ def cmd_analyze(cfg: dict) -> int:
 
     # The one factorization of T: every check below reads from it.
     phi_full = SequenceFamily(pad_to_square(pair.phi).coeffs)
-    cp = riesz.ConstructingPair.from_family(phi_full)
-    fac = cp.factorization
+    fac = linalg.Factorization(build_analysis(phi_full))
     sq = embed_pair(pair, fac)
-    T = cp.T
+    T = fac.T
     K = build_coanalysis(sq.phi)
     table.add("coanalysis == adjoint(analysis)", linalg.max_abs(K - linalg.adjoint(T)), 0.0)
     table.add("analysis action T e_k == phi_k",
               linalg.max_column_norm(T - sq.phi.coeffs), riesz.ACTION_TOLERANCE)
     table.add("left-inverse identity", verify_left_inverse(sq), dim * tol_pair)
 
-    dual = riesz.dual_family(cp)
+    dual = riesz.dual_family(fac)
     table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
-              riesz.dual_pairing_tolerance(cp, tol_pair))
+              riesz.dual_pairing_tolerance(fac, tol_pair))
 
-    tol_ladder = ladder.ladder_tolerance(cp.kappa, tol_ladder_base) * 10
+    tol_ladder = ladder.ladder_tolerance(fac.kappa, tol_ladder_base) * 10
     ls_phi = ladder.build_ladder(fac, side="phi")
     table.add("ladder actions (phi side)",
               ladder.verify_ladder_actions(ls_phi, phi_full, window=dim - 2), tol_ladder)
@@ -224,16 +262,16 @@ def cmd_analyze(cfg: dict) -> int:
     table.add("ladder actions (psi side)",
               ladder.verify_ladder_actions(ls_psi, dual, window=dim - 2), tol_ladder)
 
-    metric = ladder.metric_operator(fac, source="analysis operator")
     table.add("metric intertwining",
-              ladder.intertwining_residual(metric, ls_phi.number), tol_ladder)
+              ladder.intertwining_residual(ladder.metric_operator(fac), ls_phi.number),
+              tol_ladder)
 
     d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
     if d_psi > 0.5:
         table.info(f"WARNING  psi-side span is far from e_0 "
                    f"(distance {d_psi:.3f}): psi span likely non-dense")
 
-    text = table.render(f"analyze: dim {dim}, kappa(T) {cp.kappa:.3e}")
+    text = table.render(f"analyze: dim {dim}, kappa(T) {fac.kappa:.3e}")
     _emit(cfg, "analyze.txt", text)
     return EXIT_CHECK if table.failed else EXIT_OK
 

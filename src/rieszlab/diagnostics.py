@@ -61,7 +61,10 @@ class ProbeSpec:
     def parse(cls, text: str) -> "ProbeSpec":
         text = text.strip()
         if text.startswith("e_"):
-            return cls("basis", float(int(text[2:])))
+            j = int(text[2:])
+            if j < 0:
+                raise ValueError(f"probe {text}: basis index must be >= 0")
+            return cls("basis", float(j))
         if text.startswith("geom:"):
             r = float(text[5:])
             if not 0 < abs(r) < 1:

@@ -9,7 +9,7 @@ flagged through n_padding and never count as family members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,40 +23,6 @@ from .errors import (
 
 #: Absolute tolerance on pairing defects; entries are O(1) by construction.
 PAIR_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class ONB:
-    """Orthonormal basis of the truncated space: column k is e_k.
-
-    is_standard is True when the columns are exactly the identity; that basis is
-    orthonormal by construction and skips the O(N^3) Gram check.
-    """
-
-    columns: np.ndarray
-    is_standard: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        U = np.asarray(self.columns, dtype=np.complex128)
-        if U.ndim != 2 or U.shape[0] != U.shape[1]:
-            raise TruncationShapeError(f"ONB must be square, got {U.shape}")
-        identity = np.eye(U.shape[0])
-        standard = bool(np.array_equal(U, identity))
-        if not standard:
-            defect = linalg.max_abs(U.conj().T @ U - identity)
-            if defect > 1e-12:
-                raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
-        U.setflags(write=False)
-        object.__setattr__(self, "columns", U)
-        object.__setattr__(self, "is_standard", standard)
-
-    @classmethod
-    def standard(cls, dim: int) -> "ONB":
-        return cls(np.eye(dim, dtype=np.complex128))
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
 
 
 @dataclass(frozen=True)
@@ -166,34 +132,26 @@ def check_pairing(phi: SequenceFamily, psi: SequenceFamily,
     return pair
 
 
-def build_analysis(phi: SequenceFamily, onb: ONB | None = None) -> np.ndarray:
+def _require_square(phi: SequenceFamily) -> None:
+    if not phi.is_square():
+        raise TruncationShapeError(
+            f"square truncation required: family has {phi.size} columns in dimension {phi.dim}"
+        )
+
+
+def build_analysis(phi: SequenceFamily) -> np.ndarray:
     """Analysis operator sum_k phi_k (x) conj(e_k); maps e_k to phi_k.
 
-    Requires a square family.  With the standard ONB the matrix is exactly
-    the coefficient matrix.
+    Requires a square family; the matrix is a copy of its coefficient matrix.
     """
-    if not phi.is_square():
-        raise TruncationShapeError(
-            f"square truncation required: family has {phi.size} columns in dimension {phi.dim}"
-        )
-    if onb is None:
-        return phi.coeffs.copy()
-    if onb.dim != phi.dim:
-        raise DimensionMismatchError("ONB dimension does not match family")
-    return phi.coeffs @ onb.columns.conj().T
+    _require_square(phi)
+    return phi.coeffs.copy()
 
 
-def build_coanalysis(phi: SequenceFamily, onb: ONB | None = None) -> np.ndarray:
+def build_coanalysis(phi: SequenceFamily) -> np.ndarray:
     """Coanalysis operator sum_k e_k (x) conj(phi_k) == adjoint(build_analysis)."""
-    if not phi.is_square():
-        raise TruncationShapeError(
-            f"square truncation required: family has {phi.size} columns in dimension {phi.dim}"
-        )
-    if onb is None:
-        return phi.coeffs.conj().T.copy()
-    if onb.dim != phi.dim:
-        raise DimensionMismatchError("ONB dimension does not match family")
-    return onb.columns @ phi.coeffs.conj().T
+    _require_square(phi)
+    return phi.coeffs.conj().T.copy()
 
 
 def pad_to_square(fam: SequenceFamily) -> SequenceFamily:

@@ -81,14 +81,6 @@ class LadderSet:
         return self.lowering.shape[0]
 
 
-@dataclass(frozen=True)
-class MetricOperator:
-    """Positive self-adjoint G = adjoint(T^-1) T^-1 intertwining N and N*."""
-
-    matrix: np.ndarray
-    source: str = ""
-
-
 def _transport(M: np.ndarray, M_inv: np.ndarray, side: str, kappa: float) -> LadderSet:
     """(M S_- M^-1, M S_+ M^-1, M N0 M^-1), with M S_-, M S_+, M N0 from _shifted."""
     lowering, raising, number = (shifted @ M_inv for shifted in _shifted(M))
@@ -140,17 +132,18 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
     return worst
 
 
-def metric_operator(T, source: str = "") -> MetricOperator:
+def metric_operator(T) -> np.ndarray:
     """Metric G = adjoint(T^-1) T^-1 for the quasi-Hermitian number operator.
 
-    T may be a linalg.Factorization; its inverse is reused.
+    G is positive and self-adjoint and intertwines N and N*.  T may be a
+    linalg.Factorization; its inverse is reused.
     """
     fac = linalg.as_factorization(T)
-    return MetricOperator(matrix=fac.dual @ fac.inverse, source=source)
+    return fac.dual @ fac.inverse
 
 
-def intertwining_residual(metric: MetricOperator, number_op) -> float:
+def intertwining_residual(G, number_op) -> float:
     """Max-norm defect of G N - adjoint(N) G."""
-    G = metric.matrix
+    G = linalg.as_operator(G)
     N = linalg.as_operator(number_op)
     return linalg.max_abs(G @ N - linalg.adjoint(N) @ G)

@@ -88,8 +88,8 @@ class Factorization:
     kappa, sigma_min, the inverse, the dual family, the metric or either
     ladder side of T reads it from here instead of factoring T again.
 
-    T is kept by reference: it must not be modified while the factorization
-    is in use.
+    T is kept by reference and made read-only, so that it cannot change
+    under the factorization; factor a copy to keep a writable original.
     """
 
     T: np.ndarray
@@ -101,6 +101,7 @@ class Factorization:
         smin = float(sigma[-1]) if sigma.size else 0.0
         if smin <= T.shape[0] * EPS * (float(sigma[0]) if sigma.size else 0.0):
             raise SingularOperatorError(smin)
+        T.setflags(write=False)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "sigma", sigma)
 

@@ -127,12 +127,12 @@ class TestDualLadder:
 
 class TestMetricOperator:
     def test_identity_metric(self):
-        G = metric_operator(np.eye(4)).matrix
+        G = metric_operator(np.eye(4))
         assert np.allclose(G, np.eye(4), atol=1e-14)
 
     def test_metric_is_positive_self_adjoint(self, rng):
         T = random_well_conditioned(rng, 8)
-        G = metric_operator(T).matrix
+        G = metric_operator(T)
         assert linalg.max_abs(G - linalg.adjoint(G)) <= 1e-12
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() > 0

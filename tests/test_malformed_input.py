@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszlab.cli import EXIT_INPUT, EXIT_OK, main
+from rieszlab.diagnostics import ProbeSpec
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_family, save_family, save_matrix
 from rieszlab.ladder import shift_matrices
@@ -82,6 +83,41 @@ class TestSweepInput:
     def test_fewer_than_two_distinct_dimensions(self, capsys, dims):
         assert main(["sweep", "--model", "identity", "--dims", dims]) == EXIT_INPUT
         assert "two distinct dimensions" in capsys.readouterr().err
+
+
+class TestConfigValuesOfTheWrongType:
+    # Each value must have the type its flag gives; none may print a traceback
+    # or be truncated (dim: 8.7 used to run at dim 8).
+    @pytest.mark.parametrize("command, text", [
+        ("analyze", "tolerances: [1, 2]"),
+        ("analyze", "dim: [8]"),
+        ("analyze", "seed: [1]"),
+        ("analyze", "out: 5"),
+        ("sweep", "dims: 8"),
+        ("pseudoboson", "window: [3]"),
+        ("pseudoboson", "count: {a: 1}"),
+        ("sweep", "probes: e_0\ndims: 8,16"),
+        ("analyze", "dim: 8.7"),
+    ])
+    def test_one_input_error_line_naming_the_key(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"model: paper_example\n{text}\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        key = text.split(":")[0]
+        assert err.startswith(f"input error: config: {key} must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestNegativeProbeIndex:
+    def test_e_minus_1_is_refused(self, capsys):
+        # e_{-1} would be e_{N-1}: a different vector at each dimension
+        with pytest.raises(ValueError, match=">= 0"):
+            ProbeSpec.parse("e_-1")
+        argv = ["sweep", "--model", "paper_example", "--dims", "8,16", "--probe", "e_-1"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "basis index must be >= 0" in err
 
 
 class TestSidecarThatIsNotAnIntegerRecord:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from rieszlab import linalg
-from rieszlab.errors import DimensionMismatchError, SingularOperatorError
-from rieszlab.family import ONB, SequenceFamily, pad_to_square
+from rieszlab.errors import SingularOperatorError
+from rieszlab.family import SequenceFamily, build_analysis, pad_to_square
+from rieszlab.linalg import Factorization
 from rieszlab.models import paper_example_pair
 from rieszlab.riesz import (
-    ConstructingPair,
     check_constructing,
     constructed_family,
     domain_norm_identity,
@@ -18,46 +18,65 @@ from conftest import random_complex, random_well_conditioned
 
 
 class TestConstructingPair:
+    # A constructing pair is T on the standard basis, held as its Factorization.
     def test_identity_operator(self):
-        cp = ConstructingPair(ONB.standard(4), np.eye(4))
-        assert cp.kappa == 1.0
-        assert cp.sigma_min == 1.0
+        fac = Factorization(np.eye(4))
+        assert fac.kappa == 1.0
+        assert fac.sigma_min == 1.0
 
     def test_singular_operator_rejected(self):
         with pytest.raises(SingularOperatorError):
-            ConstructingPair(ONB.standard(3), np.diag([1.0, 1.0, 0.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            ConstructingPair(ONB.standard(3), np.eye(4))
+            constructed_family(np.diag([1.0, 1.0, 0.0]))
 
     def test_kappa_matches_singular_value_ratio(self, rng):
         T = random_well_conditioned(rng, 6, kappa=20.0)
-        cp = ConstructingPair(ONB.standard(6), T)
-        assert cp.kappa == pytest.approx(20.0, rel=1e-10)
+        assert Factorization(T).kappa == pytest.approx(20.0, rel=1e-10)
 
     def test_from_family_round_trip(self, rng):
         fam = SequenceFamily(random_well_conditioned(rng, 5))
-        cp = ConstructingPair.from_family(fam)
-        rebuilt = constructed_family(cp)
-        assert np.allclose(rebuilt.coeffs, fam.coeffs, atol=1e-13)
+        rebuilt = constructed_family(build_analysis(fam))
+        assert np.array_equal(rebuilt.coeffs, fam.coeffs)
+
+    def test_operator_is_read_only(self, rng):
+        fac = Factorization(random_well_conditioned(rng, 4))
+        with pytest.raises(ValueError):
+            fac.T[0, 0] = 2.0
+
+    def test_each_call_factors_once(self, rng, monkeypatch):
+        # dual_pair and domain_norm_identity pass the factorization on to the
+        # functions they call instead of factoring T again.
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        T = random_well_conditioned(rng, 6)
+        dual_pair(T)
+        assert len(calls) == 1
+        domain_norm_identity(T, random_complex(rng, 6))
+        assert len(calls) == 2
+        fac = Factorization(T)
+        dual_pair(fac)
+        domain_norm_identity(fac, random_complex(rng, 6))
+        assert len(calls) == 3
 
 
 class TestDualFamily:
     def test_identity_is_self_dual(self):
-        cp = ConstructingPair(ONB.standard(4), np.eye(4))
-        assert np.allclose(dual_family(cp).coeffs, np.eye(4))
+        assert np.allclose(dual_family(np.eye(4)).coeffs, np.eye(4))
 
     def test_diagonal_dual_is_reciprocal(self):
         # oracle: for T = diag(d), psi_k = e_k / conj(d_k)
         d = np.array([1.0 + 1.0j, 2.0, 0.5j])
-        cp = ConstructingPair(ONB.standard(3), np.diag(d))
         expected = np.diag(1.0 / d.conj())
-        assert np.allclose(dual_family(cp).coeffs, expected, atol=1e-14)
+        assert np.allclose(dual_family(np.diag(d)).coeffs, expected, atol=1e-14)
 
     def test_dual_pair_is_biorthogonal(self, rng):
         T = random_well_conditioned(rng, 8)
-        pair = dual_pair(ConstructingPair(ONB.standard(8), T))
+        pair = dual_pair(T)
         gram = pair.psi.coeffs.conj().T @ pair.phi.coeffs
         assert linalg.max_abs(gram - np.eye(8)) <= 1e-12
 
@@ -66,8 +85,7 @@ class TestDualFamily:
         # (1, -1, ..., -1), so psi_0 completes to e_0 - sum_n e_n.
         n = 6
         phi_sq = pad_to_square(paper_example_pair(n).phi)
-        cp = ConstructingPair.from_family(SequenceFamily(phi_sq.coeffs))
-        dual = dual_family(cp)
+        dual = dual_family(build_analysis(SequenceFamily(phi_sq.coeffs)))
         expected_first = np.zeros(n, dtype=complex)
         expected_first[0] = 1.0
         expected_first -= np.eye(n, dtype=complex)[:, 1:].sum(axis=1)
@@ -75,33 +93,34 @@ class TestDualFamily:
         assert np.allclose(dual.coeffs[:, 1:], np.eye(n)[:, 1:], atol=1e-13)
 
     def test_standard_onb_shares_the_dual_operator(self, rng):
-        # With the standard ONB, psi_k = dual e_k is the dual matrix itself;
-        # a rotated ONB still multiplies by its columns.
-        T = random_well_conditioned(rng, 5)
-        cp = ConstructingPair(ONB.standard(5), T)
-        assert cp.onb.is_standard
-        assert dual_family(cp).coeffs is cp.factorization.dual
-        assert constructed_family(cp).coeffs is cp.T
-        u = np.linalg.qr(random_well_conditioned(rng, 5))[0]
-        rotated = ConstructingPair(ONB(u), T)
-        assert not rotated.onb.is_standard
-        assert np.array_equal(dual_family(rotated).coeffs, cp.factorization.dual @ u)
+        # On the standard basis, psi_k = dual e_k is the dual matrix itself and
+        # phi_k = T e_k is T itself: no product, no copy.
+        fac = Factorization(random_well_conditioned(rng, 5))
+        assert dual_family(fac).coeffs is fac.dual
+        assert constructed_family(fac).coeffs is fac.T
+
+    def test_unitary_change_of_basis_is_absorbed_by_t(self, rng):
+        # The pair (U e, T) constructs the same family as (e, T U), so the
+        # standard basis loses nothing: the dual of T U is adjoint(T^-1) U.
+        T = random_well_conditioned(rng, 6)
+        U = np.linalg.qr(random_complex(rng, 6, 6))[0]
+        TU = T @ U
+        assert np.array_equal(constructed_family(TU).coeffs, TU)
+        assert linalg.max_abs(dual_family(TU).coeffs - Factorization(T).dual @ U) <= 1e-12
 
 
 class TestDomainNormIdentity:
     def test_identity_operator(self, rng):
-        cp = ConstructingPair(ONB.standard(5), np.eye(5))
         x = random_complex(rng, 5)
-        lhs, rhs = domain_norm_identity(cp, x)
+        lhs, rhs = domain_norm_identity(np.eye(5), x)
         assert lhs == pytest.approx(np.linalg.norm(x) ** 2, rel=1e-12)
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
     def test_sides_agree_for_random_operator(self, rng):
         for _ in range(5):
             T = random_well_conditioned(rng, 7)
-            cp = ConstructingPair(ONB.standard(7), T)
             x = random_complex(rng, 7)
-            lhs, rhs = domain_norm_identity(cp, x)
+            lhs, rhs = domain_norm_identity(T, x)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_paper_example_probe_e0(self):
@@ -109,8 +128,8 @@ class TestDomainNormIdentity:
         # the padding column contributes 1 as well, total N.
         n = 8
         phi_sq = pad_to_square(paper_example_pair(n).phi)
-        cp = ConstructingPair.from_family(SequenceFamily(phi_sq.coeffs))
-        lhs, rhs = domain_norm_identity(cp, linalg.basis_vector(0, n))
+        fac = Factorization(build_analysis(SequenceFamily(phi_sq.coeffs)))
+        lhs, rhs = domain_norm_identity(fac, linalg.basis_vector(0, n))
         assert lhs == pytest.approx(n, rel=1e-12)
         assert rhs == pytest.approx(n, rel=1e-12)
 
