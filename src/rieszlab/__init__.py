@@ -28,7 +28,7 @@ from .family import (
     verify_left_inverse,
 )
 from .ladder import LadderSet, build_ladder, dual_ladder, metric_operator, shift_matrices
-from .linalg import Factorization, adjoint, inner, null_space, rank_one, solve_inverse
+from .linalg import Factorization, adjoint, inner, rank_one, solve_inverse
 from .models import ModelSpec, instantiate, instantiate_pair, instantiate_system
 from .pseudoboson import PseudoBosonSystem, generate_families, ground_states
 from .riesz import check_constructing, domain_norm_identity, dual_family
@@ -68,7 +68,6 @@ __all__ = [
     "instantiate_pair",
     "instantiate_system",
     "metric_operator",
-    "null_space",
     "pad_to_square",
     "pair_to_square",
     "rank_one",

@@ -77,6 +77,16 @@ def singular_values(T) -> np.ndarray:
     return np.linalg.svd(as_operator(T), compute_uv=False)
 
 
+def rank_tolerance(values) -> float:
+    """The rank cut N * eps * max|values| for N values: singular values, or a vector's entries.
+
+    A singular value at or below it counts as zero, and so does an entry of a
+    computed kernel vector.
+    """
+    values = np.asarray(values)
+    return values.size * EPS * float(np.abs(values).max(initial=0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class Factorization:
     """One factorization of an invertible operator T, shared by every check on it.
@@ -99,7 +109,7 @@ class Factorization:
         T = as_operator(self.T)
         sigma = singular_values(T)
         smin = float(sigma[-1]) if sigma.size else 0.0
-        if smin <= T.shape[0] * EPS * (float(sigma[0]) if sigma.size else 0.0):
+        if smin <= rank_tolerance(sigma):
             raise SingularOperatorError(smin)
         T.setflags(write=False)
         object.__setattr__(self, "T", T)
@@ -154,23 +164,6 @@ def solve_inverse(T) -> np.ndarray:
     if isinstance(T, Factorization):
         return T.inverse
     return Factorization(T).inverse.copy()
-
-
-def null_space(T) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel of T.
-
-    A right-singular vector belongs to the kernel when its singular value is
-    at or below the rank tolerance.  Returns [] for a trivial kernel.
-    """
-    T = as_operator(T)
-    n = T.shape[0]
-    _, s, vh = np.linalg.svd(T)
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        return [basis_vector(k, n) for k in range(n)]
-    tol = n * EPS * smax
-    kernel = [vh[i].conj() for i in range(n) if s[i] <= tol]
-    return kernel
 
 
 def max_abs(M) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousVacuumError, DimensionMismatchError
+from .errors import AmbiguousVacuumError, DimensionMismatchError, SingularOperatorError
 from .family import SequenceFamily
 from .ladder import LadderSet
 
@@ -41,34 +41,85 @@ def commutator_defect(a, b, window: int) -> float:
     return linalg.max_column_norm(defect[:, :window])
 
 
+def border_vector(dim: int) -> np.ndarray:
+    """Unit vector u (complex Gaussian, seed 0) bordering each vacuum solve of size dim."""
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return u / np.linalg.norm(u)
+
+
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     """Deterministic vacuum representative.
 
-    Entries below the rank tolerance are SVD noise and are snapped to exact
-    zero (they would otherwise be amplified exponentially by ill-conditioned
-    raising operators); the vector is then normalized with its
-    largest-modulus entry rotated to the positive real axis.
+    Entries below the rank tolerance are rounding noise of the solve and are
+    snapped to exact zero (they would otherwise be amplified exponentially by
+    ill-conditioned raising operators); the vector is then scaled so that its
+    largest-modulus entry is exactly 1, and normalized.  A vacuum on one
+    basis vector thus comes out as exactly that basis vector.
     """
     v = v.copy()
-    v[np.abs(v) <= v.shape[0] * linalg.EPS * np.abs(v).max()] = 0.0
-    v = v / np.linalg.norm(v)
+    v[np.abs(v) <= linalg.rank_tolerance(v)] = 0.0
     j = int(np.argmax(np.abs(v)))
-    phase = v[j] / abs(v[j])
-    return v / phase
+    v /= v[j]
+    v[j] = 1.0
+    return v / np.linalg.norm(v)
+
+
+def _vacuum(T: np.ndarray, which: str) -> np.ndarray:
+    """The kernel vector of T, which must span a one-dimensional kernel."""
+    n = T.shape[0]
+    sigma = linalg.singular_values(T)
+    kernel_dim = int(np.count_nonzero(sigma <= linalg.rank_tolerance(sigma)))
+    if kernel_dim != 1:
+        raise AmbiguousVacuumError(kernel_dim, which=which)
+    smax = float(sigma[0])
+    border = smax * border_vector(n)
+    bordered = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    bordered[:n, :n] = T
+    bordered[:n, n] = border
+    bordered[n, :n] = border.conj()
+    unit = linalg.basis_vector(n, n + 1)
+    try:
+        solution = np.linalg.solve(bordered, unit)
+        # sigma_min(K) <= ||K s|| / ||s||; and as t = 0 whenever K is
+        # nonsingular, sigma_min(K) <= ||K s - e_N|| / |t| up to the rounding of K s.
+        image = bordered @ solution
+        bound = float(np.linalg.norm(image)) / float(np.linalg.norm(solution))
+        t = abs(solution[n])
+        if t > 0.0:
+            bound = min(bound, float(np.linalg.norm(image - unit)) / t)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        bound = 0.0
+    if not bound > (n + 1) * linalg.EPS * smax:
+        raise SingularOperatorError(
+            bound, f"bordered vacuum system of {which} is singular (sigma_min <= {bound:.3e}): "
+                   f"the border vector is orthogonal to the kernel of {which} or of its adjoint")
+    return _fix_phase(solution[:n])
 
 
 def ground_states(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm vacua: ker(a) and ker(adjoint(b)), phases fixed deterministically.
 
-    Raises AmbiguousVacuumError when either kernel is not one-dimensional.
+    Rank rule: the kernel dimension of T (T = a, then adjoint(b)) is the number
+    of its singular values at or below N * eps * sigma_max(T), all N of them
+    when T = 0; one values-only SVD gives it.  AmbiguousVacuumError is raised
+    unless it is 1.
+
+    The kernel vector is then x of one solve of the bordered system
+
+        K [x; t] = [[T, s u], [s adjoint(u), 0]] [x; t] = [0; 1]
+
+    with the unit vector u = border_vector(N) and s = sigma_max(T), which
+    makes K scale with T.  For x0 spanning ker(T) and y0 spanning
+    ker(adjoint(T)), K is nonsingular exactly when (x0|u) != 0 and
+    (u|y0) != 0; then t = 0 and x = x0 / (s (x0|u)).  SingularOperatorError
+    is raised when the solve shows sigma_min(K) at or below the rank cut
+    (N + 1) * eps * sigma_max(T).  Residuals such as ||a phi_0|| are the
+    caller's to check.
     """
-    ker_a = linalg.null_space(a)
-    if len(ker_a) != 1:
-        raise AmbiguousVacuumError(len(ker_a), which="a")
-    ker_bdag = linalg.null_space(linalg.adjoint(b))
-    if len(ker_bdag) != 1:
-        raise AmbiguousVacuumError(len(ker_bdag), which="adjoint(b)")
-    return _fix_phase(ker_a[0]), _fix_phase(ker_bdag[0])
+    a = linalg.as_operator(a)
+    b = linalg.as_operator(b)
+    return _vacuum(a, "a"), _vacuum(linalg.adjoint(b), "adjoint(b)")
 
 
 @dataclass(frozen=True)
@@ -89,7 +140,7 @@ class PseudoBosonSystem:
 
     @classmethod
     def build(cls, a, b, window: int | None = None) -> "PseudoBosonSystem":
-        """The system of (a, b); raises only when a vacuum is not unique."""
+        """The system of (a, b); raises only when a vacuum cannot be found (see ground_states)."""
         a = linalg.as_operator(a)
         b = linalg.as_operator(b)
         if a.shape != b.shape:

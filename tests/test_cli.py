@@ -12,6 +12,8 @@ from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_matrix, save_family, save_matrix
 
+from conftest import border_orthogonal_operator
+
 
 class TestExampleList:
     def test_lists_models(self, capsys):
@@ -152,6 +154,21 @@ class TestPseudoboson:
                      f"file:{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}"])
         capsys.readouterr()
         assert code == EXIT_OK
+
+    def test_border_orthogonal_to_the_vacuum_is_a_check_failure(self, tmp_path, capsys):
+        # a = I - x adjoint(x) with x orthogonal to the border vector of the
+        # vacuum solve: its bordered system is singular.
+        from rieszlab.ladder import shift_matrices
+
+        save_matrix(border_orthogonal_operator(8, "both")[0], tmp_path / "a.csv")
+        save_matrix(shift_matrices(8)[1], tmp_path / "b.csv")
+        code = main(["pseudoboson", "--model",
+                     f"file:{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CHECK
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("check failure: bordered vacuum system")
 
     @pytest.mark.parametrize("count", [0, -1, 17])
     def test_count_outside_range_is_input_error(self, tmp_path, capsys, count):
@@ -332,9 +349,10 @@ class TestPseudobosonTableIsTheOneGate:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS  generated pairing residual" in out
 
-    def _perturbed_pair(self):
-        # a = S S_- S^-1, b = S (S_+ + 1e-9 E) S^-1 with E's first row zeroed,
-        # so both vacua survive and the pairing breaks inside the window.
+    def _perturbed_pair(self, delta=1e-9):
+        # a = S S_- S^-1, b = S (S_+ + delta E) S^-1 with E's first row zeroed,
+        # so both vacua survive and, for delta > 0, the pairing breaks inside
+        # the window.
         from rieszlab.ladder import shift_matrices
 
         s_minus, s_plus, _ = shift_matrices(self.N)
@@ -343,7 +361,21 @@ class TestPseudobosonTableIsTheOneGate:
         E = np.random.default_rng(11).standard_normal((self.N, self.N))
         E[0, :] = 0.0
         S_inv = np.linalg.inv(S)
-        return S @ s_minus @ S_inv, S @ (s_plus + 1e-9 * E) @ S_inv
+        return S @ s_minus @ S_inv, S @ (s_plus + delta * E) @ S_inv
+
+    def test_similar_pair_passes(self, tmp_path, capsys):
+        # The first column of a is exactly zero, so its vacuum is exactly e_0
+        # and a phi_0 = 0; a vacuum off e_0 by 1.5e-13 made the falling
+        # factorials (5, 6), (6, 5) and (6, 6) FAIL by up to 6.5x.
+        assert self._run(tmp_path, *self._perturbed_pair(0.0)) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "PASS  vacuum residual ||a phi_0||: residual 0.000e+00" in out
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6])
+    def test_perturbed_pair_fails_its_identities(self, tmp_path, capsys, delta):
+        assert self._run(tmp_path, *self._perturbed_pair(delta)) == EXIT_CHECK
+        assert capsys.readouterr().out.count("FAIL") == 40
 
     def test_in_window_perturbation_prints_a_failing_table(self, tmp_path, capsys):
         assert self._run(tmp_path, *self._perturbed_pair()) == EXIT_CHECK

@@ -6,7 +6,9 @@ gate and kappa, one solve for the inverse) and spends one QR on the psi-side
 span distance; every other check reuses that factorization.  A sweep factors
 each family once per dimension: one QR per side serves the span distance of
 every probe, and one values-only SVD of T gives op_norm and inv_norm.  A
-pseudoboson run generates each family once, at full truncation.
+pseudoboson run generates each family once, at full truncation, and finds
+each vacuum from one values-only SVD and one bordered solve.  No command
+computes singular vectors.
 """
 
 from collections import Counter
@@ -65,12 +67,12 @@ def test_ladder_needs_one_factorization_for_either_side(factor_counts, tmp_path,
 
 
 def test_pseudoboson_factors_each_operator_at_most_once(factor_counts, capsys):
-    # Three operators: a and adjoint(b) (for the vacua) and the analysis
-    # operator of the generated family (for the transported ladder).
+    # Three operators, one values-only SVD and one LU each: a and adjoint(b)
+    # (rank gate and bordered solve of the vacua) and the analysis operator of
+    # the generated family (for the transported ladder).
     assert main(["pseudoboson", "--model", "ccr", "--dim", "16"]) == EXIT_OK
     capsys.readouterr()
-    assert factor_counts["svd"] + factor_counts["svd_values"] <= 3
-    assert factor_counts["solve"] <= 1
+    assert factor_counts == Counter({"svd_values": 3, "solve": 3, "qr": 1})
 
 
 @pytest.mark.parametrize("probes", [["e_0"], ["e_0", "geom:0.5", "random:7"]])
@@ -95,8 +97,20 @@ def test_pseudoboson_generates_each_family_once(factor_counts, monkeypatch, caps
     monkeypatch.setattr(pseudoboson, "_generate", counted_generate)
     assert main(["pseudoboson", "--model", "similarity:1.1^k", "--dim", "32"]) == EXIT_OK
     capsys.readouterr()
-    assert factor_counts == Counter({"generate": 2, "svd": 2, "svd_values": 1,
-                                     "solve": 1, "qr": 1})
+    assert factor_counts == Counter({"generate": 2, "svd_values": 3, "solve": 3, "qr": 1})
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "paper_example", "--dim", "16"],
+    ["sweep", "--model", "paper_example", "--dims", "8,16", "--probe", "e_0"],
+    ["ladder", "--model", "random_regular:50", "--dim", "16", "--side", "psi"],
+    ["pseudoboson", "--model", "similarity:1.1^k", "--dim", "16"],
+])
+def test_no_command_computes_singular_vectors(factor_counts, tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert factor_counts["svd"] == 0
+    assert factor_counts["svd_values"] > 0
 
 
 @pytest.mark.parametrize("argv, count", [

@@ -156,39 +156,6 @@ class TestSolveInverse:
         assert linalg.max_abs(inv @ T - np.eye(8)) <= kappa * linalg.EPS * 8
 
 
-class TestNullSpace:
-    def test_trivial(self):
-        assert linalg.null_space(np.eye(4)) == []
-
-    def test_diagonal_kernel(self):
-        kernel = linalg.null_space(np.diag([0.0, 1.0, 2.0]))
-        assert len(kernel) == 1
-        assert np.allclose(np.abs(kernel[0]), e(0, 3))
-
-    def test_lowering_matrix_kernel(self):
-        # oracle: S_minus e_0 = 0 by direct multiplication
-        from rieszlab.ladder import shift_matrices
-
-        s_minus, _, _ = shift_matrices(4)
-        assert np.allclose(s_minus @ e(0, 4), 0.0)
-        kernel = linalg.null_space(s_minus)
-        assert len(kernel) == 1
-        assert np.allclose(np.abs(kernel[0]), e(0, 4))
-
-    def test_zero_matrix_full_kernel(self):
-        kernel = linalg.null_space(np.zeros((3, 3)))
-        assert len(kernel) == 3
-
-    def test_kernel_orthonormal_and_annihilated(self, rng):
-        T = random_complex(rng, 6, 6)
-        T[:, 2] = T[:, 4]  # force rank deficiency
-        kernel = linalg.null_space(T)
-        assert len(kernel) == 1
-        v = kernel[0]
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert np.linalg.norm(T @ v) <= 1e-12 * np.linalg.norm(T)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_inner_hermitian_property(seed):

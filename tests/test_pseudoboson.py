@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rieszlab import linalg
-from rieszlab.errors import AmbiguousVacuumError
+from rieszlab.errors import AmbiguousVacuumError, SingularOperatorError
 from rieszlab.family import BiorthogonalPair, SequenceFamily, build_analysis
 from rieszlab.ladder import build_ladder, shift_matrices
 from rieszlab.models import ModelSpec, instantiate_system
@@ -23,6 +24,8 @@ from rieszlab.pseudoboson import (
     restriction_containment,
     span_invariance,
 )
+
+from conftest import border_orthogonal_operator, random_complex
 
 
 def ccr_system(dim, window=None):
@@ -50,9 +53,75 @@ class TestGroundStates:
         assert sys.phi0[j].imag == pytest.approx(0.0, abs=1e-15)
         assert sys.phi0[j].real > 0
 
-    def test_degenerate_kernel_rejected(self):
-        with pytest.raises(AmbiguousVacuumError):
-            ground_states(np.zeros((3, 3)), np.eye(3))
+    @pytest.mark.parametrize("T", [np.eye(3), np.diag([0.0, 1.0, 2.0]),
+                                   np.diag([0.0, 0.0, 1.0]), np.zeros((3, 3))],
+                             ids=["dim0", "dim1", "dim2", "dimN"])
+    @pytest.mark.parametrize("side", ["a", "adjoint(b)"])
+    def test_rank_gate_counts_the_kernel_as_a_full_svd_does(self, T, side):
+        # oracle: the singular values of a full SVD at or below N eps sigma_max,
+        # all N of them when T = 0
+        s = np.linalg.svd(T)[1]
+        n = T.shape[0]
+        expected = n if s[0] == 0 else int(np.sum(s <= n * linalg.EPS * s[0]))
+        s_minus, s_plus, _ = shift_matrices(n)
+        a, b = (T, s_plus) if side == "a" else (s_minus, linalg.adjoint(T))
+        if expected == 1:
+            phi0, psi0 = ground_states(a, b)
+            assert np.array_equal(phi0 if side == "a" else psi0, linalg.basis_vector(0, n))
+            return
+        with pytest.raises(AmbiguousVacuumError, match=f"of {re.escape(side)}") as err:
+            ground_states(a, b)
+        assert err.value.kernel_dim == expected
+
+    @pytest.mark.parametrize("n", [6, 64, 256])
+    def test_shift_vacua_lie_under_the_rank_cut(self, n):
+        a, b, _ = shift_matrices(n)
+        phi0, psi0 = ground_states(a, b)
+        for T, v in ((a, phi0), (linalg.adjoint(b), psi0)):
+            assert np.linalg.norm(T @ v) <= n * linalg.EPS * np.linalg.norm(T, 2)
+
+    def test_unstructured_kernel(self, rng):
+        # oracle: equal columns 2 and 4 put e_2 - e_4 in the kernel
+        T = random_complex(rng, 6, 6)
+        T[:, 2] = T[:, 4]
+        phi0, _ = ground_states(T, shift_matrices(6)[1])
+        assert np.linalg.norm(T @ phi0) <= 6 * linalg.EPS * np.linalg.norm(T, 2)
+        kernel = (linalg.basis_vector(2, 6) - linalg.basis_vector(4, 6)) / math.sqrt(2)
+        assert abs(linalg.inner(phi0, kernel)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_vacuum_does_not_depend_on_the_scale_of_the_operator(self, scale):
+        a, b, _ = shift_matrices(8)
+        e0 = linalg.basis_vector(0, 8)
+        for v in ground_states(scale * a, scale * b):
+            assert np.array_equal(v, e0)
+
+
+class TestBorderOrthogonalToTheKernel:
+    """The bordered system of T is singular when u misses the kernel of T or of adjoint(T)."""
+
+    @pytest.mark.parametrize("kind", ["both", "right"])
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_singular_bordered_system_raises(self, n, kind):
+        T, _ = border_orthogonal_operator(n, kind)
+        s_minus, s_plus, _ = shift_matrices(n)
+        for a, b, which in ((T, s_plus, "a"), (s_minus, linalg.adjoint(T), "adjoint(b)")):
+            with pytest.raises(SingularOperatorError,
+                               match=re.escape(f"bordered vacuum system of {which} ")):
+                ground_states(a, b)
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_border_orthogonal_to_the_left_kernel_gives_no_false_vacuum(self, n):
+        # One solve may not prove this system singular.  Then the vector it
+        # returns either spans the kernel or fails the vacuum residual line.
+        for seed in range(8):
+            T, x = border_orthogonal_operator(n, "left", seed)
+            try:
+                phi0, _ = ground_states(T, shift_matrices(n)[1])
+            except SingularOperatorError:
+                continue
+            spans_kernel = abs(linalg.inner(phi0, x)) == pytest.approx(1.0, abs=1e-12)
+            assert spans_kernel or np.linalg.norm(T @ phi0) > VACUUM_TOLERANCE
 
 
 class TestSystemBuild:
