@@ -18,7 +18,9 @@ own CSV writer, not by the rieszlab under test, so both checkouts read the same
 bytes: the pseudo-boson pair, so that the `pseudoboson-pipeline` commands run
 exactly as in the benchmark, and the paper-example family pair at N = 64
 (index offset 1, with JSON sidecars) that the file-model `analyze` and
-`ladder` runs read.  BLAS runs on one thread, so that the digests do not depend
+`ladder` runs read.  One run per command reads its settings from a
+`--config run.yaml` written from CONFIGS, so that the config path is under
+the gate too.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
 """
 
@@ -47,6 +49,17 @@ PIPELINE = "pseudoboson-pipeline"
 #: Model spec of the paper-example family pair written by _write_family_pair.
 FAMILY_MODEL = "file:phi.csv,psi.csv"
 FAMILY_DIM = 64
+#: Per command, the YAML of its `--config run.yaml` run: only keys the command reads.
+CONFIGS = {
+    "analyze": f"model: random_regular:50\ndim: 64\nseed: {SEED}\n"
+               "tolerances: {pair: 1.0e-9, ladder: 1.0e-11}\n",
+    "sweep": f"model: random_regular:50\ndims: [16, 32, 64]\nseed: {SEED}\n"
+             "probes: [e_0, 'geom:0.5']\n",
+    "pseudoboson": "model: similarity:1.01^k\ndim: 64\nwindow: 32\ncount: 16\n"
+                   "tolerances: {pb: 1.0e-8}\n",
+    "ladder": f"model: random_regular:50\ndim: 64\nseed: {SEED}\nside: psi\n"
+              "tolerances: {pair: 1.0e-9, ladder: 1.0e-11}\n",
+}
 
 
 def _command_list() -> list[list[str]]:
@@ -83,6 +96,7 @@ def _command_list() -> list[list[str]]:
         ["pseudoboson", "--model", "similarity:1.01^k", "--dim", "64", "--tol-pb", "1e-30"],
         ["pseudoboson", "--model", "similarity:2^k", "--dim", "64"],
     ]
+    cmds += [[command, "--config", "run.yaml"] for command in CONFIGS]
     return cmds
 
 
@@ -111,7 +125,9 @@ def run_all(checkout: Path, work: Path) -> list[str]:
     for i, argv in enumerate(COMMANDS):
         cwd = work / f"c{i:02d}"
         cwd.mkdir()
-        if argv[2] == FAMILY_MODEL:
+        if argv[1] == "--config":
+            (cwd / argv[2]).write_text(CONFIGS[argv[0]])
+        elif argv[2] == FAMILY_MODEL:
             _write_family_pair(cwd)
         elif argv[2].startswith("file:"):
             write_inputs(PIPELINE, "full", SEED, cwd)

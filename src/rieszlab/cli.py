@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     ModelError,
     RieszLabError,
-    SingularOperatorError,
     TruncationShapeError,
 )
 from .family import (
@@ -52,39 +51,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, help: str, seed: bool, tols: tuple[str, ...]):
+        """A subcommand with exactly the flags it reads: these, then its own."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="YAML config file; flags override its values")
         p.add_argument("--model", help="model spec, e.g. identity, paper_example, "
                                        "diagonal:k+1, similarity:2^k, random_regular:50, "
                                        "ccr, or file:...")
         p.add_argument("--out", help="output directory for reports and CSV")
-        p.add_argument("--seed", type=int, default=None, help="seed for random models")
-        p.add_argument("--tol-pair", type=float, default=None, dest="tol_pair")
-        p.add_argument("--tol-ladder", type=float, default=None, dest="tol_ladder")
-        p.add_argument("--tol-pb", type=float, default=None, dest="tol_pb")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="seed for random models")
+        for tol in tols:
+            p.add_argument(f"--tol-{tol}", type=float, default=None)
+        return p
 
-    p = sub.add_parser("analyze", help="single-truncation identity checks for a pair")
-    common(p)
+    p = command("analyze", "single-truncation identity checks for a pair",
+                seed=True, tols=("pair", "ladder"))
     p.add_argument("--dim", type=int, default=None)
 
-    p = sub.add_parser("sweep", help="truncation sweep and classification verdict")
-    common(p)
+    p = command("sweep", "truncation sweep and classification verdict", seed=True, tols=())
     p.add_argument("--dims", default=None, help="comma-separated dimensions, e.g. 8,16,32,64")
     p.add_argument("--probe", action="append", default=None,
                    help="probe spec (repeatable): e_j, geom:r, random:seed")
 
-    p = sub.add_parser("pseudoboson", help="(a, b) pipeline checks")
-    common(p)
+    p = command("pseudoboson", "(a, b) pipeline checks", seed=False, tols=("pb",))
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--count", type=int, default=None, help="number of generated columns")
 
-    p = sub.add_parser("ladder", help="build and export ladder operators")
-    common(p)
+    p = command("ladder", "build and export ladder operators",
+                seed=True, tols=("pair", "ladder"))
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--side", default=None, help="phi or psi (default phi)")
 
-    p = sub.add_parser("example-list", help="list built-in models")
+    sub.add_parser("example-list", help="list built-in models")
     return parser
 
 
@@ -127,37 +127,46 @@ def _check_config_types(loaded: dict) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file values, overridden by any flags that were actually given."""
+    """Config file values, overridden by any flags that were actually given.
+
+    The command's flags are the one list of what it reads.  Each flag's config
+    key is its name, except that --probe is ``probes`` and --tol-NAME is
+    ``tolerances: {NAME: ...}``; a config key outside that list is refused.
+    """
+    flags: dict = {}
+    for key, val in vars(args).items():
+        if key.startswith("tol_"):
+            flags.setdefault("tolerances", {})[key[4:]] = val
+        elif key not in ("command", "config"):
+            flags["probes" if key == "probe" else key] = val
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ValueError(f"config: file not found: {path}")
         import yaml  # only --config needs it; keeps `import rieszlab.cli` light
 
         try:
-            loaded = yaml.safe_load(path.read_text())
+            cfg = yaml.safe_load(path.read_text())
         except yaml.YAMLError as exc:
             raise ValueError(f"config: malformed YAML in {path}: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        if cfg is None:
+            cfg = {}
+        if not isinstance(cfg, dict):
             raise ValueError("config: top level must be a mapping")
-        _check_config_types(loaded)
-        cfg.update(loaded)
-    for key in ("model", "dim", "dims", "out", "seed", "window", "count", "side"):
-        val = getattr(args, key, None)
-        if val is not None:
+        _check_config_types(cfg)
+        for key in cfg:
+            if key not in flags:
+                raise ValueError(f"config: {args.command} does not read {key}")
+        for name in cfg.get("tolerances") or {}:
+            if name not in flags["tolerances"]:
+                raise ValueError(f"config: {args.command} does not read tolerances.{name}")
+    for key, val in flags.items():
+        if key == "tolerances":
+            given = {name: v for name, v in val.items() if v is not None}
+            cfg[key] = {**(cfg.get(key) or {}), **given}
+        elif val is not None:
             cfg[key] = val
-    probes = getattr(args, "probe", None)
-    if probes:
-        cfg["probes"] = probes
-    tols = dict(cfg.get("tolerances") or {})
-    for key, name in (("tol_pair", "pair"), ("tol_ladder", "ladder"), ("tol_pb", "pb")):
-        val = getattr(args, key, None)
-        if val is not None:
-            tols[name] = val
-    cfg["tolerances"] = tols
     return cfg
 
 
@@ -183,23 +192,30 @@ def _model_spec(cfg: dict, dim: int) -> models.ModelSpec:
     return models.parse_model(str(text), dim=dim, seed=seed)
 
 
-def _load_pair_model(cfg: dict, dim: int) -> BiorthogonalPair:
+def _file_paths(cfg: dict, first: str, second: str) -> list[str] | None:
+    """The two paths of a ``file:FIRST.csv,SECOND.csv`` model; None for a built-in one."""
     text = str(_require(cfg, "model"))
-    if text.startswith("file:"):
-        paths = text[5:].split(",")
-        if len(paths) != 2:
-            raise ValueError("model: file form needs two paths: file:phi.csv,psi.csv")
-        phi = io.load_family(paths[0].strip())
-        psi = io.load_family(paths[1].strip())
-        if phi.dim < models.MIN_DIM:
-            raise ValueError(f"model: file families need dimension >= {models.MIN_DIM}")
-        tol = float(cfg["tolerances"].get("pair", PAIR_TOLERANCE))
-        try:
-            pad_to_square(phi)  # analyze and ladder embed phi in a square truncation
-            return check_pairing(phi, psi, tolerance=tol)
-        except (DimensionMismatchError, TruncationShapeError) as exc:
-            raise ValueError(f"model: {exc}") from exc
-    return models.instantiate_pair(_model_spec(cfg, dim))
+    if not text.startswith("file:"):
+        return None
+    paths = [p.strip() for p in text[5:].split(",")]
+    if len(paths) != 2:
+        raise ValueError(f"model: file form needs two paths: file:{first}.csv,{second}.csv")
+    return paths
+
+
+def _load_pair_model(cfg: dict, dim: int) -> BiorthogonalPair:
+    paths = _file_paths(cfg, "phi", "psi")
+    if paths is None:
+        return models.instantiate_pair(_model_spec(cfg, dim))
+    phi, psi = (io.load_family(p) for p in paths)
+    if phi.dim < models.MIN_DIM:
+        raise ValueError(f"model: file families need dimension >= {models.MIN_DIM}")
+    tol = float(cfg["tolerances"].get("pair", PAIR_TOLERANCE))
+    try:
+        pad_to_square(phi)  # analyze and ladder embed phi in a square truncation
+        return check_pairing(phi, psi, tolerance=tol)
+    except (DimensionMismatchError, TruncationShapeError) as exc:
+        raise ValueError(f"model: {exc}") from exc
 
 
 def _emit(cfg: dict, name: str, text: str) -> None:
@@ -300,19 +316,15 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def _load_system(cfg: dict, dim: int, window: int | None):
-    text = str(_require(cfg, "model"))
-    if text.startswith("file:"):
-        paths = text[5:].split(",")
-        if len(paths) != 2:
-            raise ValueError("model: file form needs two paths: file:a.csv,b.csv")
-        a = io.load_matrix(paths[0].strip())
-        b = io.load_matrix(paths[1].strip())
-        if a.shape != b.shape or a.shape[0] != a.shape[1]:
-            raise ValueError(f"model: a {a.shape} and b {b.shape} must be square and of one size")
-        if a.shape[0] < models.MIN_DIM:
-            raise ValueError(f"model: a and b need dimension >= {models.MIN_DIM}")
-        return pseudoboson.PseudoBosonSystem.build(a, b, window=window)
-    return models.instantiate_system(_model_spec(cfg, dim), window=window)
+    paths = _file_paths(cfg, "a", "b")
+    if paths is None:
+        return models.instantiate_system(_model_spec(cfg, dim), window=window)
+    a, b = (io.load_matrix(p) for p in paths)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ValueError(f"model: a {a.shape} and b {b.shape} must be square and of one size")
+    if a.shape[0] < models.MIN_DIM:
+        raise ValueError(f"model: a and b need dimension >= {models.MIN_DIM}")
+    return pseudoboson.PseudoBosonSystem.build(a, b, window=window)
 
 
 def cmd_pseudoboson(cfg: dict) -> int:
@@ -401,25 +413,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "example-list":
             return cmd_example_list()
-        cfg = _merge_config(args)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "pseudoboson":
-            return cmd_pseudoboson(cfg)
-        if args.command == "ladder":
-            return cmd_ladder(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
-    except (SingularOperatorError,) as exc:
-        sys.stderr.write(f"check failure: {exc}\n")
-        return EXIT_CHECK
-    except RieszLabError as exc:
-        # Pairing/vacuum failures are mathematical outcomes, not input errors,
-        # unless they come from unreadable input handled above.
-        if isinstance(exc, ModelError):
-            sys.stderr.write(f"input error: {exc}\n")
-            return EXIT_INPUT
+        run = {"analyze": cmd_analyze, "sweep": cmd_sweep,
+               "pseudoboson": cmd_pseudoboson, "ladder": cmd_ladder}[args.command]
+        return run(_merge_config(args))
+    except ModelError as exc:
+        sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_INPUT
+    except RieszLabError as exc:  # a mathematical outcome, not an input error
         sys.stderr.write(f"check failure: {exc}\n")
         return EXIT_CHECK
     except (ValueError, OSError) as exc:

@@ -119,9 +119,6 @@ def _write_matrix_csv(handle: TextIO, mat: np.ndarray) -> None:
     cells = _float_cells(mat)
     bounds = _row_blocks(*cells.shape)
     handle.write(_csv_header(mat.shape[1]))
-    if len(bounds) == 2:
-        handle.writelines(_csv_rows(cells))
-        return
     import shutil
     import subprocess
 

@@ -55,10 +55,6 @@ def inner(x, y) -> complex:
     return complex(np.vdot(y, x))
 
 
-def norm(x) -> float:
-    return float(np.linalg.norm(x))
-
-
 def rank_one(x, y) -> np.ndarray:
     """Tensor x (x) conj(y): entries M_ij = x_i * conj(y_j)."""
     x = as_vector(x)
@@ -144,14 +140,6 @@ class Factorization:
 def as_factorization(T) -> Factorization:
     """T itself when it already is a Factorization, else a new one of T."""
     return T if isinstance(T, Factorization) else Factorization(T)
-
-
-def condition_number(T) -> float:
-    """sigma_max / sigma_min of T (or of a Factorization); inf when exactly singular."""
-    s = T.sigma if isinstance(T, Factorization) else singular_values(T)
-    if s.size == 0 or s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
 
 
 def solve_inverse(T) -> np.ndarray:

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousVacuumError, DimensionMismatchError, SingularOperatorError
+from .errors import (
+    AmbiguousVacuumError,
+    DimensionMismatchError,
+    RieszLabError,
+    SingularOperatorError,
+)
 from .family import SequenceFamily
 from .ladder import LadderSet
 
@@ -196,7 +201,8 @@ def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamil
         raise ValueError(f"count must lie in 1..{sys.dim}, got {count}")
     overlap = linalg.inner(sys.phi0, sys.psi0)
     if abs(overlap) < 1e-14:
-        raise AmbiguousVacuumError(1, which="(phi0|psi0) ~ 0: vacua cannot be paired")
+        # psi_0 / overlap would inflate the growth proxy, and pb_tolerance with it
+        raise RieszLabError(f"vacua cannot be paired: |(phi0|psi0)| = {abs(overlap):.3e} < 1e-14")
     psi0 = sys.psi0 / np.conj(overlap)
     phi = SequenceFamily(_generate(sys.b, sys.phi0, count))
     psi = SequenceFamily(_generate(linalg.adjoint(sys.a), psi0, count))

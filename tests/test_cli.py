@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
+from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, build_parser, main
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_matrix, save_family, save_matrix
 
@@ -170,6 +170,23 @@ class TestPseudoboson:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("check failure: bordered vacuum system")
 
+    def test_vacua_that_cannot_be_paired_are_a_check_failure(self, tmp_path, capsys):
+        # ker(a) = e_0 and ker(adjoint(b)) = e_1 for a = S_-, b = P S_+ P with
+        # P swapping e_0 and e_1: each vacuum is unique, but (phi0|psi0) = 0.
+        from rieszlab.ladder import shift_matrices
+
+        s_minus, s_plus, _ = shift_matrices(8)
+        swap = np.eye(8)[[1, 0, *range(2, 8)]]
+        save_matrix(s_minus, tmp_path / "a.csv")
+        save_matrix(swap @ s_plus @ swap, tmp_path / "b.csv")
+        code = main(["pseudoboson", "--model",
+                     f"file:{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CHECK
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "vacua cannot be paired" in lines[0]
+        assert "ambiguous" not in lines[0] and "kernel dimension" not in lines[0]
+
     @pytest.mark.parametrize("count", [0, -1, 17])
     def test_count_outside_range_is_input_error(self, tmp_path, capsys, count):
         argv = ["pseudoboson", "--model", "ccr", "--dim", "16"]
@@ -240,17 +257,49 @@ def test_import_does_not_load_yaml():
     assert proc.stdout.strip() == "False"
 
 
+#: The flags each command reads, with a value each takes; a command accepts no other.
+FLAGS = {
+    "analyze": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
+                "--dim": "8", "--tol-pair": "1e-10", "--tol-ladder": "1e-12"},
+    "sweep": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
+              "--dims": "8,16", "--probe": "e_0"},
+    "pseudoboson": {"--config": "run.yaml", "--model": "ccr", "--out": "out", "--dim": "8",
+                    "--window": "4", "--count": "4", "--tol-pb": "1e-9"},
+    "ladder": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
+               "--dim": "8", "--side": "psi", "--tol-pair": "1e-10", "--tol-ladder": "1e-12"},
+}
+
+#: The flags a command once accepted and never read.
+UNREAD_FLAGS = [("analyze", "--tol-pb"), ("ladder", "--tol-pb"), ("sweep", "--tol-pair"),
+                ("sweep", "--tol-ladder"), ("sweep", "--tol-pb"), ("pseudoboson", "--seed"),
+                ("pseudoboson", "--tol-pair"), ("pseudoboson", "--tol-ladder")]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--model", "identity", "--dim", "abc"],
         ["analyze", "--model", "identity", "--no-such-flag"],
         ["no-such-command"],
         [],
+        *([command, "--model", "ccr", flag, "1"] for command, flag in UNREAD_FLAGS),
     ])
     def test_usage_error_is_input_error(self, argv, capsys):
         # argparse's own exit status 2 would read as a failed check
         assert main(argv) == EXIT_INPUT
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in FLAGS.items() for f in flags])
+    def test_each_read_flag_parses(self, command, flag):
+        args = build_parser().parse_args([command, flag, FLAGS[command][flag]])
+        dest = flag[2:].replace("-", "_")
+        assert getattr(args, dest) is not None
+
+    def test_each_command_has_exactly_its_flags(self):
+        parser = build_parser()
+        for command, flags in FLAGS.items():
+            args = parser.parse_args([command])
+            assert set(vars(args)) - {"command"} == {f[2:].replace("-", "_") for f in flags}
+        assert sum(map(len, FLAGS.values())) == 28
 
     def test_help_exits_ok(self, capsys):
         assert main(["analyze", "--help"]) == EXIT_OK

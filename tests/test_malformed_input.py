@@ -109,6 +109,24 @@ class TestConfigValuesOfTheWrongType:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestConfigKeysTheCommandDoesNotRead:
+    # A key its command ignores would make a setting that changes nothing:
+    # dimm: 512 ran at dim 16, probe: [...] ran the default probes.
+    @pytest.mark.parametrize("command, text, key", [
+        ("analyze", "dimm: 512", "dimm"),
+        ("sweep", "dims: [8, 16]\nprobe: [e_0]", "probe"),
+        ("sweep", "dims: [8, 16]\ntolerances: {pair: 1.0e-10}", "tolerances"),
+        ("analyze", "tolerances: {pb: 1.0e-9}", "tolerances.pb"),
+        ("pseudoboson", "seed: 1", "seed"),
+    ])
+    def test_one_input_error_line_naming_the_key(self, tmp_path, capsys, command, text, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"model: paper_example\n{text}\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: config: {command} does not read {key}\n"
+
+
 class TestNegativeProbeIndex:
     def test_e_minus_1_is_refused(self, capsys):
         # e_{-1} would be e_{N-1}: a different vector at each dimension

@@ -115,7 +115,7 @@ class TestInstantiation:
 
     def test_random_regular_condition_bound(self):
         pair = instantiate_pair(ModelSpec("random_regular", 12, seed=1, kappa_max=50.0))
-        kappa = linalg.condition_number(pair.phi.coeffs)
+        kappa = linalg.Factorization(pair.phi.coeffs).kappa
         assert kappa == pytest.approx(50.0, rel=1e-8)
 
     def test_random_unitary_is_unitary(self):
