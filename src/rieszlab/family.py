@@ -1,10 +1,12 @@
 """Sequence families, biorthogonal pairs and their analysis operators.
 
-A family is stored as an N x M complex coefficient matrix whose column k is
-the vector with index k + index_offset in the ambient basis.  Families whose
-natural index set starts above 0 (index_offset > 0) can be embedded in a
-square truncation by padding the missing leading indices; padding columns are
-flagged through n_padding and never count as family members.
+A family is stored as an N x M coefficient matrix whose column k is the vector
+with index k + index_offset in the ambient basis.  The matrix follows the
+dtype rule of linalg.narrow: float64 when no coefficient has a nonzero
+imaginary part, complex128 otherwise.  Families whose natural index set starts
+above 0 (index_offset > 0) can be embedded in a square truncation by padding
+the missing leading indices; padding columns are flagged through n_padding and
+never count as family members.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ class SequenceFamily:
     n_padding: int = 0
 
     def __post_init__(self):
-        C = np.asarray(self.coeffs, dtype=np.complex128)
+        C = linalg.narrow(self.coeffs)
         if C.ndim != 2:
             raise TruncationShapeError(f"coefficients must be 2-d, got shape {C.shape}")
         n, m = C.shape
         if m > n:
             raise TruncationShapeError(f"more columns ({m}) than ambient dimension ({n})")
-        if not np.all(np.isfinite(C.view(np.float64))):
+        if not np.all(np.isfinite(C)):
             raise ValueError("family coefficients contain non-finite entries")
         col_norms = np.linalg.norm(C, axis=0)
         if np.any(col_norms == 0.0):
@@ -57,7 +59,7 @@ class SequenceFamily:
 
     @classmethod
     def identity(cls, dim: int) -> "SequenceFamily":
-        return cls(np.eye(dim, dtype=np.complex128))
+        return cls(np.eye(dim))
 
     @property
     def dim(self) -> int:
@@ -169,7 +171,7 @@ def pad_to_square(fam: SequenceFamily) -> SequenceFamily:
         )
     if fam.n_padding:
         raise TruncationShapeError("family already carries padding columns")
-    pad = np.eye(fam.dim, fam.index_offset, dtype=np.complex128)
+    pad = np.eye(fam.dim, fam.index_offset)
     return SequenceFamily(
         np.hstack([pad, fam.coeffs]),
         index_offset=0,
@@ -219,7 +221,7 @@ def verify_left_inverse(pair: BiorthogonalPair) -> float:
 
 
 def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:
-    """The vectors as complex arrays, each checked against the family dimension."""
+    """The vectors as arrays (float64 or complex128, see linalg.narrow), of the family dimension."""
     vectors = [linalg.as_vector(x) for x in vectors]
     for x in vectors:
         if x.shape[0] != fam.dim:
@@ -231,11 +233,11 @@ def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:
 def analysis_coefficients(phi: SequenceFamily, vectors) -> list[np.ndarray]:
     """The coefficients ((x | phi_k))_k over the family columns, one array per vector.
 
-    The conjugate transpose of the family is formed once for all vectors.
+    The conjugate transpose of the family is formed once for all vectors; a
+    real family stays real for complex vectors (linalg.matvec).
     """
-    vectors = as_vectors(phi, vectors)
     adj = phi.family_coeffs.conj().T
-    return [adj @ x for x in vectors]
+    return [linalg.matvec(adj, x) for x in as_vectors(phi, vectors)]
 
 
 def coefficient_energy(coeffs: np.ndarray) -> float:

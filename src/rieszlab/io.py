@@ -1,10 +1,13 @@
 """CSV persistence for families, matrices and ladder sets.
 
 Family format: header row re_0,im_0,re_1,im_1,..., one (re, im) column block
-per vector, one row per ambient coordinate.  Values are written with 17
-significant digits, which round-trips float64 bit-exactly.  Shape metadata
-(N, M, index_offset, n_padding) lives in a JSON sidecar next to the CSV.
-All writes go through a temp file and an atomic rename.
+per vector, one row per ambient coordinate; a real matrix is written with
+every im cell 0.  Values are written with 17 significant digits, which
+round-trips float64 bit-exactly.  Reading follows the dtype rule of
+linalg.narrow: a CSV whose im columns are all zero loads as float64, any other
+as complex128.  Shape metadata (N, M, index_offset, n_padding) lives in a JSON
+sidecar next to the CSV.  All writes go through a temp file and an atomic
+rename.
 
 Formatting a value to 17 digits takes about a microsecond of interpreter
 time, so a large matrix is cut into row blocks formatted at once: the first
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import TruncationShapeError
 from .family import SequenceFamily
 from .ladder import LadderSet
-from .linalg import DENSE_DIM_LIMIT
+from .linalg import DENSE_DIM_LIMIT, narrow
 
 #: Fewest float cells a row block may hold: a helper interpreter starts in
 #: about the time it takes to format this many, so smaller matrices are
@@ -171,7 +174,7 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     cells = np.array(rows, dtype=np.float64)
     if not np.all(np.isfinite(cells)):
         raise ValueError("CSV contains non-finite values")
-    return cells.view(np.complex128)  # re_k, im_k interleaved per row, as written
+    return narrow(cells.view(np.complex128))  # re_k, im_k interleaved per row, as written
 
 
 def _sidecar(path: Path) -> Path:

@@ -58,7 +58,7 @@ def shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S_minus has sqrt(k+1) at (k, k+1), S_plus is its adjoint, and
     N0 = S_plus @ S_minus = diag(0, 1, ..., dim-1).
     """
-    return tuple(_shifted(np.eye(dim, dtype=np.complex128)))
+    return tuple(_shifted(np.eye(dim)))
 
 
 @dataclass(frozen=True)

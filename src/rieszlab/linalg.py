@@ -1,8 +1,13 @@
-"""Dense complex linear-algebra kernel for truncated Hilbert spaces.
+"""Dense linear-algebra kernel for truncated Hilbert spaces.
 
-Vectors are length-N complex ndarrays, operators are N x N complex
-ndarrays.  The inner product is linear in the FIRST argument, so that the
-rank-one tensor satisfies rank_one(x, y) @ xi == inner(xi, y) * x.
+Vectors are length-N ndarrays, operators are N x N ndarrays.  One dtype rule
+holds for every input (see narrow): an array with no nonzero imaginary part is
+float64, any other is complex128, and results follow their inputs.  Real
+matrices have real LU, QR and SVD factors, so a real model runs real kernels
+at a fraction of the complex cost and memory.
+
+The inner product is linear in the FIRST argument, so that the rank-one
+tensor satisfies rank_one(x, y) @ xi == inner(xi, y) * x.
 
 Every operator T is factorized once (see Factorization): one values-only SVD
 for the rank gate, kappa and sigma_min, one LU solve for the inverse.
@@ -24,15 +29,28 @@ EPS = float(np.finfo(np.float64).eps)
 DENSE_DIM_LIMIT = 4096
 
 
+def narrow(x) -> np.ndarray:
+    """x as a float64 array when no entry has a nonzero imaginary part, else as complex128.
+
+    A real float64 input is returned as it is, without a copy.
+    """
+    a = np.asarray(x)
+    if not np.iscomplexobj(a):
+        return a.astype(np.float64, copy=False)
+    if np.any(a.imag):
+        return a.astype(np.complex128, copy=False)
+    return a.real.astype(np.float64)
+
+
 def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128)
+    v = narrow(x)
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {v.shape}")
     return v
 
 
 def as_operator(T) -> np.ndarray:
-    M = np.asarray(T, dtype=np.complex128)
+    M = narrow(T)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
     return M
@@ -40,19 +58,19 @@ def as_operator(T) -> np.ndarray:
 
 def basis_vector(k: int, dim: int) -> np.ndarray:
     """Standard basis vector e_k of the dim-dimensional truncation."""
-    e = np.zeros(dim, dtype=np.complex128)
+    e = np.zeros(dim)
     e[k] = 1.0
     return e
 
 
 def inner(x, y) -> complex:
-    """Inner product (x|y), linear in x and conjugate-linear in y."""
+    """Inner product (x|y), linear in x and conjugate-linear in y; a float when both are real."""
     x = as_vector(x)
     y = as_vector(y)
     if x.shape != y.shape:
         raise DimensionMismatchError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     # np.vdot conjugates its first argument.
-    return complex(np.vdot(y, x))
+    return np.vdot(y, x).item()
 
 
 def rank_one(x, y) -> np.ndarray:
@@ -65,8 +83,26 @@ def rank_one(x, y) -> np.ndarray:
 
 
 def adjoint(T) -> np.ndarray:
-    """Conjugate transpose; the Hilbert adjoint at finite truncation."""
-    return np.asarray(T, dtype=np.complex128).conj().T.copy()
+    """Conjugate transpose; the Hilbert adjoint at finite truncation.
+
+    For a real T, conj() returns T itself, so the one copy is the transpose.
+    """
+    return narrow(T).conj().T.copy()
+
+
+def matvec(M, x) -> np.ndarray:
+    """M @ x, without casting a real M to complex128 for a complex vector x.
+
+    numpy multiplies a real M by a complex x on a complex128 copy of M.  Here
+    M multiplies instead the float64 view of x as an N x 2 block (re and im
+    per row; no copy) in one real GEMM, and the product, viewed back as
+    complex, is M @ x.  The product is made for x alone, so that its last bits
+    do not depend on other vectors, as they would in a stacked block product.
+    """
+    if np.iscomplexobj(x) and not np.iscomplexobj(M):
+        pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+        return (M @ pairs).view(np.complex128).reshape(-1)
+    return M @ x
 
 
 def singular_values(T) -> np.ndarray:
@@ -94,8 +130,9 @@ class Factorization:
     kappa, sigma_min, the inverse, the dual family, the metric or either
     ladder side of T reads it from here instead of factoring T again.
 
-    T is kept by reference and made read-only, so that it cannot change
-    under the factorization; factor a copy to keep a writable original.
+    T, narrowed (see narrow), is kept by reference when it has that dtype
+    already, and made read-only, so that it cannot change under the
+    factorization; factor a copy to keep a writable original.
     """
 
     T: np.ndarray
@@ -125,7 +162,7 @@ class Factorization:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        inv = np.linalg.solve(self.T, np.eye(self.dim, dtype=np.complex128))
+        inv = np.linalg.solve(self.T, np.eye(self.dim))
         inv.setflags(write=False)
         return inv
 

@@ -47,7 +47,7 @@ def _evaluate_node(node: ast.AST, ks: np.ndarray):
 
 
 def evaluate_rule(rule: str, ks: np.ndarray) -> np.ndarray:
-    """Evaluate an index rule like "k+1", "2^k" or "1.1**k" on an index array."""
+    """Evaluate an index rule like "k+1", "2^k" or "1.1**k" on an index array, in float64."""
     if not rule or not _RULE_TOKENS.match(rule):
         raise ModelError(f"invalid index rule {rule!r}: only digits, k, +-*/^() allowed")
     try:
@@ -57,8 +57,8 @@ def evaluate_rule(rule: str, ks: np.ndarray) -> np.ndarray:
             values = _evaluate_node(tree.body, ks.astype(np.float64))
     except Exception as exc:
         raise ModelError(f"index rule {rule!r} failed to evaluate: {exc}") from exc
-    values = np.broadcast_to(np.asarray(values, dtype=np.complex128), ks.shape).copy()
-    if not np.all(np.isfinite(values.view(np.float64))):
+    values = np.broadcast_to(values, ks.shape).copy()
+    if not np.all(np.isfinite(values)):
         raise ModelError(f"index rule {rule!r} produced non-finite values")
     if np.any(values == 0):
         raise ModelError(f"index rule {rule!r} evaluates to 0 at some index")
@@ -134,7 +134,7 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
     if spec.kind == "diagonal":
         d = evaluate_rule(spec.rule, np.arange(n))
         phi = SequenceFamily(np.diag(d))
-        psi = SequenceFamily(np.diag(1.0 / d.conj()))
+        psi = SequenceFamily(np.diag(1.0 / d))
         return check_pairing(phi, psi)
     if spec.kind == "random_regular":
         rng = np.random.default_rng(spec.seed)
@@ -179,7 +179,7 @@ def paper_example_pair(dim: int) -> BiorthogonalPair:
     """
     if dim < MIN_DIM:
         raise ModelError(f"paper_example needs dimension >= {MIN_DIM}")
-    eye = np.eye(dim, dtype=np.complex128)
+    eye = np.eye(dim)
     phi_cols = eye[:, 1:].copy()
     phi_cols[0, :] = 1.0
     psi_cols = eye[:, 1:]

@@ -46,10 +46,16 @@ def commutator_defect(a, b, window: int) -> float:
     return linalg.max_column_norm(defect[:, :window])
 
 
-def border_vector(dim: int) -> np.ndarray:
-    """Unit vector u (complex Gaussian, seed 0) bordering each vacuum solve of size dim."""
+def border_vector(dim: int, dtype=np.complex128) -> np.ndarray:
+    """Unit vector u bordering each vacuum solve of size dim, of the dtype of that solve.
+
+    u is the normalized complex Gaussian of seed 0, or for a real dtype its
+    real part, so that a real T keeps a real bordered system and a real vacuum.
+    """
     rng = np.random.default_rng(0)
     u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if not np.issubdtype(dtype, np.complexfloating):
+        u = u.real
     return u / np.linalg.norm(u)
 
 
@@ -78,8 +84,8 @@ def _vacuum(T: np.ndarray, which: str) -> np.ndarray:
     if kernel_dim != 1:
         raise AmbiguousVacuumError(kernel_dim, which=which)
     smax = float(sigma[0])
-    border = smax * border_vector(n)
-    bordered = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    border = smax * border_vector(n, T.dtype)
+    bordered = np.zeros((n + 1, n + 1), dtype=T.dtype)
     bordered[:n, :n] = T
     bordered[:n, n] = border
     bordered[n, :n] = border.conj()
@@ -114,8 +120,8 @@ def ground_states(a, b) -> tuple[np.ndarray, np.ndarray]:
 
         K [x; t] = [[T, s u], [s adjoint(u), 0]] [x; t] = [0; 1]
 
-    with the unit vector u = border_vector(N) and s = sigma_max(T), which
-    makes K scale with T.  For x0 spanning ker(T) and y0 spanning
+    with the unit vector u = border_vector(N, T.dtype) and s = sigma_max(T),
+    which makes K scale with T.  For x0 spanning ker(T) and y0 spanning
     ker(adjoint(T)), K is nonsingular exactly when (x0|u) != 0 and
     (u|y0) != 0; then t = 0 and x = x0 / (s (x0|u)).  SingularOperatorError
     is raised when the solve shows sigma_min(K) at or below the rank cut
@@ -172,7 +178,7 @@ class PseudoBosonSystem:
 
 
 def _generate(op: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
-    cols = np.empty((start.shape[0], count), dtype=np.complex128)
+    cols = np.empty((start.shape[0], count), dtype=np.result_type(op, start))
     cols[:, 0] = start
     for n in range(1, count):
         cols[:, n] = (op @ cols[:, n - 1]) / math.sqrt(n)
@@ -194,8 +200,9 @@ def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamil
     """Generate phi_n = b phi_{n-1} / sqrt(n) and psi_n = adjoint(a) psi_{n-1} / sqrt(n).
 
     psi_0 is rescaled so that (phi_0 | psi_0) = 1; pairing is the caller's
-    check.  Columns above the system window are untrusted at the truncation
-    edge; count may not exceed the dimension.
+    check.  The overlap of two real vacua is a float, so that a real system
+    generates both families in float64.  Columns above the system window are
+    untrusted at the truncation edge; count may not exceed the dimension.
     """
     if not 1 <= count <= sys.dim:
         raise ValueError(f"count must lie in 1..{sys.dim}, got {count}")

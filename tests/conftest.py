@@ -17,15 +17,19 @@ def random_well_conditioned(rng, n, kappa=50.0):
     return (q1 * s) @ q2
 
 
-def border_orthogonal_operator(n, kind, seed=5):
+def border_orthogonal_operator(n, kind, seed=5, real=False):
     """(T, x): T = I - x adjoint(y) / (x|y) has kernel x and left kernel y.
 
     kind says which of x and y is made orthogonal to the border vector; for
-    "both", y = x.
+    "both", y = x.  With real=True, x and y are real, and so are T and the
+    border vector that its vacuum solve uses.
     """
-    u = border_vector(n)
+    u = border_vector(n, np.float64 if real else np.complex128)
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    if real:
+        # The imaginary parts: at seed 0, the real part of x is the border itself.
+        x, y = x.imag.copy(), y.imag.copy()
     if kind in ("right", "both"):
         x -= linalg.inner(x, u) * u
     if kind == "left":

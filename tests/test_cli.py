@@ -155,12 +155,14 @@ class TestPseudoboson:
         capsys.readouterr()
         assert code == EXIT_OK
 
-    def test_border_orthogonal_to_the_vacuum_is_a_check_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_border_orthogonal_to_the_vacuum_is_a_check_failure(self, tmp_path, capsys, real):
         # a = I - x adjoint(x) with x orthogonal to the border vector of the
-        # vacuum solve: its bordered system is singular.
+        # vacuum solve: its bordered system is singular.  A real a is read as
+        # float64 and bordered by the real border vector.
         from rieszlab.ladder import shift_matrices
 
-        save_matrix(border_orthogonal_operator(8, "both")[0], tmp_path / "a.csv")
+        save_matrix(border_orthogonal_operator(8, "both", real=real)[0], tmp_path / "a.csv")
         save_matrix(shift_matrices(8)[1], tmp_path / "b.csv")
         code = main(["pseudoboson", "--model",
                      f"file:{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}"])

@@ -131,7 +131,7 @@ class TestNumberEigenOracle:
         # only phi_0 is off; its residual is ||N phi_0||, not a ratio
         sys_ = _system(window=5)
         phi, psi = generate_families(sys_, N)
-        cols = phi.coeffs.copy()
+        cols = phi.coeffs.astype(np.complex128)
         cols[:, 0] += 1e-3 * random_complex(rng, N)
         fams = (SequenceFamily(cols), psi)
         worst = number_eigen_check(sys_, fams, mmax=1)

@@ -176,6 +176,18 @@ class TestRuleWalker:
                 evaluate_rule(rule, np.arange(8))
         assert caught == []
 
+    @pytest.mark.parametrize("rule", ["k+1", "3", "1.01^k"])
+    def test_values_are_float64(self, rule):
+        assert evaluate_rule(rule, np.arange(4)).dtype == np.float64
+
+    def test_negative_base_to_a_fractional_power_is_rejected(self):
+        # (-2)^0.5 is NaN in float64, not a complex number
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ModelError, match="non-finite"):
+                evaluate_rule("(k-2)^0.5", np.arange(4))
+        assert caught == []
+
 
 def test_tower_rule_exits_at_once():
     # 9^9^9 as Python integers would not finish; the float walker overflows to inf.

@@ -97,13 +97,18 @@ class TestGroundStates:
             assert np.array_equal(v, e0)
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 class TestBorderOrthogonalToTheKernel:
-    """The bordered system of T is singular when u misses the kernel of T or of adjoint(T)."""
+    """The bordered system of T is singular when u misses the kernel of T or of adjoint(T).
+
+    A real T is bordered by a real u, a complex T by a complex one.
+    """
 
     @pytest.mark.parametrize("kind", ["both", "right"])
     @pytest.mark.parametrize("n", [3, 8, 64])
-    def test_singular_bordered_system_raises(self, n, kind):
-        T, _ = border_orthogonal_operator(n, kind)
+    def test_singular_bordered_system_raises(self, n, kind, real):
+        T, _ = border_orthogonal_operator(n, kind, real=real)
+        assert np.iscomplexobj(T) != real
         s_minus, s_plus, _ = shift_matrices(n)
         for a, b, which in ((T, s_plus, "a"), (s_minus, linalg.adjoint(T), "adjoint(b)")):
             with pytest.raises(SingularOperatorError,
@@ -111,11 +116,11 @@ class TestBorderOrthogonalToTheKernel:
                 ground_states(a, b)
 
     @pytest.mark.parametrize("n", [3, 8, 64])
-    def test_border_orthogonal_to_the_left_kernel_gives_no_false_vacuum(self, n):
+    def test_border_orthogonal_to_the_left_kernel_gives_no_false_vacuum(self, n, real):
         # One solve may not prove this system singular.  Then the vector it
         # returns either spans the kernel or fails the vacuum residual line.
         for seed in range(8):
-            T, x = border_orthogonal_operator(n, "left", seed)
+            T, x = border_orthogonal_operator(n, "left", seed, real=real)
             try:
                 phi0, _ = ground_states(T, shift_matrices(n)[1])
             except SingularOperatorError:
