@@ -100,14 +100,12 @@ def span_distances(fam: SequenceFamily, vectors) -> list[float]:
     """Distance from each vector to the span of the family columns (padding excluded).
 
     One QR of the family serves every vector; Q and Q^H are freed on return.
-    A real Q stays real for complex vectors (linalg.matvec).
     """
     vectors = as_vectors(fam, vectors)
     # [0] drops R at once instead of keeping an N x M array alive.
     q = np.linalg.qr(fam.family_coeffs)[0]
     qh = q.conj().T
-    return [float(np.linalg.norm(x - linalg.matvec(q, linalg.matvec(qh, x))))
-            for x in vectors]
+    return [float(np.linalg.norm(x - q @ (qh @ x))) for x in vectors]
 
 
 def span_distance(fam: SequenceFamily, x) -> float:
@@ -123,8 +121,7 @@ def quasi_basis_residual(pair: BiorthogonalPair, f, g) -> float:
         raise DimensionMismatchError("probe vectors do not match the pair dimension")
     phi = pair.phi.family_coeffs
     psi = pair.psi.family_coeffs
-    return _quasi_basis_defect(f, g, linalg.matvec(phi, linalg.matvec(psi.conj().T, f)),
-                               linalg.matvec(psi, linalg.matvec(phi.conj().T, f)))
+    return _quasi_basis_defect(f, g, phi @ (psi.conj().T @ f), psi @ (phi.conj().T @ f))
 
 
 def _quasi_basis_defect(f: np.ndarray, g: np.ndarray,
@@ -284,8 +281,8 @@ def _evaluate_dim(pair: BiorthogonalPair, probes: list[ProbeSpec]) -> dict:
     rec[("pairing_residual", "")] = pair.pairing_residual
     worst_qb = 0.0
     for f, c_phi, c_psi in zip(xs, coeffs["phi"], coeffs["psi"]):
-        phi_psih_f = linalg.matvec(pair.phi.family_coeffs, c_psi)
-        psi_phih_f = linalg.matvec(pair.psi.family_coeffs, c_phi)
+        phi_psih_f = pair.phi.family_coeffs @ c_psi
+        psi_phih_f = pair.psi.family_coeffs @ c_phi
         for g in xs:
             worst_qb = max(worst_qb, _quasi_basis_defect(f, g, phi_psih_f, psi_phih_f))
     rec[("quasi_basis_residual", "")] = worst_qb

@@ -233,11 +233,11 @@ def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:
 def analysis_coefficients(phi: SequenceFamily, vectors) -> list[np.ndarray]:
     """The coefficients ((x | phi_k))_k over the family columns, one array per vector.
 
-    The conjugate transpose of the family is formed once for all vectors; a
-    real family stays real for complex vectors (linalg.matvec).
+    The conjugate transpose of the family is formed once for all vectors.
     """
+    vectors = as_vectors(phi, vectors)
     adj = phi.family_coeffs.conj().T
-    return [linalg.matvec(adj, x) for x in as_vectors(phi, vectors)]
+    return [adj @ x for x in vectors]
 
 
 def coefficient_energy(coeffs: np.ndarray) -> float:

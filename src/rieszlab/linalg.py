@@ -90,21 +90,6 @@ def adjoint(T) -> np.ndarray:
     return narrow(T).conj().T.copy()
 
 
-def matvec(M, x) -> np.ndarray:
-    """M @ x, without casting a real M to complex128 for a complex vector x.
-
-    numpy multiplies a real M by a complex x on a complex128 copy of M.  Here
-    M multiplies instead the float64 view of x as an N x 2 block (re and im
-    per row; no copy) in one real GEMM, and the product, viewed back as
-    complex, is M @ x.  The product is made for x alone, so that its last bits
-    do not depend on other vectors, as they would in a stacked block product.
-    """
-    if np.iscomplexobj(x) and not np.iscomplexobj(M):
-        pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
-        return (M @ pairs).view(np.complex128).reshape(-1)
-    return M @ x
-
-
 def singular_values(T) -> np.ndarray:
     return np.linalg.svd(as_operator(T), compute_uv=False)
 

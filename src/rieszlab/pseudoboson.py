@@ -46,7 +46,7 @@ def commutator_defect(a, b, window: int) -> float:
     return linalg.max_column_norm(defect[:, :window])
 
 
-def border_vector(dim: int, dtype=np.complex128) -> np.ndarray:
+def border_vector(dim: int, dtype) -> np.ndarray:
     """Unit vector u bordering each vacuum solve of size dim, of the dtype of that solve.
 
     u is the normalized complex Gaussian of seed 0, or for a real dtype its

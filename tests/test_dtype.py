@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex
 from rieszlab import ladder, linalg, pseudoboson
 from rieszlab.cli import EXIT_OK, main
 from rieszlab.family import (
@@ -142,11 +141,3 @@ class TestNarrow:
     def test_adjoint_of_real_is_its_transpose(self, rng):
         M = rng.standard_normal((3, 4))
         assert np.array_equal(linalg.adjoint(M), M.T)
-
-
-def test_matvec_of_real_matrix_and_complex_vector(rng):
-    M = rng.standard_normal((5, 4))
-    x = random_complex(rng, 4)
-    y = linalg.matvec(M, x)
-    assert y.dtype == np.complex128
-    assert np.allclose(y, M.astype(complex) @ x, rtol=0, atol=1e-14)
