@@ -16,8 +16,8 @@ its exit code, one digest of its stdout and one digest per written file (paths
 relative to the output directory).  The file inputs are written by perfbench's
 own CSV writer, not by the rieszlab under test, so both checkouts read the same
 bytes: the pseudo-boson pair, so that the `pseudoboson-pipeline` commands run
-exactly as in the benchmark, and the paper-example family pair at N = 64
-(index offset 1, with JSON sidecars) that the file-model `analyze` and
+exactly as in the benchmark, and the paper-example family pairs at N = 64
+(index offsets 1 and 2, with JSON sidecars) that the file-model `analyze` and
 `ladder` runs read.  One run per command reads its settings from a
 `--config run.yaml` written from CONFIGS, so that the config path is under
 the gate too.  BLAS runs on one thread, so that the digests do not depend
@@ -46,8 +46,12 @@ from perfbench.workloads import _write_matrix_csv, commands, write_inputs  # noq
 SEED = 3
 PROBES = ["--probe", "e_0", "--probe", "geom:0.5", "--probe", f"random:{SEED}"]
 PIPELINE = "pseudoboson-pipeline"
-#: Model spec of the paper-example family pair written by _write_family_pair.
+#: Model specs of the paper-example family pairs written by _write_family_pair,
+#: with their index offsets: the offset-2 psi family leaves two coordinates
+#: outside its span.
 FAMILY_MODEL = "file:phi.csv,psi.csv"
+FAMILY_MODEL_2 = "file:phi2.csv,psi2.csv"
+FAMILY_MODELS = {FAMILY_MODEL: 1, FAMILY_MODEL_2: 2}
 FAMILY_DIM = 64
 #: Per command, the YAML of its `--config run.yaml` run: only keys the command reads.
 CONFIGS = {
@@ -79,7 +83,8 @@ def _command_list() -> list[list[str]]:
         cmds.append(["ladder", "--model", model, "--dim", "64", "--seed", str(SEED),
                      "--side", side])
     cmds += [["analyze", "--model", FAMILY_MODEL],
-             ["ladder", "--model", FAMILY_MODEL, "--side", "psi"]]
+             ["ladder", "--model", FAMILY_MODEL, "--side", "psi"],
+             ["analyze", "--model", FAMILY_MODEL_2]]
     # Above io.PARALLEL_MIN_CELLS: row blocks formatted by helper interpreters.
     cmds.append(["ladder", "--model", "random_regular:50", "--dim", "256", "--seed", str(SEED),
                  "--side", "phi"])
@@ -103,13 +108,17 @@ def _command_list() -> list[list[str]]:
 COMMANDS = _command_list()
 
 
-def _write_family_pair(workdir: Path) -> None:
-    """phi_k = e_k + e_0 and psi_k = e_k, k = 1..N-1, as two family CSVs with sidecars."""
-    psi = np.eye(FAMILY_DIM)[:, 1:]
+def _write_family_pair(workdir: Path, model: str) -> None:
+    """phi_k = e_k + e_0 + ... + e_(d-1) and psi_k = e_k, k = d..N-1, for the offset d of model.
+
+    Two family CSVs with sidecars.
+    """
+    offset = FAMILY_MODELS[model]
+    psi = np.eye(FAMILY_DIM)[:, offset:]
     phi = psi.copy()
-    phi[0, :] = 1.0
-    meta = {"N": FAMILY_DIM, "M": FAMILY_DIM - 1, "index_offset": 1, "n_padding": 0}
-    for name, cols in zip(FAMILY_MODEL[5:].split(","), (phi, psi)):
+    phi[:offset, :] = 1.0
+    meta = {"N": FAMILY_DIM, "M": FAMILY_DIM - offset, "index_offset": offset, "n_padding": 0}
+    for name, cols in zip(model[5:].split(","), (phi, psi)):
         _write_matrix_csv(workdir / name, cols)
         (workdir / f"{name}.meta.json").write_text(json.dumps(meta) + "\n")
 
@@ -127,8 +136,8 @@ def run_all(checkout: Path, work: Path) -> list[str]:
         cwd.mkdir()
         if argv[1] == "--config":
             (cwd / argv[2]).write_text(CONFIGS[argv[0]])
-        elif argv[2] == FAMILY_MODEL:
-            _write_family_pair(cwd)
+        elif argv[2] in FAMILY_MODELS:
+            _write_family_pair(cwd, argv[2])
         elif argv[2].startswith("file:"):
             write_inputs(PIPELINE, "full", SEED, cwd)
         proc = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--out", "out"],

@@ -8,10 +8,12 @@ declared cutpoints.  "inconclusive" is a first-class outcome: when the slope
 fitted over all dimensions and the slope fitted over the top half disagree on
 a verdict, no branch is forced.
 
-Each family is factored once per dimension: one QR per side serves the span
-distance of every probe, one conjugate transpose per side gives the
-coefficients (x | phi_k) that the domain sums and the quasi-basis residual
-share, and one values-only SVD of T gives op_norm and inv_norm.
+Each family is factored at most once per dimension: one Householder QR per
+side, kept as its reflectors, serves the span distance of every probe, and a
+square side needs none (its span is the whole truncation).  One conjugate
+transpose per side gives the coefficients (x | phi_k) that the domain sums
+and the quasi-basis residual share, and one values-only SVD of T gives
+op_norm and inv_norm.
 """
 
 from __future__ import annotations
@@ -99,13 +101,31 @@ class ProbeSpec:
 def span_distances(fam: SequenceFamily, vectors) -> list[float]:
     """Distance from each vector to the span of the family columns (padding excluded).
 
-    One QR of the family serves every vector; Q and Q^H are freed on return.
+    The distance is the norm of the trailing N - M entries of Q^H x, for the
+    reduced QR A = Q R of the N x M family block (Golub & Van Loan, 5.3).  One
+    QR serves every vector, and Q stays in factored form: each vector is
+    passed through the M Householder reflectors on its own, with vector
+    operations only, so that its distance does not depend on the other
+    vectors.  A square family (M = N) leaves no trailing entries: its
+    distances are exactly 0.0, and it is not factored.
     """
     vectors = as_vectors(fam, vectors)
-    # [0] drops R at once instead of keeping an N x M array alive.
-    q = np.linalg.qr(fam.family_coeffs)[0]
-    qh = q.conj().T
-    return [float(np.linalg.norm(x - q @ (qh @ x))) for x in vectors]
+    block = fam.family_coeffs
+    if block.shape[1] == fam.dim:
+        return [0.0] * len(vectors)
+    # Row j of h holds reflector j below its implicit leading 1: v_j = [1, h[j, j+1:]].
+    h, tau = np.linalg.qr(block, mode="raw")
+    dists = []
+    for x in vectors:
+        y = x.astype(np.result_type(h, x))
+        for j, ctau in enumerate(tau.conj()):
+            v = h[j, j + 1:]
+            # Q^H = H_M^H ... H_1^H with H_j^H = I - conj(tau_j) v_j v_j^H; y[j] is
+            # not read again, so only its tail is updated.
+            s = ctau * (y[j] + np.vdot(v, y[j + 1:]))
+            y[j + 1:] -= s * v
+        dists.append(float(np.linalg.norm(y[len(tau):])))
+    return dists
 
 
 def span_distance(fam: SequenceFamily, x) -> float:
@@ -267,8 +287,8 @@ def _evaluate_dim(pair: BiorthogonalPair, probes: list[ProbeSpec]) -> dict:
     rec: dict = {}
     vectors = {p.name: p.instantiate(pair.dim) for p in probes}
     xs = list(vectors.values())
-    # One side after the other, so that the N x M temporaries of a side (Q, Q^H,
-    # the conjugate family) are freed before the next side allocates its own.
+    # One side after the other, so that the N x M temporaries of a side (the QR
+    # reflectors, the conjugate family) are freed before the next side allocates its own.
     coeffs = {}
     for side, fam in (("phi", pair.phi), ("psi", pair.psi)):
         coeffs[side] = analysis_coefficients(fam, xs)

@@ -40,14 +40,19 @@ PARALLEL_MIN_CELLS = 1 << 16
 
 _CELL = "%.17g"
 
+#: Format of a real matrix entry: its re cell and the literal 0 of its im
+#: cell, which is what _CELL makes of 0.0.
+_REAL_ENTRY = _CELL + ",0"
+
 #: Helper interpreter for one row block (it runs with -I -S, so stdlib only).
-#: stdin holds the block as native float64 bytes, argv[1] the cells per row;
-#: stdout receives the block's CSV lines as `_csv_rows` renders them.
-_FORMAT_BLOCK = f"""
+#: stdin holds the block as native float64 bytes, argv[1] the floats per row
+#: and argv[2] the format of each; stdout receives the block's CSV lines as
+#: `_csv_rows` renders them.
+_FORMAT_BLOCK = """
 import sys
 width = int(sys.argv[1])
 cells = memoryview(sys.stdin.buffer.read()).cast("d")
-row = ",".join(["{_CELL}"] * width) + "\\n"
+row = ",".join([sys.argv[2]] * width) + "\\n"
 write = sys.stdout.write
 for start in range(0, len(cells), width):
     write(row % tuple(cells[start:start + width].tolist()))
@@ -83,19 +88,26 @@ def _csv_header(m: int) -> str:
     return ",".join(f"re_{k},im_{k}" for k in range(m)) + "\n"
 
 
-def _float_cells(mat: np.ndarray) -> np.ndarray:
-    """re_k, im_k interleaved per row, as the CSV holds them."""
-    return np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
+def _float_cells(mat: np.ndarray) -> tuple[np.ndarray, str]:
+    """The floats of mat's CSV rows, and the format that renders each of them.
+
+    A complex matrix gives re_k, im_k interleaved per row, each rendered by
+    _CELL.  A real matrix gives its own entries, each rendered by _REAL_ENTRY
+    as both of its cells, so that it is written without a complex copy.
+    """
+    if np.iscomplexobj(mat):
+        return np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64), _CELL
+    return np.ascontiguousarray(mat, dtype=np.float64), _REAL_ENTRY
 
 
-def _csv_rows(cells: np.ndarray) -> Iterator[str]:
-    row = ",".join([_CELL] * cells.shape[1]) + "\n"
+def _csv_rows(cells: np.ndarray, entry: str) -> Iterator[str]:
+    row = ",".join([entry] * cells.shape[1]) + "\n"
     return (row % tuple(r.tolist()) for r in cells)
 
 
 def _matrix_to_csv(mat: np.ndarray) -> str:
     """The CSV text of mat, formatted serially: the reference rendering."""
-    return _csv_header(mat.shape[1]) + "".join(_csv_rows(_float_cells(mat)))
+    return _csv_header(mat.shape[1]) + "".join(_csv_rows(*_float_cells(mat)))
 
 
 def _usable_cpus() -> int:
@@ -119,8 +131,8 @@ def _write_matrix_csv(handle: TextIO, mat: np.ndarray) -> None:
     appended in order once this process has written its own block, so the
     whole text is never held in memory.  A helper that fails raises OSError.
     """
-    cells = _float_cells(mat)
-    bounds = _row_blocks(*cells.shape)
+    cells, entry = _float_cells(mat)
+    bounds = _row_blocks(cells.shape[0], 2 * mat.shape[1])
     handle.write(_csv_header(mat.shape[1]))
     import shutil
     import subprocess
@@ -137,11 +149,11 @@ def _write_matrix_csv(handle: TextIO, mat: np.ndarray) -> None:
             block.write(cells[start:end])
             block.seek(0)
             proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", "-c", _FORMAT_BLOCK, str(cells.shape[1])],
+                [sys.executable, "-I", "-S", "-c", _FORMAT_BLOCK, str(cells.shape[1]), entry],
                 stdin=block, stdout=out, stderr=err)
             stack.callback(stop, proc)
             helpers.append((proc, out, err))
-        handle.writelines(_csv_rows(cells[:bounds[1]]))
+        handle.writelines(_csv_rows(cells[:bounds[1]], entry))
         handle.flush()
         for proc, out, err in helpers:
             if proc.wait() != 0:
@@ -168,10 +180,14 @@ def _matrix_from_csv(text: str) -> np.ndarray:
         raise ValueError("CSV has a header but no data rows")
     if any(not ln.isascii() or any(ch in ln for ch in _CELL_NOISE) for ln in lines[1:]):
         raise ValueError("CSV cells must not contain '_', whitespace or non-ASCII characters")
-    rows = [[float(p) for p in ln.split(",")] for ln in lines[1:]]
-    if any(len(r) != 2 * m for r in rows):
-        raise ValueError("row width does not match header")
-    cells = np.array(rows, dtype=np.float64)
+    # Row by row into one float64 array: a whole matrix of Python floats would
+    # take four times the memory of the array.
+    cells = np.empty((len(lines) - 1, 2 * m))
+    for i, ln in enumerate(lines[1:]):
+        row = [float(p) for p in ln.split(",")]
+        if len(row) != 2 * m:
+            raise ValueError("row width does not match header")
+        cells[i] = row
     if not np.all(np.isfinite(cells)):
         raise ValueError("CSV contains non-finite values")
     return narrow(cells.view(np.complex128))  # re_k, im_k interleaved per row, as written
@@ -222,7 +238,7 @@ def load_family(path: str | os.PathLike) -> SequenceFamily:
 
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:
     with _atomic_open(path) as handle:
-        _write_matrix_csv(handle, np.asarray(mat, dtype=np.complex128))
+        _write_matrix_csv(handle, np.asarray(mat))
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:

@@ -292,8 +292,16 @@ def span_invariance(ls: LadderSet, fam: SequenceFamily,
     """Least-squares distance of A phi_n and B phi_n from the family span.
 
     Finite-truncation surrogate of span invariance; the top raising column is
-    excluded (it leaves the truncation by construction).
+    excluded (it leaves the truncation by construction).  A square family
+    spans the whole truncation (its reduced Q is unitary), so it gives exactly
+    0.0 without being factored.  The pseudoboson command passes its square
+    generated family, so its span invariance line is true by construction;
+    it is still to be restated so that it can fail, or deleted.  Any other
+    family is projected through its explicit Q, one GEMM pair per ladder
+    operator.
     """
+    if fam.is_square():
+        return 0.0
     w = ls.window if window is None else window
     cols = fam.coeffs
     q, _ = np.linalg.qr(cols)

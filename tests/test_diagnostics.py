@@ -73,6 +73,53 @@ class TestSpanDistance:
             span_distances(SequenceFamily.identity(4), [linalg.basis_vector(0, 4), np.ones(5)])
 
 
+class TestSpanDistancesOracle:
+    """span_distances against the least-squares residual ||x - A lstsq(A, x)||."""
+
+    N = 16
+
+    @pytest.mark.parametrize("complex_family", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("gap", [0, 1, 2, N // 2, N], ids=lambda g: f"N-M={g}")
+    def test_matches_lstsq_residual(self, rng, complex_family, gap):
+        n, m = self.N, self.N - gap
+        block = random_complex(rng, n, m) if complex_family else rng.standard_normal((n, m))
+        fam = SequenceFamily(block)
+        # An empty block has no nonzero imaginary part, so it narrows to float64.
+        assert np.iscomplexobj(fam.coeffs) == (complex_family and m > 0)
+        # A real and a complex probe on either family: each dtype pairing occurs.
+        xs = [rng.standard_normal(n), random_complex(rng, n)]
+        xs = [x / np.linalg.norm(x) for x in xs]
+        for x, dist in zip(xs, span_distances(fam, xs)):
+            if m:
+                coef = np.linalg.lstsq(block, x, rcond=None)[0]
+                oracle = np.linalg.norm(x - block @ coef)
+            else:
+                oracle = np.linalg.norm(x)
+            assert abs(dist - oracle) <= 1e-13
+
+    def test_padding_is_excluded(self, rng):
+        # Three padding columns leave a family of N - 3 members.
+        n = self.N
+        block = rng.standard_normal((n, n))
+        fam = SequenceFamily(block, index_offset=3, n_padding=3)
+        x = random_complex(rng, n)
+        coef = np.linalg.lstsq(block[:, 3:], x, rcond=None)[0]
+        assert span_distance(fam, x) == pytest.approx(np.linalg.norm(x - block[:, 3:] @ coef),
+                                                      abs=1e-13)
+
+    @pytest.mark.parametrize("complex_family", [False, True], ids=["real", "complex"])
+    def test_square_family_is_exactly_zero_without_a_qr(self, rng, monkeypatch,
+                                                        complex_family):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a square family was factored")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        n = self.N
+        block = random_complex(rng, n, n) if complex_family else rng.standard_normal((n, n))
+        xs = [rng.standard_normal(n), random_complex(rng, n)]
+        assert span_distances(SequenceFamily(block), xs) == [0.0, 0.0]
+
+
 class TestQuasiBasisResidual:
     def test_identity_pair_exact(self, rng):
         fam = SequenceFamily.identity(6)

@@ -3,12 +3,14 @@
 numpy.linalg.svd, solve and qr are counted around one CLI call.  An analyze
 run factors its analysis operator T once (one values-only SVD for the rank
 gate and kappa, one solve for the inverse) and spends one QR on the psi-side
-span distance; every other check reuses that factorization.  A sweep factors
-each family once per dimension: one QR per side serves the span distance of
-every probe, and one values-only SVD of T gives op_norm and inv_norm.  A
-pseudoboson run generates each family once, at full truncation, and finds
-each vacuum from one values-only SVD and one bordered solve.  No command
-computes singular vectors.
+span distance when the psi family is not square; every other check reuses
+that factorization.  A sweep factors each family at most once per dimension:
+one QR per non-square side serves the span distance of every probe, and one
+values-only SVD of T gives op_norm and inv_norm.  A square family spans the
+whole truncation, so neither its span distances nor its span invariance
+factor it.  A pseudoboson run generates each family once, at full
+truncation, and finds each vacuum from one values-only SVD and one bordered
+solve.  No command computes singular vectors.
 """
 
 from collections import Counter
@@ -50,6 +52,13 @@ def test_analyze_factors_the_analysis_operator_once(factor_counts, capsys):
     assert factor_counts == Counter({"svd_values": 1, "solve": 1, "qr": 1})
 
 
+def test_analyze_of_a_square_family_does_no_qr(factor_counts, capsys):
+    # diagonal:k+1 has N columns on each side: the psi-side span distance is 0.
+    assert main(["analyze", "--model", "diagonal:k+1", "--dim", "32"]) == EXIT_OK
+    capsys.readouterr()
+    assert factor_counts == Counter({"svd_values": 1, "solve": 1})
+
+
 @pytest.mark.parametrize("model, side", [
     ("paper_example", "psi"),
     ("paper_example", "phi"),
@@ -69,10 +78,11 @@ def test_ladder_needs_one_factorization_for_either_side(factor_counts, tmp_path,
 def test_pseudoboson_factors_each_operator_at_most_once(factor_counts, capsys):
     # Three operators, one values-only SVD and one LU each: a and adjoint(b)
     # (rank gate and bordered solve of the vacua) and the analysis operator of
-    # the generated family (for the transported ladder).
+    # the generated family (for the transported ladder).  That family is square,
+    # so span invariance factors nothing.
     assert main(["pseudoboson", "--model", "ccr", "--dim", "16"]) == EXIT_OK
     capsys.readouterr()
-    assert factor_counts == Counter({"svd_values": 3, "solve": 3, "qr": 1})
+    assert factor_counts == Counter({"svd_values": 3, "solve": 3})
 
 
 @pytest.mark.parametrize("probes", [["e_0"], ["e_0", "geom:0.5", "random:7"]])
@@ -83,6 +93,14 @@ def test_sweep_factors_each_family_once_per_dimension(factor_counts, capsys, pro
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert factor_counts == Counter({"qr": 2 * 3, "svd_values": 3})
+
+
+def test_sweep_of_square_families_factors_no_family(factor_counts, capsys):
+    # random_regular's families are square; its 3 QRs are the random unitaries
+    # of the model itself, one per dimension.
+    assert main(["sweep", "--model", "random_regular:50", "--dims", "8,16,32"]) == EXIT_OK
+    capsys.readouterr()
+    assert factor_counts == Counter({"qr": 3, "svd_values": 3})
 
 
 def test_pseudoboson_generates_each_family_once(factor_counts, monkeypatch, capsys):
@@ -97,7 +115,7 @@ def test_pseudoboson_generates_each_family_once(factor_counts, monkeypatch, caps
     monkeypatch.setattr(pseudoboson, "_generate", counted_generate)
     assert main(["pseudoboson", "--model", "similarity:1.1^k", "--dim", "32"]) == EXIT_OK
     capsys.readouterr()
-    assert factor_counts == Counter({"generate": 2, "svd_values": 3, "solve": 3, "qr": 1})
+    assert factor_counts == Counter({"generate": 2, "svd_values": 3, "solve": 3})
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,8 +229,49 @@ class TestParallelWriter:
         assert main(argv) == EXIT_INPUT
         assert not any(q.suffix == ".tmp" for q in out.iterdir())
 
+    @pytest.mark.parametrize("n", [64, 384])
+    def test_real_matrix_bytes_equal_its_complex_rendering(self, rng, tmp_path, four_cpus, n):
+        # A real matrix writes the literal 0 for each im cell, in this process
+        # and in the helpers alike: the bytes of its complex128 copy.
+        mat = rng.standard_normal((n, n))
+        mat[0, :6] = self.EDGE
+        mat[-1, -6:] = self.EDGE
+        p = tmp_path / "m.csv"
+        save_matrix(mat, p)
+        assert p.read_bytes() == _matrix_to_csv(mat.astype(np.complex128)).encode()
+        loaded = load_matrix(p)
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == mat.tobytes()
+
     def test_cli_import_loads_no_subprocess(self):
         src = str(Path(rieszlab.io.__file__).parent.parent)
         code = "import rieszlab.cli, sys; assert 'subprocess' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def _traced_peak(fn, *args):
+    """Peak of the memory that numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    N = 256
+
+    def test_saving_a_real_matrix_makes_no_complex_copy(self, rng, tmp_path, monkeypatch):
+        # Serial formatting; a complex128 copy alone would be twice the matrix.
+        monkeypatch.setattr(rieszlab.io, "_usable_cpus", lambda: 1)
+        mat = rng.standard_normal((self.N, self.N))
+        save_matrix(mat, tmp_path / "warm.csv")  # imports and caches outside the trace
+        assert _traced_peak(save_matrix, mat, tmp_path / "m.csv") < mat.nbytes / 4
+
+    def test_reading_holds_no_python_float_per_cell(self, rng):
+        # The lines of the text, the float64 cells and the narrowed result
+        # stay near twice the text; one Python float per cell would be about five times.
+        text = rieszlab.io._matrix_to_csv(rng.standard_normal((self.N, self.N)))
+        assert _traced_peak(rieszlab.io._matrix_from_csv, text) < 3 * len(text)
