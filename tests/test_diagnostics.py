@@ -97,16 +97,6 @@ class TestSpanDistancesOracle:
                 oracle = np.linalg.norm(x)
             assert abs(dist - oracle) <= 1e-13
 
-    def test_padding_is_excluded(self, rng):
-        # Three padding columns leave a family of N - 3 members.
-        n = self.N
-        block = rng.standard_normal((n, n))
-        fam = SequenceFamily(block, index_offset=3, n_padding=3)
-        x = random_complex(rng, n)
-        coef = np.linalg.lstsq(block[:, 3:], x, rcond=None)[0]
-        assert span_distance(fam, x) == pytest.approx(np.linalg.norm(x - block[:, 3:] @ coef),
-                                                      abs=1e-13)
-
     @pytest.mark.parametrize("complex_family", [False, True], ids=["real", "complex"])
     def test_square_family_is_exactly_zero_without_a_qr(self, rng, monkeypatch,
                                                         complex_family):
