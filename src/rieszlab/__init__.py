@@ -28,10 +28,10 @@ from .family import (
     verify_left_inverse,
 )
 from .ladder import LadderSet, build_ladder, dual_ladder, metric_operator, shift_matrices
-from .linalg import Factorization, adjoint, inner, rank_one, solve_inverse
-from .models import ModelSpec, instantiate, instantiate_pair, instantiate_system
+from .linalg import Factorization, adjoint, inner, solve_inverse
+from .models import ModelSpec, instantiate_pair, instantiate_system
 from .pseudoboson import PseudoBosonSystem, generate_families, ground_states
-from .riesz import check_constructing, domain_norm_identity, dual_family
+from .riesz import dual_family
 
 __version__ = "0.1.0"
 
@@ -55,22 +55,18 @@ __all__ = [
     "build_analysis",
     "build_coanalysis",
     "build_ladder",
-    "check_constructing",
     "check_pairing",
-    "domain_norm_identity",
     "domain_partial_sum",
     "dual_family",
     "dual_ladder",
     "generate_families",
     "ground_states",
     "inner",
-    "instantiate",
     "instantiate_pair",
     "instantiate_system",
     "metric_operator",
     "pad_to_square",
     "pair_to_square",
-    "rank_one",
     "shift_matrices",
     "solve_inverse",
     "verify_left_inverse",

@@ -36,16 +36,13 @@ from .family import (
 )
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Classification cutpoints for fitted trends."""
-
-    density_slope: float = -0.25
-    bounded_slope: float = 0.05
-    density_floor: float = 1e-8
-
-
-DEFAULT_THRESHOLDS = Thresholds()
+#: Classification cutpoints for fitted trends: a span distance is dense when
+#: its last value is at most DENSITY_FLOOR or its log-log slope at most
+#: DENSITY_SLOPE; a growing quantity is bounded when its slope is at most
+#: BOUNDED_SLOPE.
+DENSITY_SLOPE = -0.25
+BOUNDED_SLOPE = 0.05
+DENSITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,6 @@ class SweepReport:
     flags: dict = field(default_factory=dict)
     classification: str = "inconclusive"
     riesz_class: str = "inconclusive"
-    thresholds: Thresholds = DEFAULT_THRESHOLDS
 
     def series(self, metric: str, probe: str = "") -> tuple[np.ndarray, np.ndarray]:
         xs, ys = [], []
@@ -190,19 +186,18 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
     def verdict_text(self) -> str:
-        t = self.thresholds
         lines = [
             f"classification: {self.classification}",
             f"riesz class: {self.riesz_class}",
-            f"thresholds: density slope <= {t.density_slope}, "
-            f"bounded slope <= {t.bounded_slope}, floor {t.density_floor:g}",
+            f"thresholds: density slope <= {DENSITY_SLOPE}, "
+            f"bounded slope <= {BOUNDED_SLOPE}, floor {DENSITY_FLOOR:g}",
         ]
         for key in sorted(self.flags):
             lines.append(f"  {key}: {self.flags[key]}")
         for key in sorted(self.fit_exponents):
             metric, probe = key
             tag = f"{metric}[{probe}]" if probe else metric
-            if metric.startswith("span_dist_") and self.series(*key)[1][-1] <= t.density_floor:
+            if metric.startswith("span_dist_") and self.series(*key)[1][-1] <= DENSITY_FLOOR:
                 # _dense_verdict decides on the floor alone; a slope fitted to
                 # rounding-level distances would flip with the last bits.
                 slope = "below floor"
@@ -227,30 +222,29 @@ def _fit_slope(dims: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _dense_verdict(dims, values, thr: Thresholds) -> bool:
-    if values[-1] <= thr.density_floor:
+def _dense_verdict(dims, values) -> bool:
+    if values[-1] <= DENSITY_FLOOR:
         return True
-    return _fit_slope(dims, values) <= thr.density_slope
+    return _fit_slope(dims, values) <= DENSITY_SLOPE
 
 
-def _bounded_verdict(dims, values, thr: Thresholds) -> bool:
-    return _fit_slope(dims, values) <= thr.bounded_slope
+def _bounded_verdict(dims, values) -> bool:
+    return _fit_slope(dims, values) <= BOUNDED_SLOPE
 
 
-def _stable(dims, values, verdict_fn, thr) -> tuple[bool, bool]:
+def _stable(dims, values, verdict_fn) -> tuple[bool, bool]:
     """(verdict over all dims, True when the top-half fit agrees)."""
-    full = verdict_fn(dims, values, thr)
+    full = verdict_fn(dims, values)
     half = len(dims) // 2
     if len(dims) - half >= 2:
-        top = verdict_fn(dims[half:], values[half:], thr)
+        top = verdict_fn(dims[half:], values[half:])
         return full, top == full
     return full, True
 
 
 def run_sweep(pair_factory: Callable[[int], BiorthogonalPair],
               dims: Iterable[int],
-              probes: Iterable[ProbeSpec | str],
-              thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SweepReport:
+              probes: Iterable[ProbeSpec | str]) -> SweepReport:
     """Evaluate the diagnostic surrogates over a list of truncations.
 
     pair_factory must build the same model at any requested dimension.
@@ -277,8 +271,7 @@ def run_sweep(pair_factory: Callable[[int], BiorthogonalPair],
     if not kept_dims:
         raise SweepError("all requested dimensions were singular")
 
-    report = SweepReport(dims=kept_dims, records=records, skipped=skipped,
-                         thresholds=thresholds)
+    report = SweepReport(dims=kept_dims, records=records, skipped=skipped)
     _classify(report, probes)
     return report
 
@@ -310,8 +303,6 @@ def _evaluate_dim(pair: BiorthogonalPair, probes: list[ProbeSpec]) -> dict:
 
 
 def _classify(report: SweepReport, probes: list[ProbeSpec]) -> None:
-    thr = report.thresholds
-    dims = np.asarray(report.dims, dtype=float)
     stable = True
 
     def all_probes(metric: str, verdict_fn) -> bool:
@@ -322,7 +313,7 @@ def _classify(report: SweepReport, probes: list[ProbeSpec]) -> None:
             if len(xs) < 2:
                 stable = False
                 continue
-            v, ok = _stable(xs, ys, verdict_fn, thr)
+            v, ok = _stable(xs, ys, verdict_fn)
             report.fit_exponents[(metric, p.name)] = _fit_slope(xs, ys)
             stable = stable and ok
             verdict = verdict and v
@@ -337,7 +328,7 @@ def _classify(report: SweepReport, probes: list[ProbeSpec]) -> None:
         nonlocal stable
         xs, ys = report.series(metric)
         report.fit_exponents[(metric, "")] = _fit_slope(xs, ys)
-        v, ok = _stable(xs, ys, _bounded_verdict, thr)
+        v, ok = _stable(xs, ys, _bounded_verdict)
         stable = stable and ok
         return v
 

@@ -49,8 +49,7 @@ class SequenceFamily:
             raise TruncationShapeError(f"more columns ({m}) than ambient dimension ({n})")
         if not np.all(np.isfinite(C)):
             raise ValueError("family coefficients contain non-finite entries")
-        col_norms = np.linalg.norm(C, axis=0)
-        if np.any(col_norms == 0.0):
+        if not np.all(C.any(axis=0)):
             raise ValueError("zero column in family: every phi_k must be nonzero")
         if self.index_offset < 0 or self.n_padding < 0 or self.n_padding > m:
             raise ValueError("invalid index_offset / n_padding")

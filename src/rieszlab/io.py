@@ -24,7 +24,7 @@ import sys
 import tempfile
 from collections.abc import Iterator
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -58,9 +58,9 @@ for start in range(0, len(cells), width):
     write(row % tuple(cells[start:start + width].tolist()))
 """
 
-#: Characters that float() skips but that no written cell holds: digit
-#: separators and the whitespace a line can still contain after splitlines.
-_CELL_NOISE = "_ \t\x1f"
+#: Bytes that float() skips but that no written cell holds: digit separators
+#: and ASCII whitespace.
+_CELL_NOISE = tuple(bytes([c]) for c in b"_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f")
 
 
 @contextlib.contextmanager
@@ -165,29 +165,44 @@ def _write_matrix_csv(handle: TextIO, mat: np.ndarray) -> None:
             shutil.copyfileobj(out, handle.buffer)
 
 
-def _matrix_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty CSV")
-    header = lines[0].split(",")
-    m = len(header) // 2
-    if max(m, len(lines) - 1) > DENSE_DIM_LIMIT:
-        raise ValueError(f"CSV matrix of {len(lines) - 1} x {m} exceeds the dense limit "
-                         f"{DENSE_DIM_LIMIT}")
-    if header != [f"{part}_{k}" for k in range(m) for part in ("re", "im")]:
-        raise ValueError("malformed family CSV header")
-    if len(lines) < 2:
-        raise ValueError("CSV has a header but no data rows")
-    if any(not ln.isascii() or any(ch in ln for ch in _CELL_NOISE) for ln in lines[1:]):
-        raise ValueError("CSV cells must not contain '_', whitespace or non-ASCII characters")
-    # Row by row into one float64 array: a whole matrix of Python floats would
-    # take four times the memory of the array.
-    cells = np.empty((len(lines) - 1, 2 * m))
-    for i, ln in enumerate(lines[1:]):
-        row = [float(p) for p in ln.split(",")]
-        if len(row) != 2 * m:
-            raise ValueError("row width does not match header")
-        cells[i] = row
+def _data_lines(handle: BinaryIO) -> Iterator[bytes]:
+    """The lines of a CSV file that hold more than whitespace, line ends dropped."""
+    return (ln.rstrip(b"\r\n") for ln in handle if not ln.isspace())
+
+
+def _read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
+    """The matrix of a CSV file, read line by line into one float64 array.
+
+    A first binary pass counts the rows, so that a matrix above the dense
+    limit is refused before anything of its size is allocated, and no more
+    than one line of text is held at a time.
+    """
+    with open(path, "rb") as handle:
+        n_lines = sum(1 for _ in _data_lines(handle))
+        if not n_lines:
+            raise ValueError("empty CSV")
+        handle.seek(0)
+        lines = _data_lines(handle)
+        header = next(lines).lstrip().split(b",")
+        m, n = len(header) // 2, n_lines - 1
+        if max(m, n) > DENSE_DIM_LIMIT:
+            raise ValueError(f"CSV matrix of {n} x {m} exceeds the dense limit {DENSE_DIM_LIMIT}")
+        if header != [f"{part}_{k}".encode() for k in range(m) for part in ("re", "im")]:
+            raise ValueError("malformed family CSV header")
+        if not n:
+            raise ValueError("CSV has a header but no data rows")
+        # Row by row into one float64 array: a whole matrix of Python floats would
+        # take four times the memory of the array.
+        cells = np.empty((n, 2 * m))
+        for i, ln in enumerate(lines):
+            if i == n - 1:
+                ln = ln.rstrip()  # whitespace that ends the file
+            if not ln.isascii() or any(ch in ln for ch in _CELL_NOISE):
+                raise ValueError("CSV cells must not contain '_', whitespace or non-ASCII characters")
+            row = list(map(float, ln.split(b",")))
+            if len(row) != 2 * m:
+                raise ValueError("row width does not match header")
+            cells[i] = row
     if not np.all(np.isfinite(cells)):
         raise ValueError("CSV contains non-finite values")
     return narrow(cells.view(np.complex128))  # re_k, im_k interleaved per row, as written
@@ -211,7 +226,7 @@ def save_family(fam: SequenceFamily, path: str | os.PathLike) -> None:
 
 def load_family(path: str | os.PathLike) -> SequenceFamily:
     path = Path(path)
-    mat = _matrix_from_csv(path.read_text())
+    mat = _read_matrix_csv(path)
     index_offset = 0
     n_padding = 0
     sidecar = _sidecar(path)
@@ -242,11 +257,10 @@ def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
-    return _matrix_from_csv(Path(path).read_text())
+    return _read_matrix_csv(path)
 
 
-def save_ladder(ls: LadderSet, out_dir: str | os.PathLike,
-                tolerance: float | None = None) -> list[Path]:
+def save_ladder(ls: LadderSet, out_dir: str | os.PathLike, tolerance: float) -> list[Path]:
     """Ladder export: three matrix CSVs plus a metadata record."""
     out = Path(out_dir)
     written = []
@@ -260,9 +274,8 @@ def save_ladder(ls: LadderSet, out_dir: str | os.PathLike,
         "window": ls.window,
         "kappa": ls.kappa,
         "dim": ls.dim,
+        "ladder_tolerance": tolerance,
     }
-    if tolerance is not None:
-        meta["ladder_tolerance"] = tolerance
     p = out / "ladder.meta.json"
     atomic_write_text(p, json.dumps(meta, indent=2) + "\n")
     written.append(p)

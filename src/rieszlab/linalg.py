@@ -6,8 +6,8 @@ float64, any other is complex128, and results follow their inputs.  Real
 matrices have real LU, QR and SVD factors, so a real model runs real kernels
 at a fraction of the complex cost and memory.
 
-The inner product is linear in the FIRST argument, so that the rank-one
-tensor satisfies rank_one(x, y) @ xi == inner(xi, y) * x.
+The inner product is linear in the FIRST argument and conjugate-linear in
+the second.
 
 Every operator T is factorized once (see Factorization): one values-only SVD
 for the rank gate, kappa and sigma_min, one LU solve for the inverse.
@@ -71,15 +71,6 @@ def inner(x, y) -> complex:
         raise DimensionMismatchError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     # np.vdot conjugates its first argument.
     return np.vdot(y, x).item()
-
-
-def rank_one(x, y) -> np.ndarray:
-    """Tensor x (x) conj(y): entries M_ij = x_i * conj(y_j)."""
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return np.outer(x, y.conj())
 
 
 def adjoint(T) -> np.ndarray:
@@ -165,14 +156,10 @@ def as_factorization(T) -> Factorization:
 
 
 def solve_inverse(T) -> np.ndarray:
-    """Inverse of T (or of a Factorization), gated at the rank tolerance.
+    """Inverse of T as a new writable array, gated at the rank tolerance.
 
     Raises SingularOperatorError when sigma_min <= N * eps * sigma_max.
-    For a plain matrix the result is a new writable array; for a
-    Factorization it is the shared, read-only Factorization.inverse.
     """
-    if isinstance(T, Factorization):
-        return T.inverse
     return Factorization(T).inverse.copy()
 
 

@@ -10,6 +10,7 @@ syntax tree in float64, never by eval, so no rule can build a huge integer.
 from __future__ import annotations
 
 import ast
+import math
 import re
 from dataclasses import dataclass
 
@@ -82,8 +83,8 @@ class ModelSpec:
             raise ModelError(f"model dimension must be >= {MIN_DIM}, got {self.dim}")
         if self.kind in ("diagonal", "similarity") and not self.rule:
             raise ModelError(f"model kind {self.kind!r} requires an index rule")
-        if self.kind == "random_regular" and self.kappa_max < 1:
-            raise ModelError("kappa_max must be >= 1")
+        if self.kind == "random_regular" and not 1 <= self.kappa_max < math.inf:
+            raise ModelError(f"kappa_max must be finite and >= 1, got {self.kappa_max}")
 
     def with_dim(self, dim: int) -> "ModelSpec":
         return ModelSpec(self.kind, dim, self.rule, self.seed, self.kappa_max)
@@ -162,13 +163,6 @@ def instantiate_system(spec: ModelSpec, window: int | None = None) -> PseudoBoso
         row, col = s[:, None], (1.0 / s)[None, :]
         return PseudoBosonSystem.build(row * s_minus * col, row * s_plus * col, window=window)
     raise ModelError(f"model kind {spec.kind!r} is not a pseudo-bosonic system")
-
-
-def instantiate(spec: ModelSpec, window: int | None = None):
-    """Pair for pair kinds, PseudoBosonSystem for system kinds."""
-    if spec.is_system:
-        return instantiate_system(spec, window=window)
-    return instantiate_pair(spec)
 
 
 def paper_example_pair(dim: int) -> BiorthogonalPair:

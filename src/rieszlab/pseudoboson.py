@@ -314,9 +314,3 @@ def span_invariance(ls: LadderSet, fam: SequenceFamily,
         worst = max(worst, linalg.max_column_norm(resid))
     return worst
 
-
-def reconstruction_residual(ls: LadderSet, fam: SequenceFamily) -> float:
-    """Worst defect of phi_n == B^n phi_0 / sqrt(n!) over n < window."""
-    limit = min(ls.window, fam.size)
-    generated = _generate(ls.raising, fam.coeffs[:, 0], limit)
-    return linalg.max_column_norm(generated - fam.coeffs[:, :limit])

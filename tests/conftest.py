@@ -36,7 +36,7 @@ def border_orthogonal_operator(n, kind, seed=5, real=False):
         y -= linalg.inner(y, u) * u
     if kind == "both":
         y = x
-    return np.eye(n) - linalg.rank_one(x, y) / linalg.inner(x, y), x / np.linalg.norm(x)
+    return np.eye(n) - np.outer(x, y.conj()) / linalg.inner(x, y), x / np.linalg.norm(x)
 
 
 @pytest.fixture

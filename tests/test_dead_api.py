@@ -1,0 +1,56 @@
+"""No public function or class that nothing uses.
+
+Every public top-level function or class of src/rieszlab must be named
+somewhere outside its own definition: in another statement of src/rieszlab
+(the package's __init__.py, which only re-exports, does not count) or in
+tests/test_acceptance.py.  A name that only the unit tests call is code that
+no command runs.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rieszlab"
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+USERS = [*MODULES, ROOT / "tests" / "test_acceptance.py"]
+
+
+def _references(stmt: ast.stmt, module: str) -> set[tuple[str, str]]:
+    """(module, name) of every package name a statement of `module` refers to.
+
+    A bare name refers to `module` itself, `from .m import f` and `m.f` to m.
+    """
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            out.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.rpartition(".")[2]
+            out.update((source, alias.name) for alias in node.names)
+    return out
+
+
+def unreferenced() -> list[str]:
+    """module.name of each public top-level function or class that has no user."""
+    bodies = {path: ast.parse(path.read_text()).body for path in USERS}
+    used = {}
+    for path, body in bodies.items():
+        for stmt in body:
+            used[id(stmt)] = _references(stmt, path.stem)
+    missing = []
+    for path in MODULES:
+        for defn in bodies[path]:
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
+                continue
+            key = (path.stem, defn.name)
+            if not any(key in refs for stmt_id, refs in used.items() if stmt_id != id(defn)):
+                missing.append(f"{path.stem}.{defn.name}")
+    return missing
+
+
+def test_every_public_function_and_class_has_a_user():
+    missing = unreferenced()
+    assert not missing, "no command or acceptance test uses: " + ", ".join(missing)

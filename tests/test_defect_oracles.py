@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from rieszlab import linalg
-from rieszlab.errors import DimensionMismatchError
 from rieszlab.family import SequenceFamily
 from rieszlab.ladder import build_ladder, shift_matrices, verify_ladder_actions
 from rieszlab.models import instantiate_system, parse_model
@@ -19,9 +18,7 @@ from rieszlab.pseudoboson import (
     PseudoBosonSystem,
     generate_families,
     number_eigen_check,
-    reconstruction_residual,
 )
-from rieszlab.riesz import check_constructing
 
 from conftest import random_complex, random_well_conditioned
 
@@ -55,15 +52,6 @@ def number_eigen_oracle(sys_, fams, mmax):
                 else:
                     target = n ** m * fam.coeffs[:, n]
                     worst = max(worst, np.linalg.norm(v - target) / np.linalg.norm(target))
-    return worst
-
-
-def reconstruction_oracle(ls, fam):
-    v = fam.coeffs[:, 0]
-    worst = 0.0
-    for n in range(1, min(ls.window, fam.size)):
-        v = ls.raising @ v / math.sqrt(n)
-        worst = max(worst, np.linalg.norm(v - fam.coeffs[:, n]))
     return worst
 
 
@@ -137,34 +125,3 @@ class TestNumberEigenOracle:
         worst = number_eigen_check(sys_, fams, mmax=1)
         assert worst == pytest.approx(np.linalg.norm(sys_.number_op @ cols[:, 0]), rel=1e-9)
 
-
-class TestReconstructionOracle:
-    @pytest.mark.parametrize("count", [N, 4, 1])
-    def test_matches_column_loop(self, rng, count):
-        sys_ = _system()
-        phi, _ = generate_families(sys_, N)
-        ls = build_ladder(phi.coeffs)
-        fam = _perturbed(phi, rng, count)
-        expected = reconstruction_oracle(ls, fam)
-        assert reconstruction_residual(ls, fam) == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert (expected > 1e-6) == (count > 1)
-
-    def test_one_column_is_zero(self):
-        ls = build_ladder(np.eye(N))
-        assert reconstruction_residual(ls, SequenceFamily(np.eye(N)[:, :1])) == 0.0
-
-
-class TestCheckConstructingOracle:
-    def test_offset_family_columns(self, rng):
-        T = random_well_conditioned(rng, 6)
-        fam = SequenceFamily(T[:, 2:].copy(), index_offset=2)
-        assert check_constructing(T, fam)
-        bad = T[:, 2:].copy()
-        bad[:, 3] += 1e-6
-        assert not check_constructing(T, SequenceFamily(bad, index_offset=2))
-
-    def test_offset_past_dimension_raises(self, rng):
-        T = random_well_conditioned(rng, 6)
-        fam = SequenceFamily(T[:, 1:].copy(), index_offset=2)
-        with pytest.raises(DimensionMismatchError):
-            check_constructing(T, fam)

@@ -6,7 +6,6 @@ import pytest
 from rieszlab import linalg
 from rieszlab.diagnostics import (
     ProbeSpec,
-    Thresholds,
     quasi_basis_residual,
     run_sweep,
     span_distance,
@@ -200,13 +199,6 @@ class TestRunSweep:
         text = report.verdict_text()
         assert "classification: regular" in text
         assert "riesz class: riesz" in text
-
-    def test_custom_thresholds(self):
-        # an absurdly strict density slope makes even the identity fail
-        thr = Thresholds(density_slope=-10.0, density_floor=0.0)
-        report = run_sweep(pair_factory(ModelSpec("paper_example", 8)),
-                           [8, 16, 32, 64], ["e_0"], thresholds=thr)
-        assert report.flags["span_dense_phi"] is False
 
 
 EPS = np.finfo(np.float64).eps

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             SequenceFamily(cols)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_family_takes_columns_whose_squares_leave_float64(self, scale):
+        # a norm test would square 1e-170 to 0 and call the column zero,
+        # and warn about overflow at 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = SequenceFamily(scale * np.eye(4))
+        assert np.array_equal(fam.coeffs, scale * np.eye(4))
+
     def test_family_rejects_too_many_columns(self):
         with pytest.raises(TruncationShapeError):
             SequenceFamily(np.ones((3, 4)))
@@ -61,7 +72,7 @@ class TestBuildAnalysis:
         n = 6
         u, _ = np.linalg.qr(random_complex(rng, n, n))
         T = build_analysis(SequenceFamily(u.copy()))
-        oracle = sum(linalg.rank_one(u[:, k], linalg.basis_vector(k, n)) for k in range(n))
+        oracle = sum(np.outer(u[:, k], linalg.basis_vector(k, n)) for k in range(n))
         assert np.allclose(T, oracle, atol=1e-14)
         assert np.allclose(linalg.adjoint(T) @ T, np.eye(n), atol=1e-14)
 
@@ -92,7 +103,7 @@ class TestBuildCoanalysis:
         n = 7
         fam = random_family(rng, n)
         K = build_coanalysis(fam)
-        oracle = sum(linalg.rank_one(linalg.basis_vector(k, n), fam.coeffs[:, k])
+        oracle = sum(np.outer(linalg.basis_vector(k, n), fam.coeffs[:, k].conj())
                      for k in range(n))
         assert np.allclose(K, oracle, atol=1e-13)
         # the identity is exact entrywise

@@ -66,12 +66,12 @@ class TestMatrixRoundTrip:
         assert _matrix_to_csv(scaled) == per_cell(scaled)
         assert _matrix_to_csv(-scaled / 1e60) == per_cell(-scaled / 1e60)
 
-    def test_oversized_matrix_rejected(self, tmp_path):
-        p = tmp_path / "wide.csv"
-        m = 4097
+    @pytest.mark.parametrize("rows, m", [(1, 4097), (4097, 1)])
+    def test_oversized_matrix_rejected(self, tmp_path, rows, m):
+        p = tmp_path / "big.csv"
         p.write_text(",".join(f"re_{k},im_{k}" for k in range(m)) + "\n"
-                     + ",".join(["0"] * (2 * m)) + "\n")
-        with pytest.raises(ValueError, match="dense limit"):
+                     + (",".join(["0"] * (2 * m)) + "\n") * rows)
+        with pytest.raises(ValueError, match=f"CSV matrix of {rows} x {m} exceeds the dense limit"):
             load_matrix(p)
 
     def test_malformed_header_rejected(self, tmp_path):
@@ -270,8 +270,12 @@ class TestMemory:
         save_matrix(mat, tmp_path / "warm.csv")  # imports and caches outside the trace
         assert _traced_peak(save_matrix, mat, tmp_path / "m.csv") < mat.nbytes / 4
 
-    def test_reading_holds_no_python_float_per_cell(self, rng):
-        # The lines of the text, the float64 cells and the narrowed result
-        # stay near twice the text; one Python float per cell would be about five times.
+    def test_reading_holds_no_python_float_per_cell(self, rng, tmp_path):
+        # The file is read a line at a time, so the float64 cells and the
+        # narrowed result stay near the size of the text; holding the whole
+        # text once would take it past 1.5 times, one Python float per cell
+        # to about five times.
         text = rieszlab.io._matrix_to_csv(rng.standard_normal((self.N, self.N)))
-        assert _traced_peak(rieszlab.io._matrix_from_csv, text) < 3 * len(text)
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert _traced_peak(load_matrix, path) < 1.5 * len(text)

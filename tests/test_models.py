@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,6 @@ from rieszlab.models import (
     MODEL_KINDS,
     ModelSpec,
     evaluate_rule,
-    instantiate,
     instantiate_pair,
     instantiate_system,
     model_catalogue,
@@ -66,6 +66,11 @@ class TestModelSpec:
     def test_with_dim(self):
         spec = ModelSpec("similarity", 8, rule="2^k").with_dim(16)
         assert spec.dim == 16 and spec.rule == "2^k"
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.5])
+    def test_kappa_max_must_be_finite_and_at_least_1(self, kappa):
+        with pytest.raises(ModelError, match="kappa_max must be finite and >= 1"):
+            ModelSpec("random_regular", 8, kappa_max=kappa)
 
     def test_is_system(self):
         assert ModelSpec("ccr", 8).is_system
@@ -123,7 +128,7 @@ class TestInstantiation:
         assert linalg.max_abs(u.conj().T @ u - np.eye(9)) <= 1e-12
 
     def test_system_kinds(self):
-        sys = instantiate(ModelSpec("ccr", 8))
+        sys = instantiate_system(ModelSpec("ccr", 8))
         assert isinstance(sys, PseudoBosonSystem)
         pair = instantiate_pair(ModelSpec("similarity", 8, rule="k+1"))
         assert pair.phi.is_square()
@@ -189,16 +194,37 @@ class TestRuleWalker:
         assert caught == []
 
 
-def test_tower_rule_exits_at_once():
-    # 9^9^9 as Python integers would not finish; the float walker overflows to inf.
+def _analyze(model: str) -> subprocess.CompletedProcess:
+    """`rieszlab analyze --model MODEL --dim 8` in a new interpreter, so that warnings reach stderr."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rieszlab.cli", "analyze", "--model", "diagonal:9^9^9",
-         "--dim", "8"], env=env, capture_output=True, text=True, timeout=10)
+    return subprocess.run(
+        [sys.executable, "-m", "rieszlab.cli", "analyze", "--model", model, "--dim", "8"],
+        env=env, capture_output=True, text=True, timeout=10)
+
+
+def test_tower_rule_exits_at_once():
+    # 9^9^9 as Python integers would not finish; the float walker overflows to inf.
+    proc = _analyze("diagonal:9^9^9")
     assert proc.returncode == 1
     assert "non-finite" in proc.stderr
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_non_finite_kappa_is_one_input_error_line(kappa):
+    # inf leaked a geomspace warning; nan passed `< 1` and failed on the family entries
+    proc = _analyze(f"random_regular:{kappa}")
+    assert proc.returncode == 1
+    assert proc.stderr == f"input error: kappa_max must be finite and >= 1, got {kappa}\n"
+
+
+def test_kappa_beyond_the_rank_cut_is_one_check_failure_line():
+    # psi columns of 1e-200 entries are not zero columns; T is numerically singular
+    proc = _analyze("random_regular:1e200")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("check failure: operator numerically singular")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_system_pair_is_pairing_gated(monkeypatch):

@@ -3,16 +3,10 @@ import pytest
 
 from rieszlab import linalg
 from rieszlab.errors import SingularOperatorError
-from rieszlab.family import SequenceFamily, build_analysis, pad_to_square
+from rieszlab.family import BiorthogonalPair, SequenceFamily, build_analysis, pad_to_square
 from rieszlab.linalg import Factorization
 from rieszlab.models import paper_example_pair
-from rieszlab.riesz import (
-    check_constructing,
-    constructed_family,
-    domain_norm_identity,
-    dual_family,
-    dual_pair,
-)
+from rieszlab.riesz import dual_family, dual_pairing_tolerance
 
 from conftest import random_complex, random_well_conditioned
 
@@ -26,7 +20,7 @@ class TestConstructingPair:
 
     def test_singular_operator_rejected(self):
         with pytest.raises(SingularOperatorError):
-            constructed_family(np.diag([1.0, 1.0, 0.0]))
+            dual_family(np.diag([1.0, 1.0, 0.0]))
 
     def test_kappa_matches_singular_value_ratio(self, rng):
         T = random_well_conditioned(rng, 6, kappa=20.0)
@@ -34,17 +28,18 @@ class TestConstructingPair:
 
     def test_from_family_round_trip(self, rng):
         fam = SequenceFamily(random_well_conditioned(rng, 5))
-        rebuilt = constructed_family(build_analysis(fam))
-        assert np.array_equal(rebuilt.coeffs, fam.coeffs)
+        assert np.array_equal(Factorization(build_analysis(fam)).T, fam.coeffs)
 
     def test_operator_is_read_only(self, rng):
+        # T, its inverse and the dual are shared by every check on T
         fac = Factorization(random_well_conditioned(rng, 4))
-        with pytest.raises(ValueError):
-            fac.T[0, 0] = 2.0
+        for shared in (fac.T, fac.inverse, fac.dual):
+            with pytest.raises(ValueError):
+                shared[0, 0] = 2.0
 
     def test_each_call_factors_once(self, rng, monkeypatch):
-        # dual_pair and domain_norm_identity pass the factorization on to the
-        # functions they call instead of factoring T again.
+        # Given T, dual_family and dual_pairing_tolerance factor it once each;
+        # given its Factorization, they factor nothing.
         calls = []
         svd = np.linalg.svd
 
@@ -54,13 +49,13 @@ class TestConstructingPair:
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         T = random_well_conditioned(rng, 6)
-        dual_pair(T)
+        dual_family(T)
         assert len(calls) == 1
-        domain_norm_identity(T, random_complex(rng, 6))
+        dual_pairing_tolerance(T)
         assert len(calls) == 2
         fac = Factorization(T)
-        dual_pair(fac)
-        domain_norm_identity(fac, random_complex(rng, 6))
+        dual_family(fac)
+        dual_pairing_tolerance(fac)
         assert len(calls) == 3
 
 
@@ -75,10 +70,10 @@ class TestDualFamily:
         assert np.allclose(dual_family(np.diag(d)).coeffs, expected, atol=1e-14)
 
     def test_dual_pair_is_biorthogonal(self, rng):
-        T = random_well_conditioned(rng, 8)
-        pair = dual_pair(T)
-        gram = pair.psi.coeffs.conj().T @ pair.phi.coeffs
-        assert linalg.max_abs(gram - np.eye(8)) <= 1e-12
+        fac = Factorization(random_well_conditioned(rng, 8))
+        pair = BiorthogonalPair(SequenceFamily(fac.T), dual_family(fac))
+        assert pair.pairing_residual <= 1e-12
+        assert pair.pairing_residual <= dual_pairing_tolerance(fac)
 
     def test_paper_example_dual(self):
         # oracle: the inverse of the padded analysis operator has first row
@@ -93,11 +88,10 @@ class TestDualFamily:
         assert np.allclose(dual.coeffs[:, 1:], np.eye(n)[:, 1:], atol=1e-13)
 
     def test_standard_onb_shares_the_dual_operator(self, rng):
-        # On the standard basis, psi_k = dual e_k is the dual matrix itself and
-        # phi_k = T e_k is T itself: no product, no copy.
+        # On the standard basis, psi_k = dual e_k is the dual matrix itself:
+        # no product, no copy.
         fac = Factorization(random_well_conditioned(rng, 5))
         assert dual_family(fac).coeffs is fac.dual
-        assert constructed_family(fac).coeffs is fac.T
 
     def test_unitary_change_of_basis_is_absorbed_by_t(self, rng):
         # The pair (U e, T) constructs the same family as (e, T U), so the
@@ -105,52 +99,5 @@ class TestDualFamily:
         T = random_well_conditioned(rng, 6)
         U = np.linalg.qr(random_complex(rng, 6, 6))[0]
         TU = T @ U
-        assert np.array_equal(constructed_family(TU).coeffs, TU)
         assert linalg.max_abs(dual_family(TU).coeffs - Factorization(T).dual @ U) <= 1e-12
 
-
-class TestDomainNormIdentity:
-    def test_identity_operator(self, rng):
-        x = random_complex(rng, 5)
-        lhs, rhs = domain_norm_identity(np.eye(5), x)
-        assert lhs == pytest.approx(np.linalg.norm(x) ** 2, rel=1e-12)
-        assert rhs == pytest.approx(lhs, rel=1e-12)
-
-    def test_sides_agree_for_random_operator(self, rng):
-        for _ in range(5):
-            T = random_well_conditioned(rng, 7)
-            x = random_complex(rng, 7)
-            lhs, rhs = domain_norm_identity(T, x)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_paper_example_probe_e0(self):
-        # oracle: each phi_n = e_n + e_0 contributes |(e_0|phi_n)|^2 = 1,
-        # the padding column contributes 1 as well, total N.
-        n = 8
-        phi_sq = pad_to_square(paper_example_pair(n).phi)
-        fac = Factorization(build_analysis(SequenceFamily(phi_sq.coeffs)))
-        lhs, rhs = domain_norm_identity(fac, linalg.basis_vector(0, n))
-        assert lhs == pytest.approx(n, rel=1e-12)
-        assert rhs == pytest.approx(n, rel=1e-12)
-
-
-class TestCheckConstructing:
-    def test_accepts_matching_operator(self, rng):
-        T = random_well_conditioned(rng, 6)
-        fam = SequenceFamily(T.copy())
-        assert check_constructing(T, fam)
-
-    def test_rejects_wrong_action(self):
-        fam = SequenceFamily.identity(4)
-        assert not check_constructing(2.0 * np.eye(4), fam)
-
-    def test_rejects_singular(self):
-        fam = SequenceFamily(np.eye(3) + 0j)
-        T = np.diag([1.0, 1.0, 0.0])
-        assert not check_constructing(T, fam)
-
-    def test_respects_index_offset(self):
-        # the paper family starts at index 1: T must map e_{k+1} to column k
-        pair = paper_example_pair(5)
-        T = pad_to_square(pair.phi).coeffs
-        assert check_constructing(T, pair.phi)
