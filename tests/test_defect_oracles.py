@@ -55,6 +55,15 @@ def number_eigen_oracle(sys_, fams, mmax):
     return worst
 
 
+def generation_oracle(op, start, count):
+    v = start
+    cols = [v]
+    for n in range(1, count):
+        v = op @ v / math.sqrt(n)
+        cols.append(v)
+    return np.stack(cols, axis=1)
+
+
 class TestMaxColumnNorm:
     def test_largest_column(self):
         M = np.array([[3.0, 0.0, 1.0], [4.0, 2.0, 1.0]])
@@ -125,3 +134,23 @@ class TestNumberEigenOracle:
         worst = number_eigen_check(sys_, fams, mmax=1)
         assert worst == pytest.approx(np.linalg.norm(sys_.number_op @ cols[:, 0]), rel=1e-9)
 
+
+
+class TestGenerationOracle:
+    # phi_n = b^n phi_0 / sqrt(n!) and psi_n = adjoint(a)^n psi_0 / sqrt(n!),
+    # psi_0 scaled so that (phi_0 | psi_0) = 1
+    @pytest.mark.parametrize("count", [N, 4, 1])
+    def test_matches_column_loop(self, count):
+        sys_ = _system()
+        phi, psi = generate_families(sys_, count)
+        psi0 = sys_.psi0 / np.conj(linalg.inner(sys_.phi0, sys_.psi0))
+        for fam, op, start in ((phi, sys_.b, sys_.phi0), (psi, linalg.adjoint(sys_.a), psi0)):
+            expected = generation_oracle(op, start, count)
+            assert fam.coeffs.shape == (N, count)
+            assert linalg.max_column_norm(fam.coeffs - expected) <= 1e-12 * linalg.max_column_norm(expected)
+
+    def test_one_column_is_the_vacuum(self):
+        sys_ = _system()
+        phi, psi = generate_families(sys_, 1)
+        assert np.array_equal(phi.coeffs[:, 0], sys_.phi0)
+        assert linalg.inner(phi.coeffs[:, 0], psi.coeffs[:, 0]) == pytest.approx(1.0, abs=1e-15)

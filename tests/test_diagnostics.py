@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import linalg
+from rieszlab import diagnostics, linalg
 from rieszlab.diagnostics import (
     ProbeSpec,
     quasi_basis_residual,
@@ -199,6 +199,16 @@ class TestRunSweep:
         text = report.verdict_text()
         assert "classification: regular" in text
         assert "riesz class: riesz" in text
+
+    def test_density_thresholds_decide_the_flag(self, monkeypatch):
+        # an absurdly strict density slope makes even the identity fail
+        monkeypatch.setattr(diagnostics, "DENSITY_SLOPE", -10.0)
+        monkeypatch.setattr(diagnostics, "DENSITY_FLOOR", 0.0)
+        report = run_sweep(pair_factory(ModelSpec("paper_example", 8)),
+                           [8, 16, 32, 64], ["e_0"])
+        assert report.flags["span_dense_phi"] is False
+        assert "thresholds: density slope <= -10.0, bounded slope <= 0.05, floor 0" \
+            in report.verdict_text()
 
 
 EPS = np.finfo(np.float64).eps

@@ -183,6 +183,38 @@ class TestMatrixReadChecks:
         reference = per_cell(p.read_text())
         assert loaded.view(np.float64).tobytes() == reference.view(np.float64).tobytes()
 
+    @pytest.mark.parametrize("layout", [
+        "crlf", "blank_lines", "whitespace_lines", "no_final_newline", "padded_ends"])
+    def test_line_layout_does_not_change_the_matrix(self, rng, tmp_path, layout):
+        mat = random_complex(rng, 4, 3)
+        p = tmp_path / "m.csv"
+        save_matrix(mat, p)
+        header, *rows = p.read_text().splitlines()
+        text = {
+            "crlf": "\r\n".join([header, *rows]) + "\r\n",
+            "blank_lines": "\n\n".join([header, *rows]) + "\n\n\n",
+            "whitespace_lines": "\n \t \n".join([header, *rows]) + "\n  \n",
+            "no_final_newline": "\n".join([header, *rows]),
+            "padded_ends": " \n\t" + "\n".join([header, *rows]) + " \t\n \n",
+        }[layout]
+        p.write_bytes(text.encode())
+        assert load_matrix(p).tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\r\n  \n"])
+    def test_file_without_a_line_of_text_is_empty(self, tmp_path, text):
+        p = tmp_path / "blank.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="empty CSV"):
+            load_matrix(p)
+
+    def test_whitespace_inside_the_rows_is_still_refused(self, tmp_path):
+        # only whitespace that ends the file is dropped; a row that ends in a
+        # blank before another row follows is malformed
+        p = tmp_path / "m.csv"
+        p.write_text("re_0,im_0\n1,0 \n2,0\n")
+        with pytest.raises(ValueError, match="must not contain"):
+            load_matrix(p)
+
     def test_family_with_too_many_columns_is_value_error(self, tmp_path):
         p = tmp_path / "wide.csv"
         save_matrix(np.ones((3, 5)), p)

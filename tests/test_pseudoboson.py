@@ -254,6 +254,15 @@ class TestLadderAgreement:
         phi, ls = self._transported(sys)
         assert span_invariance(ls, SequenceFamily(phi.coeffs)) <= 1e-10
 
+    def test_reconstruction(self):
+        # the transported raising operator regenerates phi_n = B^n phi_0 / sqrt(n!)
+        sys = similarity_system(12, np.arange(12) + 1.0, window=10)
+        phi, ls = self._transported(sys)
+        v = phi.coeffs[:, 0]
+        for n in range(1, ls.window):
+            v = ls.raising @ v / math.sqrt(n)
+            assert np.linalg.norm(v - phi.coeffs[:, n]) <= pb_tolerance(phi)
+
 
 class TestModelIntegration:
     def test_instantiate_system_ccr(self):

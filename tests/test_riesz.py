@@ -3,7 +3,13 @@ import pytest
 
 from rieszlab import linalg
 from rieszlab.errors import SingularOperatorError
-from rieszlab.family import BiorthogonalPair, SequenceFamily, build_analysis, pad_to_square
+from rieszlab.family import (
+    BiorthogonalPair,
+    SequenceFamily,
+    build_analysis,
+    domain_partial_sum,
+    pad_to_square,
+)
 from rieszlab.linalg import Factorization
 from rieszlab.models import paper_example_pair
 from rieszlab.riesz import dual_family, dual_pairing_tolerance
@@ -101,3 +107,32 @@ class TestDualFamily:
         TU = T @ U
         assert linalg.max_abs(dual_family(TU).coeffs - Factorization(T).dual @ U) <= 1e-12
 
+
+
+class TestDomainNormIdentity:
+    # sum_k |(x|phi_k)|^2 == ||adjoint(T) x||^2 for the family {T e_k}: the
+    # domain partial sum over the columns of T against the adjoint of T.
+    def test_identity_operator(self, rng):
+        x = random_complex(rng, 5)
+        lhs = domain_partial_sum(SequenceFamily.identity(5), x)
+        rhs = np.linalg.norm(linalg.adjoint(np.eye(5)) @ x) ** 2
+        assert lhs == pytest.approx(np.linalg.norm(x) ** 2, rel=1e-12)
+        assert rhs == pytest.approx(lhs, rel=1e-12)
+
+    def test_sides_agree_for_random_operator(self, rng):
+        for _ in range(5):
+            fac = Factorization(random_well_conditioned(rng, 7))
+            x = random_complex(rng, 7)
+            lhs = domain_partial_sum(SequenceFamily(fac.T), x)
+            rhs = np.linalg.norm(linalg.adjoint(fac.T) @ x) ** 2
+            assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    def test_paper_example_probe_e0(self):
+        # oracle: each phi_n = e_n + e_0 contributes |(e_0|phi_n)|^2 = 1,
+        # the padding column contributes 1 as well, total N.
+        n = 8
+        phi_sq = pad_to_square(paper_example_pair(n).phi)
+        fac = Factorization(build_analysis(SequenceFamily(phi_sq.coeffs)))
+        e0 = linalg.basis_vector(0, n)
+        assert domain_partial_sum(SequenceFamily(fac.T), e0) == pytest.approx(n, rel=1e-12)
+        assert np.linalg.norm(linalg.adjoint(fac.T) @ e0) ** 2 == pytest.approx(n, rel=1e-12)
