@@ -13,14 +13,21 @@ the checkout (default: the one this script lives in), in its own working
 directory, with `--out` pointing at a relative directory, so that no absolute
 path reaches stdout or the written files.  For every command the output holds
 its exit code, one digest of its stdout and one digest per written file (paths
-relative to the output directory).  The file inputs are written by perfbench's
+relative to the output directory).  A second, masked digest of stdout and
+of each written table (`*.txt`) replaces every `(tolerance ...)` field by
+`(tolerance *)`, and one of `ladder.meta.json` leaves out its
+`ladder_tolerance`: a change of the
+tolerance rule alone leaves every masked digest as it was, so a diff of two
+outputs shows whether exit codes, PASS/FAIL statuses, residual digits and the
+other files moved with it.  The file inputs are written by perfbench's
 own CSV writer, not by the rieszlab under test, so both checkouts read the same
 bytes: the pseudo-boson pair, so that the `pseudoboson-pipeline` commands run
 exactly as in the benchmark, and the paper-example family pairs at N = 64
 (index offsets 1 and 2, with JSON sidecars) that the file-model `analyze` and
 `ladder` runs read.  One run per command reads its settings from a
 `--config run.yaml` written from CONFIGS, so that the config path is under
-the gate too.  BLAS runs on one thread, so that the digests do not depend
+the gate too; its tolerances are the constant c of the rule, ten times the
+default 1.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
 """
 
@@ -30,6 +37,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -56,13 +64,13 @@ FAMILY_DIM = 64
 #: Per command, the YAML of its `--config run.yaml` run: only keys the command reads.
 CONFIGS = {
     "analyze": f"model: random_regular:50\ndim: 64\nseed: {SEED}\n"
-               "tolerances: {pair: 1.0e-9, ladder: 1.0e-11}\n",
+               "tolerances: {pair: 10.0, ladder: 10.0}\n",
     "sweep": f"model: random_regular:50\ndims: [16, 32, 64]\nseed: {SEED}\n"
              "probes: [e_0, 'geom:0.5']\n",
     "pseudoboson": "model: similarity:1.01^k\ndim: 64\nwindow: 32\ncount: 16\n"
-                   "tolerances: {pb: 1.0e-8}\n",
+                   "tolerances: {pb: 10.0}\n",
     "ladder": f"model: random_regular:50\ndim: 64\nseed: {SEED}\nside: psi\n"
-              "tolerances: {pair: 1.0e-9, ladder: 1.0e-11}\n",
+              "tolerances: {pair: 10.0, ladder: 10.0}\n",
 }
 
 
@@ -127,6 +135,19 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+TOLERANCE_FIELD = re.compile(rb"\(tolerance [^)]*\)")
+
+
+def _masked_table(data: bytes) -> bytes:
+    return TOLERANCE_FIELD.sub(b"(tolerance *)", data)
+
+
+def _masked_meta(data: bytes) -> bytes:
+    meta = json.loads(data)
+    meta.pop("ladder_tolerance", None)
+    return json.dumps(meta, sort_keys=True).encode()
+
+
 def run_all(checkout: Path, work: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -144,10 +165,16 @@ def run_all(checkout: Path, work: Path) -> list[str]:
                               cwd=cwd, env=env, capture_output=True, timeout=600)
         lines.append(f"exit {proc.returncode}  {' '.join(argv)}")
         lines.append(f"  {_sha(proc.stdout)}  stdout")
+        lines.append(f"  {_sha(_masked_table(proc.stdout))}  stdout, masked")
         out = cwd / "out"
         files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
         for p in files:
-            lines.append(f"  {_sha(p.read_bytes())}  {p.relative_to(out).as_posix()}")
+            name = p.relative_to(out).as_posix()
+            lines.append(f"  {_sha(p.read_bytes())}  {name}")
+            if p.suffix == ".txt":
+                lines.append(f"  {_sha(_masked_table(p.read_bytes()))}  {name}, masked")
+            elif p.name == "ladder.meta.json":
+                lines.append(f"  {_sha(_masked_meta(p.read_bytes()))}  {name}, masked")
     return lines
 
 

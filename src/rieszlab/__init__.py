@@ -16,7 +16,6 @@ from .errors import (
     TruncationShapeError,
 )
 from .family import (
-    PAIR_TOLERANCE,
     BiorthogonalPair,
     SequenceFamily,
     build_analysis,
@@ -36,7 +35,6 @@ from .riesz import dual_family
 __version__ = "0.1.0"
 
 __all__ = [
-    "PAIR_TOLERANCE",
     "AmbiguousVacuumError",
     "BiorthogonalPair",
     "DimensionMismatchError",

@@ -27,7 +27,6 @@ from .errors import (
     TruncationShapeError,
 )
 from .family import (
-    PAIR_TOLERANCE,
     BiorthogonalPair,
     SequenceFamily,
     build_analysis,
@@ -35,6 +34,7 @@ from .family import (
     check_pairing,
     embed_pair,
     pad_to_square,
+    pairing_bound,
     verify_left_inverse,
 )
 
@@ -170,6 +170,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _c(cfg: dict, name: str) -> float:
+    """The constant c of linalg.error_bound for the lines --tol-NAME governs; 1 unless set."""
+    return float(cfg["tolerances"].get(name, 1.0))
+
+
 def _require(cfg: dict, key: str, default=None):
     if key in cfg and cfg[key] is not None:
         return cfg[key]
@@ -210,10 +215,9 @@ def _load_pair_model(cfg: dict, dim: int) -> BiorthogonalPair:
     phi, psi = (io.load_family(p) for p in paths)
     if phi.dim < models.MIN_DIM:
         raise ValueError(f"model: file families need dimension >= {models.MIN_DIM}")
-    tol = float(cfg["tolerances"].get("pair", PAIR_TOLERANCE))
     try:
         pad_to_square(phi)  # analyze and ladder embed phi in a square truncation
-        return check_pairing(phi, psi, tolerance=tol)
+        return check_pairing(phi, psi, _c(cfg, "pair"))
     except (DimensionMismatchError, TruncationShapeError) as exc:
         raise ValueError(f"model: {exc}") from exc
 
@@ -249,11 +253,11 @@ def cmd_analyze(cfg: dict) -> int:
     dim = _dim(_require(cfg, "dim", 16))
     pair = _load_pair_model(cfg, dim)
     dim = pair.dim  # file models carry their own dimension
-    tol_pair = float(cfg["tolerances"].get("pair", PAIR_TOLERANCE))
-    tol_ladder_base = float(cfg["tolerances"].get("ladder", ladder.LADDER_TOL_BASE))
+    c_pair, c_ladder = _c(cfg, "pair"), _c(cfg, "ladder")
 
     table = CheckTable()
-    table.add("pairing residual", pair.pairing_residual, tol_pair)
+    table.add("pairing residual", pair.pairing_residual,
+              pairing_bound(pair.phi, pair.psi, c_pair))
 
     # The one factorization of T: every check below reads from it.
     phi_full = SequenceFamily(pad_to_square(pair.phi).coeffs)
@@ -261,26 +265,30 @@ def cmd_analyze(cfg: dict) -> int:
     sq = embed_pair(pair, fac)
     T = fac.T
     K = build_coanalysis(sq.phi)
-    table.add("coanalysis == adjoint(analysis)", linalg.max_abs(K - linalg.adjoint(T)), 0.0)
-    table.add("analysis action T e_k == phi_k",
-              linalg.max_column_norm(T - sq.phi.coeffs), riesz.ACTION_TOLERANCE)
-    table.add("left-inverse identity", verify_left_inverse(sq), dim * tol_pair)
+    exact = linalg.error_bound(dim, sq.phi.max_norm)
+    table.add("coanalysis == adjoint(analysis)", linalg.max_abs(K - linalg.adjoint(T)), exact)
+    table.add("analysis action T e_k == phi_k", linalg.max_column_norm(T - sq.phi.coeffs), exact)
+    table.add("left-inverse identity", verify_left_inverse(sq),
+              pairing_bound(sq.phi, sq.psi, c_pair))
 
     dual = riesz.dual_family(fac)
     table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
-              riesz.dual_pairing_tolerance(fac, tol_pair))
+              linalg.error_bound(dim, kappa=fac.kappa ** 2, c=c_pair))
 
-    tol_ladder = ladder.ladder_tolerance(fac.kappa, tol_ladder_base) * 10
     ls_phi = ladder.build_ladder(fac, side="phi")
     table.add("ladder actions (phi side)",
-              ladder.verify_ladder_actions(ls_phi, phi_full, window=dim - 2), tol_ladder)
+              ladder.verify_ladder_actions(ls_phi, phi_full, window=dim - 2),
+              ladder.action_bound(ls_phi, sq.phi, c_ladder))
     ls_psi = ladder.dual_ladder(fac, side="psi")
     table.add("ladder actions (psi side)",
-              ladder.verify_ladder_actions(ls_psi, dual, window=dim - 2), tol_ladder)
+              ladder.verify_ladder_actions(ls_psi, dual, window=dim - 2),
+              ladder.action_bound(ls_psi, dual, c_ladder))
 
+    # ||G|| = 1 / sigma_min(T)^2 exactly for G = adjoint(T^-1) T^-1.
     table.add("metric intertwining",
               ladder.intertwining_residual(ladder.metric_operator(fac), ls_phi.number),
-              tol_ladder)
+              linalg.error_bound(dim, linalg.norm_estimate(ls_phi.number) / fac.sigma_min ** 2,
+                                 kappa=fac.kappa, c=c_ladder))
 
     d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
     if d_psi > 0.5:
@@ -337,16 +345,17 @@ def cmd_pseudoboson(cfg: dict) -> int:
     count = int(count) if count is not None else min(system.window, n - 1)
     if not 1 <= count <= n:
         raise ValueError(f"count: must lie in 1..{n}, got {count}")
-    tol_pb_base = float(cfg["tolerances"].get("pb", pseudoboson.PB_TOL_BASE))
+    c_pb = _c(cfg, "pb")
+    norm_a, norm_b = linalg.norm_estimate(system.a), linalg.norm_estimate(system.b)
 
     table = CheckTable()
     table.add("vacuum residual ||a phi_0||",
-              float(np.linalg.norm(system.a @ system.phi0)), pseudoboson.VACUUM_TOLERANCE)
+              float(np.linalg.norm(system.a @ system.phi0)), linalg.error_bound(n, norm_a))
     table.add("vacuum residual ||adjoint(b) psi_0||",
               float(np.linalg.norm(linalg.adjoint(system.b) @ system.psi0)),
-              pseudoboson.VACUUM_TOLERANCE)
+              linalg.error_bound(n, norm_b))
     table.add(f"commutator defect on window {system.window}",
-              system.commutator_defect(), pseudoboson.COMMUTATOR_TOLERANCE)
+              system.commutator_defect(), linalg.error_bound(n, norm_a * norm_b, k=2))
 
     # The families are generated once, at full truncation.  Each column is
     # computed from the one before, so their first count columns are exactly
@@ -354,23 +363,21 @@ def cmd_pseudoboson(cfg: dict) -> int:
     sq_phi, sq_psi = pseudoboson.generate_families(system, n)
     phi = SequenceFamily(sq_phi.coeffs[:, :count])
     psi = SequenceFamily(sq_psi.coeffs[:, :count])
-    pair = BiorthogonalPair(phi, psi)
-    tol_pb = pseudoboson.pb_tolerance(phi, psi, base=tol_pb_base)
-    table.add("generated pairing residual", pair.pairing_residual, tol_pb)
+    table.add("generated pairing residual", *pseudoboson.pairing_check(system, phi, psi, c_pb))
 
     nmax = min(6, count - 1, system.window // 2)
-    for npow in range(nmax + 1):
-        for mpow in range(nmax + 1):
-            r = pseudoboson.falling_factorial_identity(system, npow, mpow)
-            table.add(f"falling-factorial n={npow} m={mpow}", r, tol_pb)
-    table.add("number eigen-relations (m <= 3)",
-              pseudoboson.number_eigen_check(system, (phi, psi), mmax=3), tol_pb * 10)
+    residuals, bounds = pseudoboson.falling_factorial_checks(system, nmax, c_pb)
+    for (npow, mpow), r in np.ndenumerate(residuals):
+        table.add(f"falling-factorial n={npow} m={mpow}", r, bounds[npow, mpow])
+    table.add("number eigen-relations (m <= 3)", *linalg.worst_ratio(
+        *pseudoboson.number_eigen_relations(system, (phi, psi), 3, c_pb)))
 
     ls_phi = ladder.build_ladder(build_analysis(sq_phi), side="phi")
+    tol_ladder = ladder.action_bound(ls_phi, sq_phi, c_pb)
     table.add("restriction containment (phi side)",
-              pseudoboson.restriction_containment(system, ls_phi, phi, side="phi"), tol_pb)
+              pseudoboson.restriction_containment(system, ls_phi, phi, side="phi"), tol_ladder)
     table.add("span invariance (phi side)",
-              pseudoboson.span_invariance(ls_phi, sq_phi), tol_pb)
+              pseudoboson.span_invariance(ls_phi, sq_phi), tol_ladder)
 
     text = table.render(
         f"pseudoboson: dim {n}, window {system.window}, generated columns {count}"
@@ -385,15 +392,14 @@ def cmd_ladder(cfg: dict) -> int:
     if side not in ("phi", "psi"):
         raise ValueError(f"side: must be phi or psi, got {side!r}")
     pair = _load_pair_model(cfg, dim)
-    fac = linalg.Factorization(build_analysis(pad_to_square(pair.phi)))
+    phi = pad_to_square(pair.phi)
+    fac = linalg.Factorization(build_analysis(phi))
     if side == "phi":
-        ls = ladder.build_ladder(fac, side="phi")
+        ls, fam = ladder.build_ladder(fac, side="phi"), phi
     else:
-        ls = ladder.dual_ladder(fac, side="psi")
-    tol = ladder.ladder_tolerance(
-        ls.kappa, float(cfg["tolerances"].get("ladder", ladder.LADDER_TOL_BASE)))
+        ls, fam = ladder.dual_ladder(fac, side="psi"), riesz.dual_family(fac)
     out = cfg.get("out") or "."
-    written = io.save_ladder(ls, out, tolerance=tol)
+    written = io.save_ladder(ls, out, tolerance=ladder.action_bound(ls, fam, _c(cfg, "ladder")))
     for p in written:
         sys.stdout.write(f"wrote {p}\n")
     return EXIT_OK

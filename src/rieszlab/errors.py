@@ -16,12 +16,15 @@ class TruncationShapeError(RieszLabError):
 class SingularOperatorError(RieszLabError):
     """A matrix failed the numerical-rank test for invertibility.
 
-    Carries the offending smallest singular value.
+    Carries the offending smallest singular value and the cut N * eps * sigma_max
+    it did not exceed.
     """
 
-    def __init__(self, sigma_min: float, message: str | None = None):
+    def __init__(self, sigma_min: float, cut: float, message: str | None = None):
         self.sigma_min = float(sigma_min)
-        super().__init__(message or f"operator numerically singular (sigma_min={sigma_min:.3e})")
+        self.cut = float(cut)
+        super().__init__(message or f"operator numerically singular (sigma_min={sigma_min:.3e}"
+                                    f" <= cut N*eps*sigma_max={cut:.3e})")
 
 
 class NotBiorthogonalError(RieszLabError):

@@ -23,10 +23,6 @@ from .errors import (
     TruncationShapeError,
 )
 
-#: Absolute tolerance on pairing defects; entries are O(1) by construction.
-PAIR_TOLERANCE = 1e-10
-
-
 @dataclass(frozen=True)
 class SequenceFamily:
     """Truncated sequence {phi_k}: column k of coeffs is phi_{k + index_offset}.
@@ -77,6 +73,11 @@ class SequenceFamily:
     def is_square(self) -> bool:
         return self.size == self.dim
 
+    @cached_property
+    def max_norm(self) -> float:
+        """Largest Euclidean norm of a stored column, padding included; the scale of bounds."""
+        return float(linalg.column_norms(self.coeffs).max(initial=0.0))
+
 
 @dataclass(frozen=True)
 class BiorthogonalPair:
@@ -118,14 +119,22 @@ def _gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
     return np.abs(gram - np.eye(gram.shape[0]))
 
 
-def check_pairing(phi: SequenceFamily, psi: SequenceFamily,
-                  tolerance: float = PAIR_TOLERANCE) -> BiorthogonalPair:
-    """Verify (phi_n | psi_m) = delta_nm over the family columns.
+def pairing_bound(phi: SequenceFamily, psi: SequenceFamily, c: float = 1.0) -> float:
+    """Bound of the N-term inner products (phi_n | psi_m) of two families.
+
+    linalg.error_bound with scale max ||phi_n|| max ||psi_m|| over the stored columns.
+    """
+    return linalg.error_bound(phi.dim, phi.max_norm * psi.max_norm, c=c)
+
+
+def check_pairing(phi: SequenceFamily, psi: SequenceFamily, c: float = 1.0) -> BiorthogonalPair:
+    """Verify (phi_n | psi_m) = delta_nm over the family columns, within c times pairing_bound.
 
     Gates on the pair's pairing_residual; only a failing pair rebuilds the
     defect matrix, to raise NotBiorthogonalError carrying the worst (n, m).
     """
     pair = BiorthogonalPair(phi=phi, psi=psi)
+    tolerance = pairing_bound(phi, psi, c)
     if pair.pairing_residual > tolerance:
         defect = _gram_defect(phi, psi)
         m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)

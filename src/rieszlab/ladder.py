@@ -13,6 +13,7 @@ column scaling, each transported operator costs a single matrix product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +21,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError
 from .family import SequenceFamily
-
-#: Base tolerance for ladder relations; scaled by kappa(T)^2 because the
-#: construction compounds an inversion with two conjugations.
-LADDER_TOL_BASE = 1e-12
-
-
-def ladder_tolerance(kappa: float, base: float = LADDER_TOL_BASE) -> float:
-    return base * kappa * kappa
-
 
 def _shifted(M: np.ndarray):
     """Yield M S_-, M S_+ and M N0 (shifts on M's columns) one at a time, as new arrays.
@@ -130,6 +122,16 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
         defect -= target
         worst = max(worst, linalg.max_column_norm(defect[:, :limit]))
     return worst
+
+
+def action_bound(ls: LadderSet, fam: SequenceFamily, c: float = 1.0) -> float:
+    """Bound of a defect between ls applied to the columns of fam and its target.
+
+    linalg.error_bound with kappa(T)^2 (an inversion and two conjugations) and
+    scale sqrt(N) max ||chi_n|| (the shifts have norm at most sqrt(N)).
+    """
+    scale = math.sqrt(ls.dim) * fam.max_norm
+    return linalg.error_bound(ls.dim, scale, kappa=ls.kappa ** 2, c=c)
 
 
 def metric_operator(T) -> np.ndarray:

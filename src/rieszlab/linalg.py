@@ -10,11 +10,13 @@ The inner product is linear in the FIRST argument and conjugate-linear in
 the second.
 
 Every operator T is factorized once (see Factorization): one values-only SVD
-for the rank gate, kappa and sigma_min, one LU solve for the inverse.
+for the rank gate, kappa and sigma_min, one LU solve for the inverse.  Every
+tolerance of the package, the rank cut included, is an error_bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,14 +87,48 @@ def singular_values(T) -> np.ndarray:
     return np.linalg.svd(as_operator(T), compute_uv=False)
 
 
+def error_bound(n: int, scale=1.0, k=1.0, kappa=1.0, c: float = 1.0):
+    """The one tolerance rule c * k * n * eps * kappa * scale: a forward-error bound (Higham ch. 3).
+
+    n is the length of the sums, k the number of operator applications between
+    the stored inputs and the residual, kappa the conditioning the inputs
+    inherit and scale the product of the norms of the operands the residual
+    combined; c is 1 unless a --tol-* flag sets it.  Arrays give one bound per entry.
+    """
+    return c * n * EPS * kappa * k * scale  # the scalars first: two passes over arrays
+
+
 def rank_tolerance(values) -> float:
-    """The rank cut N * eps * max|values| for N values: singular values, or a vector's entries.
+    """The rank cut error_bound(N, max|values|) of N values: singular values or a vector's entries.
 
     A singular value at or below it counts as zero, and so does an entry of a
     computed kernel vector.
     """
     values = np.asarray(values)
-    return values.size * EPS * float(np.abs(values).max(initial=0.0))
+    return error_bound(values.size, float(np.abs(values).max(initial=0.0)))
+
+
+def norm_estimate(M) -> float:
+    """sqrt(||M||_1 ||M||_inf), an O(N^2) upper bound of the spectral norm of M."""
+    A = np.abs(M)
+    return math.sqrt(float(A.sum(axis=0).max())) * math.sqrt(float(A.sum(axis=1).max()))
+
+
+def column_norms(M) -> np.ndarray:
+    """Euclidean column norms of a matrix; taken of M / max|M| when a square overflows float64."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=0)
+    if np.isfinite(norms).all():
+        return norms
+    top = max_abs(M)
+    return top * np.linalg.norm(np.asarray(M) / top, axis=0)
+
+
+def worst_ratio(residuals, bounds) -> tuple[float, float]:
+    """(residual, bound) of the entry with the largest residual / bound."""
+    residuals, bounds = np.broadcast_arrays(residuals, bounds)
+    i = int(np.argmax(residuals / bounds))
+    return float(residuals.flat[i]), float(bounds.flat[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +154,9 @@ class Factorization:
         T = as_operator(self.T)
         sigma = singular_values(T)
         smin = float(sigma[-1]) if sigma.size else 0.0
-        if smin <= rank_tolerance(sigma):
-            raise SingularOperatorError(smin)
+        cut = rank_tolerance(sigma)
+        if smin <= cut:
+            raise SingularOperatorError(smin, cut)
         T.setflags(write=False)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "sigma", sigma)
@@ -171,6 +208,5 @@ def max_abs(M) -> float:
 
 def max_column_norm(M) -> float:
     """Largest Euclidean column norm of a matrix; 0.0 when it has no entries."""
-    M = np.asarray(M)
-    return float(np.linalg.norm(M, axis=0).max()) if M.size else 0.0
+    return float(column_norms(M).max(initial=0.0))
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ModelError
 from .family import BiorthogonalPair, SequenceFamily, check_pairing
 from .ladder import shift_matrices
-from .pseudoboson import PseudoBosonSystem, generate_families, pb_tolerance
+from .pseudoboson import PseudoBosonSystem, generate_families
 
 #: Smallest truncation of any model, built-in or loaded from files.
 MIN_DIM = 4
@@ -127,28 +127,23 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
     generated families at full square truncation, pairing-checked there.
     """
     n = spec.dim
-    if spec.kind == "identity":
-        fam = SequenceFamily.identity(n)
-        return check_pairing(fam, fam)
     if spec.kind == "paper_example":
         return paper_example_pair(n)
-    if spec.kind == "diagonal":
+    if spec.kind == "identity":
+        phi = psi = SequenceFamily.identity(n)
+    elif spec.kind == "diagonal":
         d = evaluate_rule(spec.rule, np.arange(n))
-        phi = SequenceFamily(np.diag(d))
-        psi = SequenceFamily(np.diag(1.0 / d))
-        return check_pairing(phi, psi)
-    if spec.kind == "random_regular":
-        rng = np.random.default_rng(spec.seed)
-        u = random_unitary(n, rng)
+        phi, psi = SequenceFamily(np.diag(d)), SequenceFamily(np.diag(1.0 / d))
+    elif spec.kind == "random_regular":
+        u = random_unitary(n, np.random.default_rng(spec.seed))
         s = np.geomspace(1.0, spec.kappa_max, n)
         # phi = u diag(s) with u unitary, so psi = adjoint(phi^-1) = u diag(1/s).
-        phi = SequenceFamily(u * s)
-        psi = SequenceFamily(u / s)
-        return check_pairing(phi, psi, tolerance=max(1e-10, spec.kappa_max * 1e-13 * n))
-    if spec.is_system:
+        phi, psi = SequenceFamily(u * s), SequenceFamily(u / s)
+    elif spec.is_system:
         phi, psi = generate_families(instantiate_system(spec), count=n)
-        return check_pairing(phi, psi, tolerance=pb_tolerance(phi, psi))
-    raise ModelError(f"cannot build a pair from model kind {spec.kind!r}")
+    else:
+        raise ModelError(f"cannot build a pair from model kind {spec.kind!r}")
+    return check_pairing(phi, psi)
 
 
 def instantiate_system(spec: ModelSpec, window: int | None = None) -> PseudoBosonSystem:

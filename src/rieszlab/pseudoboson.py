@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import family, linalg
 from .errors import (
     AmbiguousVacuumError,
     DimensionMismatchError,
@@ -27,15 +27,6 @@ from .errors import (
 )
 from .family import SequenceFamily
 from .ladder import LadderSet
-
-#: Base tolerance for the generated-family identities; scaled by the column
-#: growth proxy max_n ||b^n phi_0|| / sqrt(n!).
-PB_TOL_BASE = 1e-9
-
-COMMUTATOR_TOLERANCE = 1e-12
-
-#: Tolerance of the vacuum residuals ||a phi_0|| and ||adjoint(b) psi_0||.
-VACUUM_TOLERANCE = 1e-10
 
 
 def commutator_defect(a, b, window: int) -> float:
@@ -76,8 +67,8 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _vacuum(T: np.ndarray, which: str) -> np.ndarray:
-    """The kernel vector of T, which must span a one-dimensional kernel."""
+def _vacuum(T: np.ndarray, which: str) -> tuple[np.ndarray, float]:
+    """The kernel vector of T, which must be one-dimensional, and sigma_1 / sigma_(N-1) of T."""
     n = T.shape[0]
     sigma = linalg.singular_values(T)
     kernel_dim = int(np.count_nonzero(sigma <= linalg.rank_tolerance(sigma)))
@@ -101,15 +92,20 @@ def _vacuum(T: np.ndarray, which: str) -> np.ndarray:
             bound = min(bound, float(np.linalg.norm(image - unit)) / t)
     except np.linalg.LinAlgError:  # an exactly zero pivot
         bound = 0.0
-    if not bound > (n + 1) * linalg.EPS * smax:
+    cut = linalg.error_bound(n + 1, smax)
+    if not bound > cut:
         raise SingularOperatorError(
-            bound, f"bordered vacuum system of {which} is singular (sigma_min <= {bound:.3e}): "
-                   f"the border vector is orthogonal to the kernel of {which} or of its adjoint")
-    return _fix_phase(solution[:n])
+            bound, cut, f"bordered vacuum system of {which} is singular (sigma_min <= {bound:.3e}"
+                        f" <= cut (N+1)*eps*sigma_max={cut:.3e}): the border vector is "
+                        f"orthogonal to the kernel of {which} or of its adjoint")
+    return _fix_phase(solution[:n]), smax / float(sigma[-2])
 
 
-def ground_states(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm vacua: ker(a) and ker(adjoint(b)), phases fixed deterministically.
+def ground_states(a, b) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unit-norm vacua ker(a) and ker(adjoint(b)), phases fixed deterministically, and kappa_vac.
+
+    kappa_vac is the larger sigma_1 / sigma_(N-1) of a and adjoint(b): the
+    conditioning each vacuum inherits from its operator.
 
     Rank rule: the kernel dimension of T (T = a, then adjoint(b)) is the number
     of its singular values at or below N * eps * sigma_max(T), all N of them
@@ -128,9 +124,9 @@ def ground_states(a, b) -> tuple[np.ndarray, np.ndarray]:
     (N + 1) * eps * sigma_max(T).  Residuals such as ||a phi_0|| are the
     caller's to check.
     """
-    a = linalg.as_operator(a)
-    b = linalg.as_operator(b)
-    return _vacuum(a, "a"), _vacuum(linalg.adjoint(b), "adjoint(b)")
+    (phi0, kappa_a), (psi0, kappa_b) = (_vacuum(linalg.as_operator(a), "a"),
+                                        _vacuum(linalg.adjoint(b), "adjoint(b)"))
+    return phi0, psi0, max(kappa_a, kappa_b)
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,8 @@ class PseudoBosonSystem:
     """Operator pair (a, b) with its vacua and number operators.
 
     number_op = b a (forced by N phi_n = n phi_n together with the ladder
-    actions) and number_dag = adjoint(number_op) = adjoint(a) adjoint(b).
+    actions) and number_dag = adjoint(number_op) = adjoint(a) adjoint(b);
+    kappa_vac is the conditioning the vacua inherit (see ground_states).
     """
 
     a: np.ndarray
@@ -148,6 +145,7 @@ class PseudoBosonSystem:
     number_op: np.ndarray
     number_dag: np.ndarray
     window: int
+    kappa_vac: float
 
     @classmethod
     def build(cls, a, b, window: int | None = None) -> "PseudoBosonSystem":
@@ -160,13 +158,13 @@ class PseudoBosonSystem:
         w = n - 1 if window is None else int(window)
         if not 0 < w < n:
             raise ValueError(f"window must lie in 1..{n - 1}, got {w}")
-        phi0, psi0 = ground_states(a, b)
+        phi0, psi0, kappa_vac = ground_states(a, b)
         number_op = b @ a
         return cls(
             a=a, b=b, phi0=phi0, psi0=psi0,
             number_op=number_op,
             number_dag=linalg.adjoint(number_op),
-            window=w,
+            window=w, kappa_vac=kappa_vac,
         )
 
     @property
@@ -185,17 +183,6 @@ def _generate(op: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
     return cols
 
 
-def growth_proxy(*families: SequenceFamily) -> float:
-    """Largest generated column norm; conditioning proxy for tolerances."""
-    return max(
-        float(np.linalg.norm(f.coeffs, axis=0).max()) for f in families
-    )
-
-
-def pb_tolerance(*families: SequenceFamily, base: float = PB_TOL_BASE) -> float:
-    return base * max(1.0, growth_proxy(*families))
-
-
 def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamily, SequenceFamily]:
     """Generate phi_n = b phi_{n-1} / sqrt(n) and psi_n = adjoint(a) psi_{n-1} / sqrt(n).
 
@@ -207,48 +194,85 @@ def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamil
     if not 1 <= count <= sys.dim:
         raise ValueError(f"count must lie in 1..{sys.dim}, got {count}")
     overlap = linalg.inner(sys.phi0, sys.psi0)
-    if abs(overlap) < 1e-14:
-        # psi_0 / overlap would inflate the growth proxy, and pb_tolerance with it
-        raise RieszLabError(f"vacua cannot be paired: |(phi0|psi0)| = {abs(overlap):.3e} < 1e-14")
+    cut = linalg.error_bound(sys.dim)
+    if abs(overlap) <= cut:  # the overlap of two unit vacua is rounding at most
+        raise RieszLabError(f"vacua cannot be paired: |(phi0|psi0)| = {abs(overlap):.3e}"
+                            f" <= cut N*eps={cut:.3e}")
     psi0 = sys.psi0 / np.conj(overlap)
     phi = SequenceFamily(_generate(sys.b, sys.phi0, count))
     psi = SequenceFamily(_generate(linalg.adjoint(sys.a), psi0, count))
     return phi, psi
 
 
+def pairing_check(sys: PseudoBosonSystem, phi: SequenceFamily, psi: SequenceFamily,
+                  c: float = 1.0) -> tuple[float, float]:
+    """Worst-ratio entry of |(phi_n | psi_m) - delta_nm| against its bound, as (residual, bound).
+
+    The bound of entry (n, m) is linalg.error_bound with k = n + m + 1
+    applications of b and adjoint(a), kappa_vac and scale ||phi_n|| ||psi_m||.
+    """
+    ks = np.arange(phi.size)
+    scale = np.outer(linalg.column_norms(psi.coeffs), linalg.column_norms(phi.coeffs))
+    bound = linalg.error_bound(sys.dim, scale, k=ks[:, None] + ks + 1, kappa=sys.kappa_vac, c=c)
+    return linalg.worst_ratio(family._gram_defect(phi, psi), bound)
+
+
 def falling_factorial_identity(sys: PseudoBosonSystem, n: int, m: int) -> float:
-    """Relative residual of a^m b^n phi_0 == P(n, m) b^(n-m) phi_0.
+    """Relative residual of a^m b^n phi_0 == P(n, m) b^(n-m) phi_0 (see falling_factorial_checks).
 
     For m > n the target is total annihilation and the residual is
     ||a^m b^n phi_0|| / ||b^n phi_0||.
     """
     if n < 0 or m < 0 or max(n, m) > sys.dim - 1:
         raise ValueError("powers out of range for the truncation")
-    v = sys.phi0.copy()
-    for _ in range(n):
-        v = sys.b @ v
-    bn_norm = float(np.linalg.norm(v))
-    for _ in range(m):
-        v = sys.a @ v
-    if m > n:
-        return float(np.linalg.norm(v)) / bn_norm
-    w = sys.phi0.copy()
-    for _ in range(n - m):
-        w = sys.b @ w
-    perm = math.perm(n, m)
-    return float(np.linalg.norm(v - perm * w)) / bn_norm
+    return float(falling_factorial_checks(sys, max(n, m))[0][n, m])
 
 
-def number_eigen_check(sys: PseudoBosonSystem,
-                       fams: tuple[SequenceFamily, SequenceFamily],
-                       mmax: int) -> float:
-    """Worst relative residual of N^m phi_n == n^m phi_n and the dual relation.
+def falling_factorial_checks(sys: PseudoBosonSystem, nmax: int,
+                             c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """falling_factorial_identity(sys, n, m) for n, m <= nmax, indexed [n, m], and its bounds.
+
+    The bound is linalg.error_bound with k = n + m + 1 and the componentwise
+    scale (|| |a|^m |b|^n w0 || + P(n, m) || |b|^(n-m) w0 ||) / ||b^n phi_0||,
+    where w0 = |phi_0| + N eps kappa_vac max|phi_0| covers the rounding of the
+    vacuum.
+    """
+    w0 = np.abs(sys.phi0)
+    powers, up = [sys.phi0], [w0 + linalg.error_bound(sys.dim, w0.max(), kappa=sys.kappa_vac)]
+    abs_b = np.abs(sys.b)  # |b| and |a| are formed one after the other
+    for _ in range(nmax):
+        powers.append(sys.b @ powers[-1])
+        up.append(abs_b @ up[-1])
+    del abs_b
+    abs_a = np.abs(sys.a)
+    resid, scale = np.empty((2, nmax + 1, nmax + 1))
+    for n in range(nmax + 1):
+        v, u = powers[n], up[n]
+        for m in range(nmax + 1):
+            if m:
+                v, u = sys.a @ v, abs_a @ u
+            perm = math.perm(n, m)  # 0 for m > n, where the target is 0
+            resid[n, m] = np.linalg.norm(v - perm * powers[n - m] if perm else v)
+            scale[n, m] = np.linalg.norm(u) + perm * np.linalg.norm(up[n - m])
+    bn_norms = np.array([np.linalg.norm(p) for p in powers])[:, None]
+    ks = np.arange(nmax + 1)
+    return resid / bn_norms, linalg.error_bound(sys.dim, scale / bn_norms,
+                                                k=ks[:, None] + ks + 1, c=c)
+
+
+def number_eigen_relations(sys: PseudoBosonSystem,
+                           fams: tuple[SequenceFamily, SequenceFamily],
+                           mmax: int, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Relative residuals of N^m phi_n == n^m phi_n and of the dual relation, with their bounds.
 
     Column n of N^m chi - chi diag(k)^m, over n < window, is divided by
-    ||n^m chi_n||, except column 0 (eigenvalue 0), which stays absolute.
+    ||n^m chi_n||, except column 0 (eigenvalue 0), which stays absolute.  Its
+    bound is linalg.error_bound with k = n + m + 1, kappa_vac and scale
+    (||N||^m + n^m) ||chi_n||, divided alike.
     """
     phi, psi = fams
-    worst = 0.0
+    op_norm = linalg.norm_estimate(sys.number_op)  # adjoint(N) has the same estimate
+    resids, bounds = [], []
     for op, fam in ((sys.number_op, phi), (sys.number_dag, psi)):
         limit = min(sys.window, fam.size)
         cols = fam.coeffs[:, :limit]
@@ -258,10 +282,18 @@ def number_eigen_check(sys: PseudoBosonSystem,
         for m in range(1, mmax + 1):
             current = op @ current
             scale = ks ** m
-            resid = np.linalg.norm(current - cols * scale, axis=0)
-            resid[1:] /= scale[1:] * col_norms[1:]
-            worst = max(worst, float(resid.max()))
-    return worst
+            denom = np.where(ks > 0, scale * col_norms, 1.0)
+            resids.append(np.linalg.norm(current - cols * scale, axis=0) / denom)
+            bounds.append(linalg.error_bound(sys.dim, (op_norm ** m + scale) * col_norms / denom,
+                                             k=ks + m + 1, kappa=sys.kappa_vac, c=c))
+    return np.concatenate(resids), np.concatenate(bounds)
+
+
+def number_eigen_check(sys: PseudoBosonSystem,
+                       fams: tuple[SequenceFamily, SequenceFamily],
+                       mmax: int) -> float:
+    """Worst relative residual of N^m phi_n == n^m phi_n and its dual (number_eigen_relations)."""
+    return float(number_eigen_relations(sys, fams, mmax)[0].max())
 
 
 def restriction_containment(sys: PseudoBosonSystem, ls: LadderSet,

@@ -11,18 +11,10 @@ sigma_min and the dual family.
 from __future__ import annotations
 
 from . import linalg
-from .family import PAIR_TOLERANCE, SequenceFamily
-
-#: Action tolerance for T e_k == phi_k.
-ACTION_TOLERANCE = 1e-12
+from .family import SequenceFamily
 
 
 def dual_family(T) -> SequenceFamily:
     """Dual family psi_k = adjoint(inverse(T)) e_k; biorthogonal to {T e_k}."""
     return SequenceFamily(linalg.as_factorization(T).dual)
 
-
-def dual_pairing_tolerance(T, base: float = PAIR_TOLERANCE) -> float:
-    """Pairing bound of {T e_k} and its dual: base, or kappa * 1e-12 * N if larger."""
-    fac = linalg.as_factorization(T)
-    return max(base, fac.kappa * 1e-12 * fac.dim)

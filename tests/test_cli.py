@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from rieszlab import linalg
 from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, build_parser, main
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_matrix, save_family, save_matrix
@@ -187,6 +188,8 @@ class TestPseudoboson:
         assert code == EXIT_CHECK
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "vacua cannot be paired" in lines[0]
+        # the cut of the rule for two unit vectors: N eps
+        assert f"<= cut N*eps={8 * np.finfo(float).eps:.3e}" in lines[0]
         assert "ambiguous" not in lines[0] and "kernel dimension" not in lines[0]
 
     @pytest.mark.parametrize("count", [0, -1, 17])
@@ -248,15 +251,28 @@ class TestLadder:
         assert not (tmp_path / "ladder.meta.json").exists()
 
 
-def test_import_does_not_load_yaml():
-    # Only --config needs yaml; the import every CLI call pays stays without it.
+def _run_python(*args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, rieszlab.cli; print('yaml' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_does_not_load_yaml():
+    # Only --config needs yaml; the import every CLI call pays stays without it.
+    proc = _run_python("-c", "import sys, rieszlab.cli; print('yaml' in sys.modules)")
     assert proc.stdout.strip() == "False"
+
+
+def test_singular_operator_message_states_its_cut():
+    # sigma(T) runs from 1 to 1e200, so sigma_min = 1 lies under the cut 8 eps 1e200.
+    proc = _run_python("-m", "rieszlab.cli", "analyze", "--model", "random_regular:1e200",
+                       "--dim", "8")
+    assert proc.returncode == EXIT_CHECK
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "sigma_min=1.000e+00" in lines[0]
+    assert "cut N*eps*sigma_max=1.776e+185" in lines[0]
 
 
 #: The flags each command reads, with a value each takes; a command accepts no other.
@@ -314,7 +330,7 @@ class TestLadderTolerance:
     def _meta(self, out):
         return json.loads((out / "ladder.meta.json").read_text())
 
-    def test_flag_and_config_set_the_base(self, tmp_path, capsys):
+    def test_flag_and_config_set_the_constant(self, tmp_path, capsys):
         assert main([*self.ARGV, "--out", str(tmp_path / "d")]) == EXIT_OK
         default = self._meta(tmp_path / "d")
         assert main([*self.ARGV, "--tol-ladder", "1e-3", "--out", str(tmp_path / "f")]) == EXIT_OK
@@ -324,9 +340,11 @@ class TestLadderTolerance:
         assert main([*self.ARGV, "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_OK
         configured = self._meta(tmp_path / "c")
         capsys.readouterr()
+        # The phi side of random_regular:50 has columns of norm up to 50.
         kappa = default["kappa"]
-        assert default["ladder_tolerance"] == pytest.approx(1e-12 * kappa ** 2, rel=1e-12)
-        assert flagged["ladder_tolerance"] == pytest.approx(1e-3 * kappa ** 2, rel=1e-12)
+        rule = linalg.error_bound(16, 4.0 * 50.0, kappa=kappa ** 2)
+        assert default["ladder_tolerance"] == pytest.approx(rule, rel=1e-12)
+        assert flagged["ladder_tolerance"] == pytest.approx(1e-3 * rule, rel=1e-12)
         assert configured["ladder_tolerance"] == flagged["ladder_tolerance"]
 
 
@@ -383,11 +401,11 @@ class TestPseudobosonTableIsTheOneGate:
 
     N, WINDOW = 32, 24
 
-    def _run(self, tmp_path, a, b, *flags):
+    def _run(self, tmp_path, a, b, *flags, window=WINDOW):
         save_matrix(a, tmp_path / "a.csv")
         save_matrix(b, tmp_path / "b.csv")
         return main(["pseudoboson", "--model", f"file:{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}",
-                     "--window", str(self.WINDOW), *flags])
+                     "--window", str(window), *flags])
 
     def test_defect_above_the_window_does_not_fail(self, tmp_path, capsys):
         # Only b[30, 29] differs from the canonical pair, so the generated
@@ -400,7 +418,7 @@ class TestPseudobosonTableIsTheOneGate:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS  generated pairing residual" in out
 
-    def _perturbed_pair(self, delta=1e-9):
+    def _perturbed_pair(self, delta=1e-9, scale=0.3):
         # a = S S_- S^-1, b = S (S_+ + delta E) S^-1 with E's first row zeroed,
         # so both vacua survive and, for delta > 0, the pairing breaks inside
         # the window.
@@ -408,7 +426,7 @@ class TestPseudobosonTableIsTheOneGate:
 
         s_minus, s_plus, _ = shift_matrices(self.N)
         upper = np.triu(np.random.default_rng(3).standard_normal((self.N, self.N)), 1)
-        S = np.eye(self.N) + 0.3 * upper
+        S = np.eye(self.N) + scale * upper
         E = np.random.default_rng(11).standard_normal((self.N, self.N))
         E[0, :] = 0.0
         S_inv = np.linalg.inv(S)
@@ -416,12 +434,36 @@ class TestPseudobosonTableIsTheOneGate:
 
     def test_similar_pair_passes(self, tmp_path, capsys):
         # The first column of a is exactly zero, so its vacuum is exactly e_0
-        # and a phi_0 = 0; a vacuum off e_0 by 1.5e-13 made the falling
-        # factorials (5, 6), (6, 5) and (6, 6) FAIL by up to 6.5x.
+        # and a phi_0 = 0.
         assert self._run(tmp_path, *self._perturbed_pair(0.0)) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS  vacuum residual ||a phi_0||: residual 0.000e+00" in out
+
+    def test_ill_conditioned_similar_pair_passes(self, tmp_path, capsys):
+        # kappa(S) = 1.4e4: the commutator defect of the exact pair exceeded a
+        # fixed 1e-12, but it stays far below its bound 2 N eps ||a|| ||b||.
+        assert self._run(tmp_path, *self._perturbed_pair(0.0, scale=0.8)) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+        assert self._run(tmp_path, *self._perturbed_pair(1e-9, scale=0.8)) == EXIT_CHECK
+        assert "FAIL  commutator defect" in capsys.readouterr().out
+
+    def test_pairing_bound_does_not_grow_with_the_family(self, tmp_path, capsys):
+        # a = D S_- D^-1 and b = D S_+ D^-1 with D = diag(2^k), so ||phi_n||
+        # grows like 2^n.  A relative 1e-6 in b[11, 10] breaks the pairing at
+        # entry (11, 11), whose bound scales with ||phi_11|| ||psi_11|| = 1,
+        # not with the largest generated column.
+        from rieszlab.ladder import shift_matrices
+
+        n = 24
+        d = 2.0 ** np.arange(n)
+        s_minus, s_plus, _ = shift_matrices(n)
+        a, b = d[:, None] * s_minus / d, d[:, None] * s_plus / d
+        assert self._run(tmp_path, a, b, window=20) == EXIT_OK
+        capsys.readouterr()
+        b[11, 10] *= 1 + 1e-6
+        assert self._run(tmp_path, a, b, window=20) == EXIT_CHECK
+        assert "FAIL  generated pairing residual: residual 1.000e-06" in capsys.readouterr().out
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-6])
     def test_perturbed_pair_fails_its_identities(self, tmp_path, capsys, delta):

@@ -6,11 +6,10 @@ import pytest
 from rieszlab import linalg
 from rieszlab.family import SequenceFamily, pad_to_square
 from rieszlab.ladder import (
-    LADDER_TOL_BASE,
+    action_bound,
     build_ladder,
     dual_ladder,
     intertwining_residual,
-    ladder_tolerance,
     metric_operator,
     shift_matrices,
     verify_ladder_actions,
@@ -77,19 +76,20 @@ class TestBuildLadder:
         T = random_well_conditioned(rng, 10)
         ls = build_ladder(T)
         fam = SequenceFamily(T.copy())
-        assert verify_ladder_actions(ls, fam) <= ladder_tolerance(ls.kappa)
+        assert verify_ladder_actions(ls, fam) <= action_bound(ls, fam)
 
     def test_paper_example_actions(self):
         n = 12
         T = pad_to_square(paper_example_pair(n).phi).coeffs
         ls = build_ladder(T)
         fam = SequenceFamily(T.copy())
-        assert verify_ladder_actions(ls, fam, window=n - 2) <= ladder_tolerance(ls.kappa)
+        assert verify_ladder_actions(ls, fam, window=n - 2) <= action_bound(ls, fam)
 
     def test_number_is_raising_times_lowering(self, rng):
         T = random_well_conditioned(rng, 8)
         ls = build_ladder(T)
-        assert linalg.max_abs(ls.raising @ ls.lowering - ls.number) <= ladder_tolerance(ls.kappa)
+        bound = action_bound(ls, SequenceFamily(T))
+        assert linalg.max_abs(ls.raising @ ls.lowering - ls.number) <= bound
 
     def test_window_argument_gates_failures(self):
         # corrupt one high column: a window below it must stay clean
@@ -113,14 +113,14 @@ class TestDualLadder:
         T = random_well_conditioned(rng, 9)
         ls = dual_ladder(T)
         dual = SequenceFamily(linalg.adjoint(linalg.solve_inverse(T)))
-        assert verify_ladder_actions(ls, dual) <= ladder_tolerance(ls.kappa)
+        assert verify_ladder_actions(ls, dual) <= action_bound(ls, dual)
 
     def test_dual_lowering_is_adjoint_of_raising(self, rng):
         # A_psi = (T^-1)* S_- T* = (T S_+ T^-1)* = adjoint(B_phi)
         T = random_well_conditioned(rng, 7)
         phi_ls = build_ladder(T)
         psi_ls = dual_ladder(T)
-        tol = ladder_tolerance(phi_ls.kappa)
+        tol = action_bound(phi_ls, SequenceFamily(T))
         assert linalg.max_abs(psi_ls.lowering - linalg.adjoint(phi_ls.raising)) <= tol
         assert linalg.max_abs(psi_ls.raising - linalg.adjoint(phi_ls.lowering)) <= tol
 
@@ -151,7 +151,10 @@ class TestMetricOperator:
             T = random_well_conditioned(rng, 10)
             ls = build_ladder(T)
             metric = metric_operator(T)
-            assert intertwining_residual(metric, ls.number) <= ladder_tolerance(ls.kappa)
+            # ||G|| = 1 / sigma_min^2 for G = adjoint(T^-1) T^-1
+            scale = linalg.norm_estimate(ls.number) / linalg.singular_values(T)[-1] ** 2
+            bound = linalg.error_bound(10, scale, kappa=ls.kappa)
+            assert intertwining_residual(metric, ls.number) <= bound
 
     def test_intertwining_detects_wrong_number_operator(self, rng):
         T = random_well_conditioned(rng, 6, kappa=10.0)

@@ -7,24 +7,26 @@ import pytest
 from rieszlab import linalg
 from rieszlab.errors import AmbiguousVacuumError, SingularOperatorError
 from rieszlab.family import BiorthogonalPair, SequenceFamily, build_analysis
-from rieszlab.ladder import build_ladder, shift_matrices
+from rieszlab.ladder import action_bound, build_ladder, shift_matrices
 from rieszlab.models import ModelSpec, instantiate_system
 from rieszlab.pseudoboson import (
-    COMMUTATOR_TOLERANCE,
-    VACUUM_TOLERANCE,
     PseudoBosonSystem,
     commutator_defect,
     falling_factorial_identity,
     generate_families,
     ground_states,
-    growth_proxy,
     number_eigen_check,
-    pb_tolerance,
+    pairing_check,
     restriction_containment,
     span_invariance,
 )
 
 from conftest import border_orthogonal_operator, random_complex
+
+
+def commutator_bound(sys):
+    return linalg.error_bound(sys.dim, linalg.norm_estimate(sys.a) * linalg.norm_estimate(sys.b),
+                              k=2)
 
 
 def ccr_system(dim, window=None):
@@ -41,7 +43,7 @@ def similarity_system(dim, scale, window=None):
 
 class TestGroundStates:
     def test_ccr_vacua_are_e0(self):
-        phi0, psi0 = ground_states(*shift_matrices(6)[:2])
+        phi0, psi0, _ = ground_states(*shift_matrices(6)[:2])
         e0 = linalg.basis_vector(0, 6)
         assert np.allclose(phi0, e0, atol=1e-14)
         assert np.allclose(psi0, e0, atol=1e-14)
@@ -65,7 +67,7 @@ class TestGroundStates:
         s_minus, s_plus, _ = shift_matrices(n)
         a, b = (T, s_plus) if side == "a" else (s_minus, linalg.adjoint(T))
         if expected == 1:
-            phi0, psi0 = ground_states(a, b)
+            phi0, psi0, _ = ground_states(a, b)
             assert np.array_equal(phi0 if side == "a" else psi0, linalg.basis_vector(0, n))
             return
         with pytest.raises(AmbiguousVacuumError, match=f"of {re.escape(side)}") as err:
@@ -75,7 +77,8 @@ class TestGroundStates:
     @pytest.mark.parametrize("n", [6, 64, 256])
     def test_shift_vacua_lie_under_the_rank_cut(self, n):
         a, b, _ = shift_matrices(n)
-        phi0, psi0 = ground_states(a, b)
+        phi0, psi0, kappa_vac = ground_states(a, b)
+        assert kappa_vac == pytest.approx(math.sqrt(n - 1))  # sigma_1 / sigma_(N-1) of S_-
         for T, v in ((a, phi0), (linalg.adjoint(b), psi0)):
             assert np.linalg.norm(T @ v) <= n * linalg.EPS * np.linalg.norm(T, 2)
 
@@ -83,7 +86,7 @@ class TestGroundStates:
         # oracle: equal columns 2 and 4 put e_2 - e_4 in the kernel
         T = random_complex(rng, 6, 6)
         T[:, 2] = T[:, 4]
-        phi0, _ = ground_states(T, shift_matrices(6)[1])
+        phi0, _, _ = ground_states(T, shift_matrices(6)[1])
         assert np.linalg.norm(T @ phi0) <= 6 * linalg.EPS * np.linalg.norm(T, 2)
         kernel = (linalg.basis_vector(2, 6) - linalg.basis_vector(4, 6)) / math.sqrt(2)
         assert abs(linalg.inner(phi0, kernel)) == pytest.approx(1.0, abs=1e-12)
@@ -92,7 +95,7 @@ class TestGroundStates:
     def test_vacuum_does_not_depend_on_the_scale_of_the_operator(self, scale):
         a, b, _ = shift_matrices(8)
         e0 = linalg.basis_vector(0, 8)
-        for v in ground_states(scale * a, scale * b):
+        for v in ground_states(scale * a, scale * b)[:2]:
             assert np.array_equal(v, e0)
 
 
@@ -121,11 +124,12 @@ class TestBorderOrthogonalToTheKernel:
         for seed in range(8):
             T, x = border_orthogonal_operator(n, "left", seed, real=real)
             try:
-                phi0, _ = ground_states(T, shift_matrices(n)[1])
+                phi0, _, _ = ground_states(T, shift_matrices(n)[1])
             except SingularOperatorError:
                 continue
             spans_kernel = abs(linalg.inner(phi0, x)) == pytest.approx(1.0, abs=1e-12)
-            assert spans_kernel or np.linalg.norm(T @ phi0) > VACUUM_TOLERANCE
+            vacuum_bound = linalg.error_bound(n, linalg.norm_estimate(T))
+            assert spans_kernel or np.linalg.norm(T @ phi0) > vacuum_bound
 
 
 class TestSystemBuild:
@@ -172,19 +176,26 @@ class TestGenerateFamilies:
     def test_pairing_holds(self):
         sys = similarity_system(12, (np.arange(12) + 1.0))
         phi, psi = generate_families(sys, 10)
+        residual, bound = pairing_check(sys, phi, psi)
         gram = psi.coeffs.conj().T @ phi.coeffs
-        assert linalg.max_abs(gram - np.eye(10)) <= pb_tolerance(phi, psi)
+        assert linalg.max_abs(gram - np.eye(10)) <= bound
+        assert residual <= bound
 
     def test_count_validation(self):
         sys = ccr_system(6)
         with pytest.raises(ValueError):
             generate_families(sys, 7)
 
-    def test_growth_proxy_scales_tolerance(self):
+    def test_pairing_bound_of_an_entry_scales_with_its_columns(self):
+        # phi_n = 2^n e_n and psi_m = 2^-m e_m: the bound of entry (n, m) is
+        # (n + m + 1) N eps kappa_vac 2^(n - m), not the largest column norm.
         sys = similarity_system(10, 2.0 ** np.arange(10))
         phi, psi = generate_families(sys, 8)
-        assert growth_proxy(phi, psi) > 1.0
-        assert pb_tolerance(phi, psi) > 1e-9
+        cols = psi.coeffs.copy()
+        cols[0, 0] += 1e-12  # entry (0, 0) of the pairing, whose columns have norm 1
+        residual, bound = pairing_check(sys, phi, SequenceFamily(cols))
+        assert residual == pytest.approx(1e-12, rel=1e-3)
+        assert bound == pytest.approx(linalg.error_bound(10, kappa=sys.kappa_vac))
 
 
 class TestFallingFactorial:
@@ -261,19 +272,19 @@ class TestLadderAgreement:
         v = phi.coeffs[:, 0]
         for n in range(1, ls.window):
             v = ls.raising @ v / math.sqrt(n)
-            assert np.linalg.norm(v - phi.coeffs[:, n]) <= pb_tolerance(phi)
+            assert np.linalg.norm(v - phi.coeffs[:, n]) <= n * action_bound(ls, phi)
 
 
 class TestModelIntegration:
     def test_instantiate_system_ccr(self):
         sys = instantiate_system(ModelSpec("ccr", 8))
         assert sys.dim == 8
-        assert sys.commutator_defect() <= COMMUTATOR_TOLERANCE
+        assert sys.commutator_defect() <= commutator_bound(sys)
 
     def test_instantiate_system_similarity_window(self):
         sys = instantiate_system(ModelSpec("similarity", 32, rule="2^k"), window=24)
         assert sys.window == 24
-        assert sys.commutator_defect() <= COMMUTATOR_TOLERANCE
+        assert sys.commutator_defect() <= commutator_bound(sys)
 
 
 class TestConstructionGatesNoResidual:
@@ -286,11 +297,13 @@ class TestConstructionGatesNoResidual:
         phi, psi = generate_families(PseudoBosonSystem.build(s_minus, s_plus, window=4), 8)
         assert BiorthogonalPair(phi, psi).pairing_residual == pytest.approx(2.0)
 
-    def test_build_keeps_a_vacuum_above_the_residual_tolerance(self):
+    def test_build_keeps_a_vacuum_whose_residual_the_rank_cut_calls_zero(self):
         # a e_0 = 1e-7 e_0 lies under the rank cut N eps sigma_max(a), so the
-        # kernel is one-dimensional; its residual is a table line's to judge.
+        # kernel is one-dimensional; the vacuum line, under the same rule,
+        # passes its nonzero residual.
         s_minus, s_plus, _ = shift_matrices(8)
         a = 1e8 * s_minus
         a[0, 0] = 1e-7
         sys = PseudoBosonSystem.build(a, s_plus)
-        assert np.linalg.norm(sys.a @ sys.phi0) > VACUUM_TOLERANCE
+        residual = np.linalg.norm(sys.a @ sys.phi0)
+        assert 0.0 < residual <= linalg.error_bound(8, linalg.norm_estimate(a))

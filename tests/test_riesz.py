@@ -12,7 +12,7 @@ from rieszlab.family import (
 )
 from rieszlab.linalg import Factorization
 from rieszlab.models import paper_example_pair
-from rieszlab.riesz import dual_family, dual_pairing_tolerance
+from rieszlab.riesz import dual_family
 
 from conftest import random_complex, random_well_conditioned
 
@@ -44,8 +44,8 @@ class TestConstructingPair:
                 shared[0, 0] = 2.0
 
     def test_each_call_factors_once(self, rng, monkeypatch):
-        # Given T, dual_family and dual_pairing_tolerance factor it once each;
-        # given its Factorization, they factor nothing.
+        # Given T, dual_family factors it once; given its Factorization, it
+        # factors nothing.
         calls = []
         svd = np.linalg.svd
 
@@ -57,12 +57,9 @@ class TestConstructingPair:
         T = random_well_conditioned(rng, 6)
         dual_family(T)
         assert len(calls) == 1
-        dual_pairing_tolerance(T)
-        assert len(calls) == 2
         fac = Factorization(T)
         dual_family(fac)
-        dual_pairing_tolerance(fac)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestDualFamily:
@@ -79,7 +76,7 @@ class TestDualFamily:
         fac = Factorization(random_well_conditioned(rng, 8))
         pair = BiorthogonalPair(SequenceFamily(fac.T), dual_family(fac))
         assert pair.pairing_residual <= 1e-12
-        assert pair.pairing_residual <= dual_pairing_tolerance(fac)
+        assert pair.pairing_residual <= linalg.error_bound(8, kappa=fac.kappa ** 2)
 
     def test_paper_example_dual(self):
         # oracle: the inverse of the padded analysis operator has first row
