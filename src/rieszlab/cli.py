@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     ModelError,
     RieszLabError,
+    SingularOperatorError,
     TruncationShapeError,
 )
 from .family import (
@@ -242,6 +243,11 @@ class CheckTable:
         status = "PASS" if ok else "FAIL"
         self.lines.append(f"{status}  {name}: residual {residual:.3e} (tolerance {tolerance:.3e})")
 
+    def fail(self, name: str, reason: str) -> None:
+        """A FAIL line for a stage that raised instead of giving a residual."""
+        self.failed = True
+        self.lines.append(f"FAIL  {name}: {reason}")
+
     def info(self, text: str) -> None:
         self.lines.append(text)
 
@@ -258,18 +264,21 @@ def cmd_analyze(cfg: dict) -> int:
     table = CheckTable()
     table.add("pairing residual", pair.pairing_residual,
               pairing_bound(pair.phi, pair.psi, c_pair))
+    # Read now, so that the pair is freed after the left-inverse line; printed last.
+    d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
 
     # The one factorization of T: every check below reads from it.
     phi_full = SequenceFamily(pad_to_square(pair.phi).coeffs)
     fac = linalg.Factorization(build_analysis(phi_full))
-    sq = embed_pair(pair, fac)
     T = fac.T
-    K = build_coanalysis(sq.phi)
-    exact = linalg.error_bound(dim, sq.phi.max_norm)
-    table.add("coanalysis == adjoint(analysis)", linalg.max_abs(K - linalg.adjoint(T)), exact)
-    table.add("analysis action T e_k == phi_k", linalg.max_column_norm(T - sq.phi.coeffs), exact)
+    exact = linalg.error_bound(dim, phi_full.max_norm)
+    table.add("coanalysis == adjoint(analysis)",
+              linalg.max_abs(build_coanalysis(phi_full) - linalg.adjoint(T)), exact)
+    table.add("analysis action T e_k == phi_k", linalg.max_column_norm(T - phi_full.coeffs), exact)
+    sq = embed_pair(pair, fac)
     table.add("left-inverse identity", verify_left_inverse(sq),
               pairing_bound(sq.phi, sq.psi, c_pair))
+    del pair, sq
 
     dual = riesz.dual_family(fac)
     table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
@@ -278,19 +287,21 @@ def cmd_analyze(cfg: dict) -> int:
     ls_phi = ladder.build_ladder(fac, side="phi")
     table.add("ladder actions (phi side)",
               ladder.verify_ladder_actions(ls_phi, phi_full, window=dim - 2),
-              ladder.action_bound(ls_phi, sq.phi, c_ladder))
+              ladder.action_bound(ls_phi, phi_full, c_ladder))
+    # The metric line reads the phi-side number operator alone, so it is computed
+    # before the psi side is built.  ||G|| = 1 / sigma_min(T)^2 for G = adjoint(T^-1) T^-1.
+    number = ls_phi.number
+    del ls_phi
+    metric = (ladder.intertwining_residual(ladder.metric_operator(fac), number),
+              linalg.error_bound(dim, linalg.norm_estimate(number) / fac.sigma_min ** 2,
+                                 kappa=fac.kappa, c=c_ladder))
+    del number
     ls_psi = ladder.dual_ladder(fac, side="psi")
     table.add("ladder actions (psi side)",
               ladder.verify_ladder_actions(ls_psi, dual, window=dim - 2),
               ladder.action_bound(ls_psi, dual, c_ladder))
+    table.add("metric intertwining", *metric)
 
-    # ||G|| = 1 / sigma_min(T)^2 exactly for G = adjoint(T^-1) T^-1.
-    table.add("metric intertwining",
-              ladder.intertwining_residual(ladder.metric_operator(fac), ls_phi.number),
-              linalg.error_bound(dim, linalg.norm_estimate(ls_phi.number) / fac.sigma_min ** 2,
-                                 kappa=fac.kappa, c=c_ladder))
-
-    d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
     if d_psi > 0.5:
         table.info(f"WARNING  psi-side span is far from e_0 "
                    f"(distance {d_psi:.3f}): psi span likely non-dense")
@@ -371,13 +382,19 @@ def cmd_pseudoboson(cfg: dict) -> int:
         table.add(f"falling-factorial n={npow} m={mpow}", r, bounds[npow, mpow])
     table.add("number eigen-relations (m <= 3)", *linalg.worst_ratio(
         *pseudoboson.number_eigen_relations(system, (phi, psi), 3, c_pb)))
+    del psi, sq_psi  # the ladder lines read the phi side alone
 
-    ls_phi = ladder.build_ladder(build_analysis(sq_phi), side="phi")
-    tol_ladder = ladder.action_bound(ls_phi, sq_phi, c_pb)
-    table.add("restriction containment (phi side)",
-              pseudoboson.restriction_containment(system, ls_phi, phi, side="phi"), tol_ladder)
-    table.add("span invariance (phi side)",
-              pseudoboson.span_invariance(ls_phi, sq_phi), tol_ladder)
+    try:
+        ls_phi = ladder.build_ladder(build_analysis(sq_phi), side="phi")
+    except SingularOperatorError as exc:  # the lines above stand; the two below cannot be computed
+        table.fail("transported ladder (phi side)", str(exc))
+    else:
+        tol_ladder = ladder.action_bound(ls_phi, sq_phi, c_pb)
+        table.add("restriction containment (phi side)",
+                  pseudoboson.restriction_containment(system, ls_phi, phi, side="phi"),
+                  tol_ladder)
+        table.add("span invariance (phi side)",
+                  pseudoboson.span_invariance(ls_phi, sq_phi), tol_ladder)
 
     text = table.render(
         f"pseudoboson: dim {n}, window {system.window}, generated columns {count}"
@@ -391,8 +408,7 @@ def cmd_ladder(cfg: dict) -> int:
     side = cfg.get("side") or "phi"
     if side not in ("phi", "psi"):
         raise ValueError(f"side: must be phi or psi, got {side!r}")
-    pair = _load_pair_model(cfg, dim)
-    phi = pad_to_square(pair.phi)
+    phi = pad_to_square(_load_pair_model(cfg, dim).phi)  # psi is not read: free it now
     fac = linalg.Factorization(build_analysis(phi))
     if side == "phi":
         ls, fam = ladder.build_ladder(fac, side="phi"), phi

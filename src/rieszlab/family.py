@@ -113,10 +113,16 @@ def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
         )
 
 
+def _identity_defect(K: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """|K T - I| entrywise, the 1s subtracted in place from the square product K T."""
+    d = K @ T
+    d.flat[::d.shape[0] + 1] -= 1.0
+    return np.abs(d, out=d if d.dtype == np.float64 else None)
+
+
 def _gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
     """|(phi_n | psi_m) - delta_nm| over the family columns, indexed [m, n]."""
-    gram = psi.family_coeffs.conj().T @ phi.family_coeffs
-    return np.abs(gram - np.eye(gram.shape[0]))
+    return _identity_defect(psi.family_coeffs.conj().T, phi.family_coeffs)
 
 
 def pairing_bound(phi: SequenceFamily, psi: SequenceFamily, c: float = 1.0) -> float:
@@ -152,16 +158,16 @@ def _require_square(phi: SequenceFamily) -> None:
 def build_analysis(phi: SequenceFamily) -> np.ndarray:
     """Analysis operator sum_k phi_k (x) conj(e_k); maps e_k to phi_k.
 
-    Requires a square family; the matrix is a copy of its coefficient matrix.
+    Requires a square family; the matrix is its read-only coefficient array itself.
     """
     _require_square(phi)
-    return phi.coeffs.copy()
+    return phi.coeffs
 
 
 def build_coanalysis(phi: SequenceFamily) -> np.ndarray:
-    """Coanalysis operator sum_k e_k (x) conj(phi_k) == adjoint(build_analysis)."""
+    """Coanalysis operator sum_k e_k (x) conj(phi_k) == adjoint(build_analysis), C-ordered."""
     _require_square(phi)
-    return phi.coeffs.conj().T.copy()
+    return np.conjugate(phi.coeffs.T, order="C")
 
 
 def pad_to_square(fam: SequenceFamily) -> SequenceFamily:
@@ -205,27 +211,25 @@ def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization) -> Biorthogona
     """pair_to_square, given the Factorization of the padded analysis operator.
 
     The padding columns of psi are read from fac.dual, so a caller that needs
-    the factorization anyway (kappa, dual family, ladders) pays for it once.
-    A pair that is square already is returned unchanged.
+    the factorization anyway (kappa, dual family, ladders) pays for it once;
+    the padded phi is fac.T.  A pair that is square already is returned unchanged.
     """
     if pair.phi.is_square() and pair.psi.is_square():
         return pair
     k = pair.psi.index_offset
     psi_sq = SequenceFamily(np.hstack([fac.dual[:, :k], pair.psi.coeffs]),
                             index_offset=0, n_padding=k)
-    return BiorthogonalPair(phi=pad_to_square(pair.phi), psi=psi_sq)
+    return BiorthogonalPair(phi=SequenceFamily(fac.T, n_padding=k), psi=psi_sq)
 
 
 def verify_left_inverse(pair: BiorthogonalPair) -> float:
     """Residual of the left-inverse identity T_{e,psi} T_{phi,e} = I.
 
     Returns the max-norm of the defect at square truncation (the pair is
-    embedded first when its index set starts above 0).
+    embedded first when its index set starts above 0), from the stored phi columns.
     """
     sq = pair_to_square(pair)
-    K = build_coanalysis(sq.psi)
-    T = build_analysis(sq.phi)
-    return linalg.max_abs(K @ T - np.eye(sq.dim))
+    return float(_identity_defect(build_coanalysis(sq.psi), build_analysis(sq.phi)).max())
 
 
 def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:

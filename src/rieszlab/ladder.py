@@ -22,8 +22,8 @@ from . import linalg
 from .errors import DimensionMismatchError
 from .family import SequenceFamily
 
-def _shifted(M: np.ndarray):
-    """Yield M S_-, M S_+ and M N0 (shifts on M's columns) one at a time, as new arrays.
+def _shifted(M: np.ndarray, which: int) -> np.ndarray:
+    """M S_- (which = 0), M S_+ (1) or M N0 (2), a shift of M's columns, as a new array.
 
     Column k of M S_- is sqrt(k) M e_{k-1}, column k of M S_+ is
     sqrt(k+1) M e_{k+1}, and column k of M N0 is k M e_k.  M's rows span the
@@ -31,17 +31,11 @@ def _shifted(M: np.ndarray):
     """
     if M.shape[0] < 2:
         raise DimensionMismatchError("shift matrices need dimension >= 2")
-    ks = np.arange(M.shape[1], dtype=np.float64)
-    weights = np.sqrt(ks[1:])
+    ks = np.arange(1, M.shape[1], dtype=np.float64)
+    src, dst = ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (np.s_[1:], np.s_[1:]))[which]
     out = np.zeros_like(M)
-    out[:, 1:] = M[:, :-1] * weights
-    yield out
-    out = np.zeros_like(M)
-    out[:, :-1] = M[:, 1:] * weights
-    yield out
-    out = np.zeros_like(M)
-    out[:, 1:] = M[:, 1:] * ks[1:]
-    yield out
+    np.multiply(M[:, src], ks if which == 2 else np.sqrt(ks), out=out[:, dst])
+    return out
 
 
 def shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,7 +44,7 @@ def shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S_minus has sqrt(k+1) at (k, k+1), S_plus is its adjoint, and
     N0 = S_plus @ S_minus = diag(0, 1, ..., dim-1).
     """
-    return tuple(_shifted(np.eye(dim)))
+    return tuple(_shifted(np.eye(dim), which) for which in range(3))
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,8 @@ class LadderSet:
 
 
 def _transport(M: np.ndarray, M_inv: np.ndarray, side: str, kappa: float) -> LadderSet:
-    """(M S_- M^-1, M S_+ M^-1, M N0 M^-1), with M S_-, M S_+, M N0 from _shifted."""
-    lowering, raising, number = (shifted @ M_inv for shifted in _shifted(M))
+    """(M S_- M^-1, M S_+ M^-1, M N0 M^-1); each shifted M is freed after its product."""
+    lowering, raising, number = (_shifted(M, which) @ M_inv for which in range(3))
     return LadderSet(lowering=lowering, raising=raising, number=number,
                      side=side, window=M.shape[0] - 1, kappa=kappa)
 
@@ -105,7 +99,8 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
 
     They check A chi_n == sqrt(n) chi_{n-1} (0 for n = 0) and N chi_n == n chi_n
     for n < window, and B chi_n == sqrt(n+1) chi_{n+1} for n < window - 1 (the
-    raising action at the top checked index leaves the truncation).
+    raising action at the top checked index leaves the truncation).  Each defect
+    and its target are freed before the next pair is built.
     """
     if fam.dim != ls.dim:
         raise DimensionMismatchError("family and ladder set dimensions differ")
@@ -116,11 +111,12 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
     raise_limit = max(0, min(w - 1, m - 1))
 
     worst = 0.0
-    for op, target, limit in zip((ls.lowering, ls.raising, ls.number), _shifted(cols),
-                                 (lower_limit, raise_limit, lower_limit)):
+    for which, (op, limit) in enumerate(zip((ls.lowering, ls.raising, ls.number),
+                                            (lower_limit, raise_limit, lower_limit))):
         defect = op @ cols
-        defect -= target
+        defect -= _shifted(cols, which)
         worst = max(worst, linalg.max_column_norm(defect[:, :limit]))
+        del defect
     return worst
 
 
@@ -148,4 +144,5 @@ def intertwining_residual(G, number_op) -> float:
     """Max-norm defect of G N - adjoint(N) G."""
     G = linalg.as_operator(G)
     N = linalg.as_operator(number_op)
-    return linalg.max_abs(G @ N - linalg.adjoint(N) @ G)
+    GN = G @ N
+    return linalg.max_abs(np.subtract(GN, linalg.adjoint(N) @ G, out=GN))

@@ -137,14 +137,15 @@ class Factorization:
 
     The singular values come from one values-only SVD; the rank gate
     sigma_min <= N * eps * sigma_max raises SingularOperatorError at
-    construction.  The inverse is one LU solve of T X = I, made on first use,
-    and the dual operator adjoint(T^-1) is derived from it.  Whatever needs
-    kappa, sigma_min, the inverse, the dual family, the metric or either
-    ladder side of T reads it from here instead of factoring T again.
+    construction.  The inverse is one LU solve of T X = I (I of T's dtype),
+    made on first use, and the dual operator adjoint(T^-1) is derived from it.
+    Whatever needs kappa, sigma_min, the inverse, the dual family, the metric
+    or either ladder side of T reads it from here instead of factoring T again.
 
     T, narrowed (see narrow), is kept by reference when it has that dtype
     already, and made read-only, so that it cannot change under the
-    factorization; factor a copy to keep a writable original.
+    factorization; factor a copy to keep a writable original.  A family's
+    analysis operator is its own coefficient array, so no copy of T is made.
     """
 
     T: np.ndarray
@@ -175,7 +176,7 @@ class Factorization:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        inv = np.linalg.solve(self.T, np.eye(self.dim))
+        inv = np.linalg.solve(self.T, np.eye(self.dim, dtype=self.T.dtype))
         inv.setflags(write=False)
         return inv
 

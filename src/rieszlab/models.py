@@ -137,8 +137,8 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
     elif spec.kind == "random_regular":
         u = random_unitary(n, np.random.default_rng(spec.seed))
         s = np.geomspace(1.0, spec.kappa_max, n)
-        # phi = u diag(s) with u unitary, so psi = adjoint(phi^-1) = u diag(1/s).
-        phi, psi = SequenceFamily(u * s), SequenceFamily(u / s)
+        # phi = u diag(s) with u unitary, so psi = adjoint(phi^-1) = u diag(1/s), made in u.
+        phi, psi = SequenceFamily(u * s), SequenceFamily(np.divide(u, s, out=u))
     elif spec.is_system:
         phi, psi = generate_families(instantiate_system(spec), count=n)
     else:

@@ -418,16 +418,16 @@ class TestPseudobosonTableIsTheOneGate:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS  generated pairing residual" in out
 
-    def _perturbed_pair(self, delta=1e-9, scale=0.3):
+    def _perturbed_pair(self, delta=1e-9, scale=0.3, n=N):
         # a = S S_- S^-1, b = S (S_+ + delta E) S^-1 with E's first row zeroed,
         # so both vacua survive and, for delta > 0, the pairing breaks inside
         # the window.
         from rieszlab.ladder import shift_matrices
 
-        s_minus, s_plus, _ = shift_matrices(self.N)
-        upper = np.triu(np.random.default_rng(3).standard_normal((self.N, self.N)), 1)
-        S = np.eye(self.N) + scale * upper
-        E = np.random.default_rng(11).standard_normal((self.N, self.N))
+        s_minus, s_plus, _ = shift_matrices(n)
+        upper = np.triu(np.random.default_rng(3).standard_normal((n, n)), 1)
+        S = np.eye(n) + scale * upper
+        E = np.random.default_rng(11).standard_normal((n, n))
         E[0, :] = 0.0
         S_inv = np.linalg.inv(S)
         return S @ s_minus @ S_inv, S @ (s_plus + delta * E) @ S_inv
@@ -476,6 +476,24 @@ class TestPseudobosonTableIsTheOneGate:
         assert "PASS  vacuum residual ||a phi_0||" in out
         assert "FAIL  generated pairing residual" in out
         assert "span invariance (phi side)" in out  # the last line: the table is whole
+
+    def test_singular_transported_ladder_keeps_the_table(self, tmp_path, capsys):
+        # At N = 128 the generated family of the perturbed pair is numerically
+        # singular, so the two ladder lines cannot be computed; the lines
+        # computed before them still print, and one FAIL line names the stage.
+        out_dir = tmp_path / "out"
+        assert self._run(tmp_path, *self._perturbed_pair(n=128), "--out", str(out_dir)) \
+            == EXIT_CHECK
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "pseudoboson: dim 128, window 24, generated columns 24"
+        assert "PASS  commutator defect on window 24" in captured.out
+        assert "FAIL  generated pairing residual" in captured.out
+        assert lines[-1].startswith("FAIL  transported ladder (phi side): "
+                                    "operator numerically singular (sigma_min=")
+        assert "restriction containment" not in captured.out
+        assert captured.err == ""
+        assert (out_dir / "pseudoboson.txt").read_text() == captured.out
 
     def test_tol_pb_governs_the_pairing_line(self, tmp_path, capsys):
         self._run(tmp_path, *self._perturbed_pair(), "--tol-pb", "1e6")

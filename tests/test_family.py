@@ -12,6 +12,7 @@ from rieszlab.errors import (
 from rieszlab.family import (
     BiorthogonalPair,
     SequenceFamily,
+    _gram_defect,
     build_analysis,
     build_coanalysis,
     check_pairing,
@@ -177,6 +178,51 @@ class TestVerifyLeftInverse:
         assert pair.phi.is_square() and pair.psi.is_square()
         gram = pair.psi.coeffs.conj().T @ pair.phi.coeffs
         assert linalg.max_abs(gram - np.eye(8)) <= 1e-13
+
+
+def _random_pair(seed, n, real):
+    """(phi, psi) with psi = adjoint(phi^-1): a real or complex biorthogonal pair."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, n)) if real else random_complex(rng, n, n)
+    return SequenceFamily(mat), SequenceFamily(np.linalg.inv(mat).conj().T)
+
+
+class TestNoCopy:
+    """The analysis operator is the family's array; defects subtract I in place."""
+
+    def test_build_analysis_returns_the_family_array(self, rng):
+        fam = random_family(rng, 6)
+        T = build_analysis(fam)
+        assert T is fam.coeffs
+        assert not T.flags.writeable
+
+    def test_factorization_keeps_the_family_array(self, rng):
+        fam = random_family(rng, 6)
+        assert linalg.Factorization(build_analysis(fam)).T is fam.coeffs
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n", [7, 64, 100])
+    def test_defects_equal_the_explicit_difference(self, real, n):
+        # Bit for bit: the 1s subtracted in place give the entries of
+        # K T - np.eye(N), for K the psi side's conjugate transpose.
+        phi, psi = _random_pair(n, n, real)
+        explicit = np.abs(psi.coeffs.conj().T @ phi.coeffs - np.eye(n))
+        assert np.array_equal(_gram_defect(phi, psi), explicit)
+        K = build_coanalysis(psi)
+        assert verify_left_inverse(BiorthogonalPair(phi, psi)) == \
+            linalg.max_abs(K @ build_analysis(phi) - np.eye(n))
+
+    def test_padded_left_inverse_equals_the_explicit_difference(self):
+        sq = pair_to_square(paper_example_pair(8))
+        explicit = build_coanalysis(sq.psi) @ sq.phi.coeffs - np.eye(8)
+        assert verify_left_inverse(sq) == linalg.max_abs(explicit)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_inverse_equals_a_solve_against_the_float_identity(self, real):
+        phi, _ = _random_pair(5, 64, real)
+        inv = linalg.Factorization(phi.coeffs).inverse
+        assert inv.dtype == phi.coeffs.dtype
+        assert np.array_equal(inv, np.linalg.solve(phi.coeffs, np.eye(64)))
 
 
 class TestDomainPartialSum:
