@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str, seed: bool, tols: tuple[str, ...]):
+    def command(name: str, help: str, seed: bool):
         """A subcommand with exactly the flags it reads: these, then its own."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="YAML config file; flags override its values")
@@ -62,26 +62,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory for reports and CSV")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="seed for random models")
-        for tol in tols:
-            p.add_argument(f"--tol-{tol}", type=float, default=None)
         return p
 
-    p = command("analyze", "single-truncation identity checks for a pair",
-                seed=True, tols=("pair", "ladder"))
+    p = command("analyze", "single-truncation identity checks for a pair", seed=True)
     p.add_argument("--dim", type=int, default=None)
 
-    p = command("sweep", "truncation sweep and classification verdict", seed=True, tols=())
+    p = command("sweep", "truncation sweep and classification verdict", seed=True)
     p.add_argument("--dims", default=None, help="comma-separated dimensions, e.g. 8,16,32,64")
     p.add_argument("--probe", action="append", default=None,
                    help="probe spec (repeatable): e_j, geom:r, random:seed")
 
-    p = command("pseudoboson", "(a, b) pipeline checks", seed=False, tols=("pb",))
+    p = command("pseudoboson", "(a, b) pipeline checks", seed=False)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--count", type=int, default=None, help="number of generated columns")
 
-    p = command("ladder", "build and export ladder operators",
-                seed=True, tols=("pair", "ladder"))
+    p = command("ladder", "build and export ladder operators", seed=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--side", default=None, help="phi or psi (default phi)")
 
@@ -97,11 +93,6 @@ def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
-def _is_tolerance(v) -> bool:
-    # YAML reads 1e-3 (no dot) as a string; float() takes it, as for the flag
-    return type(v) in (int, float) or _is_str(v)
-
-
 #: Per config key: the test its value must pass (the type its flag gives) and
 #: the name of that type for the error message.
 _CONFIG_TYPES = {
@@ -115,8 +106,6 @@ _CONFIG_TYPES = {
     "dims": (lambda v: _is_str(v) or isinstance(v, list) and all(map(_is_int, v)),
              "a string or a list of integers"),
     "probes": (lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
-    "tolerances": (lambda v: isinstance(v, dict) and all(map(_is_tolerance, v.values())),
-                   "a mapping of numbers"),
 }
 
 
@@ -131,14 +120,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """Config file values, overridden by any flags that were actually given.
 
     The command's flags are the one list of what it reads.  Each flag's config
-    key is its name, except that --probe is ``probes`` and --tol-NAME is
-    ``tolerances: {NAME: ...}``; a config key outside that list is refused.
+    key is its name, except that --probe is ``probes``; a config key outside
+    that list is refused.
     """
     flags: dict = {}
     for key, val in vars(args).items():
-        if key.startswith("tol_"):
-            flags.setdefault("tolerances", {})[key[4:]] = val
-        elif key not in ("command", "config"):
+        if key not in ("command", "config"):
             flags["probes" if key == "probe" else key] = val
     cfg: dict = {}
     if args.config:
@@ -159,21 +146,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for key in cfg:
             if key not in flags:
                 raise ValueError(f"config: {args.command} does not read {key}")
-        for name in cfg.get("tolerances") or {}:
-            if name not in flags["tolerances"]:
-                raise ValueError(f"config: {args.command} does not read tolerances.{name}")
     for key, val in flags.items():
-        if key == "tolerances":
-            given = {name: v for name, v in val.items() if v is not None}
-            cfg[key] = {**(cfg.get(key) or {}), **given}
-        elif val is not None:
+        if val is not None:
             cfg[key] = val
     return cfg
-
-
-def _c(cfg: dict, name: str) -> float:
-    """The constant c of linalg.error_bound for the lines --tol-NAME governs; 1 unless set."""
-    return float(cfg["tolerances"].get(name, 1.0))
 
 
 def _require(cfg: dict, key: str, default=None):
@@ -218,7 +194,7 @@ def _load_pair_model(cfg: dict, dim: int) -> BiorthogonalPair:
         raise ValueError(f"model: file families need dimension >= {models.MIN_DIM}")
     try:
         pad_to_square(phi)  # analyze and ladder embed phi in a square truncation
-        return check_pairing(phi, psi, _c(cfg, "pair"))
+        return check_pairing(phi, psi)
     except (DimensionMismatchError, TruncationShapeError) as exc:
         raise ValueError(f"model: {exc}") from exc
 
@@ -231,7 +207,7 @@ def _emit(cfg: dict, name: str, text: str) -> None:
 
 
 class CheckTable:
-    """Accumulates residual lines with their gating tolerances."""
+    """Accumulates residual lines with the bounds that gate them."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -259,11 +235,9 @@ def cmd_analyze(cfg: dict) -> int:
     dim = _dim(_require(cfg, "dim", 16))
     pair = _load_pair_model(cfg, dim)
     dim = pair.dim  # file models carry their own dimension
-    c_pair, c_ladder = _c(cfg, "pair"), _c(cfg, "ladder")
 
     table = CheckTable()
-    table.add("pairing residual", pair.pairing_residual,
-              pairing_bound(pair.phi, pair.psi, c_pair))
+    table.add("pairing residual", pair.pairing_residual, pairing_bound(pair.phi, pair.psi))
     # Read now, so that the pair is freed after the left-inverse line; printed last.
     d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
 
@@ -276,30 +250,29 @@ def cmd_analyze(cfg: dict) -> int:
               linalg.max_abs(build_coanalysis(phi_full) - linalg.adjoint(T)), exact)
     table.add("analysis action T e_k == phi_k", linalg.max_column_norm(T - phi_full.coeffs), exact)
     sq = embed_pair(pair, fac)
-    table.add("left-inverse identity", verify_left_inverse(sq),
-              pairing_bound(sq.phi, sq.psi, c_pair))
+    table.add("left-inverse identity", verify_left_inverse(sq), pairing_bound(sq.phi, sq.psi))
     del pair, sq
 
     dual = riesz.dual_family(fac)
     table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
-              linalg.error_bound(dim, kappa=fac.kappa ** 2, c=c_pair))
+              linalg.error_bound(dim, kappa=fac.kappa ** 2))
 
     ls_phi = ladder.build_ladder(fac, side="phi")
     table.add("ladder actions (phi side)",
               ladder.verify_ladder_actions(ls_phi, phi_full, window=dim - 2),
-              ladder.action_bound(ls_phi, phi_full, c_ladder))
+              ladder.action_bound(ls_phi, phi_full))
     # The metric line reads the phi-side number operator alone, so it is computed
     # before the psi side is built.  ||G|| = 1 / sigma_min(T)^2 for G = adjoint(T^-1) T^-1.
     number = ls_phi.number
     del ls_phi
     metric = (ladder.intertwining_residual(ladder.metric_operator(fac), number),
               linalg.error_bound(dim, linalg.norm_estimate(number) / fac.sigma_min ** 2,
-                                 kappa=fac.kappa, c=c_ladder))
+                                 kappa=fac.kappa))
     del number
     ls_psi = ladder.dual_ladder(fac, side="psi")
     table.add("ladder actions (psi side)",
               ladder.verify_ladder_actions(ls_psi, dual, window=dim - 2),
-              ladder.action_bound(ls_psi, dual, c_ladder))
+              ladder.action_bound(ls_psi, dual))
     table.add("metric intertwining", *metric)
 
     if d_psi > 0.5:
@@ -356,7 +329,6 @@ def cmd_pseudoboson(cfg: dict) -> int:
     count = int(count) if count is not None else min(system.window, n - 1)
     if not 1 <= count <= n:
         raise ValueError(f"count: must lie in 1..{n}, got {count}")
-    c_pb = _c(cfg, "pb")
     norm_a, norm_b = linalg.norm_estimate(system.a), linalg.norm_estimate(system.b)
 
     table = CheckTable()
@@ -374,14 +346,14 @@ def cmd_pseudoboson(cfg: dict) -> int:
     sq_phi, sq_psi = pseudoboson.generate_families(system, n)
     phi = SequenceFamily(sq_phi.coeffs[:, :count])
     psi = SequenceFamily(sq_psi.coeffs[:, :count])
-    table.add("generated pairing residual", *pseudoboson.pairing_check(system, phi, psi, c_pb))
+    table.add("generated pairing residual", *pseudoboson.pairing_check(system, phi, psi))
 
     nmax = min(6, count - 1, system.window // 2)
-    residuals, bounds = pseudoboson.falling_factorial_checks(system, nmax, c_pb)
+    residuals, bounds = pseudoboson.falling_factorial_checks(system, nmax)
     for (npow, mpow), r in np.ndenumerate(residuals):
         table.add(f"falling-factorial n={npow} m={mpow}", r, bounds[npow, mpow])
     table.add("number eigen-relations (m <= 3)", *linalg.worst_ratio(
-        *pseudoboson.number_eigen_relations(system, (phi, psi), 3, c_pb)))
+        *pseudoboson.number_eigen_relations(system, (phi, psi), 3)))
     del psi, sq_psi  # the ladder lines read the phi side alone
 
     try:
@@ -389,7 +361,7 @@ def cmd_pseudoboson(cfg: dict) -> int:
     except SingularOperatorError as exc:  # the lines above stand; the two below cannot be computed
         table.fail("transported ladder (phi side)", str(exc))
     else:
-        tol_ladder = ladder.action_bound(ls_phi, sq_phi, c_pb)
+        tol_ladder = ladder.action_bound(ls_phi, sq_phi)
         table.add("restriction containment (phi side)",
                   pseudoboson.restriction_containment(system, ls_phi, phi, side="phi"),
                   tol_ladder)
@@ -415,7 +387,7 @@ def cmd_ladder(cfg: dict) -> int:
     else:
         ls, fam = ladder.dual_ladder(fac, side="psi"), riesz.dual_family(fac)
     out = cfg.get("out") or "."
-    written = io.save_ladder(ls, out, tolerance=ladder.action_bound(ls, fam, _c(cfg, "ladder")))
+    written = io.save_ladder(ls, out, tolerance=ladder.action_bound(ls, fam))
     for p in written:
         sys.stdout.write(f"wrote {p}\n")
     return EXIT_OK

@@ -125,22 +125,22 @@ def _gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
     return _identity_defect(psi.family_coeffs.conj().T, phi.family_coeffs)
 
 
-def pairing_bound(phi: SequenceFamily, psi: SequenceFamily, c: float = 1.0) -> float:
+def pairing_bound(phi: SequenceFamily, psi: SequenceFamily) -> float:
     """Bound of the N-term inner products (phi_n | psi_m) of two families.
 
     linalg.error_bound with scale max ||phi_n|| max ||psi_m|| over the stored columns.
     """
-    return linalg.error_bound(phi.dim, phi.max_norm * psi.max_norm, c=c)
+    return linalg.error_bound(phi.dim, phi.max_norm * psi.max_norm)
 
 
-def check_pairing(phi: SequenceFamily, psi: SequenceFamily, c: float = 1.0) -> BiorthogonalPair:
-    """Verify (phi_n | psi_m) = delta_nm over the family columns, within c times pairing_bound.
+def check_pairing(phi: SequenceFamily, psi: SequenceFamily) -> BiorthogonalPair:
+    """Verify (phi_n | psi_m) = delta_nm over the family columns, within pairing_bound.
 
     Gates on the pair's pairing_residual; only a failing pair rebuilds the
     defect matrix, to raise NotBiorthogonalError carrying the worst (n, m).
     """
     pair = BiorthogonalPair(phi=phi, psi=psi)
-    tolerance = pairing_bound(phi, psi, c)
+    tolerance = pairing_bound(phi, psi)
     if pair.pairing_residual > tolerance:
         defect = _gram_defect(phi, psi)
         m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)

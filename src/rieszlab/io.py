@@ -170,7 +170,7 @@ def _data_lines(handle: BinaryIO) -> Iterator[bytes]:
     return (ln.rstrip(b"\r\n") for ln in handle if not ln.isspace())
 
 
-def _read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
+def load_matrix(path: str | os.PathLike) -> np.ndarray:
     """The matrix of a CSV file, read line by line into one float64 array.
 
     A first binary pass counts the rows, so that a matrix above the dense
@@ -226,7 +226,7 @@ def save_family(fam: SequenceFamily, path: str | os.PathLike) -> None:
 
 def load_family(path: str | os.PathLike) -> SequenceFamily:
     path = Path(path)
-    mat = _read_matrix_csv(path)
+    mat = load_matrix(path)
     index_offset = 0
     n_padding = 0
     sidecar = _sidecar(path)
@@ -254,10 +254,6 @@ def load_family(path: str | os.PathLike) -> SequenceFamily:
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:
     with _atomic_open(path) as handle:
         _write_matrix_csv(handle, np.asarray(mat))
-
-
-def load_matrix(path: str | os.PathLike) -> np.ndarray:
-    return _read_matrix_csv(path)
 
 
 def save_ladder(ls: LadderSet, out_dir: str | os.PathLike, tolerance: float) -> list[Path]:

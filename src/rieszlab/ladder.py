@@ -120,14 +120,14 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
     return worst
 
 
-def action_bound(ls: LadderSet, fam: SequenceFamily, c: float = 1.0) -> float:
+def action_bound(ls: LadderSet, fam: SequenceFamily) -> float:
     """Bound of a defect between ls applied to the columns of fam and its target.
 
     linalg.error_bound with kappa(T)^2 (an inversion and two conjugations) and
     scale sqrt(N) max ||chi_n|| (the shifts have norm at most sqrt(N)).
     """
     scale = math.sqrt(ls.dim) * fam.max_norm
-    return linalg.error_bound(ls.dim, scale, kappa=ls.kappa ** 2, c=c)
+    return linalg.error_bound(ls.dim, scale, kappa=ls.kappa ** 2)
 
 
 def metric_operator(T) -> np.ndarray:

@@ -87,15 +87,15 @@ def singular_values(T) -> np.ndarray:
     return np.linalg.svd(as_operator(T), compute_uv=False)
 
 
-def error_bound(n: int, scale=1.0, k=1.0, kappa=1.0, c: float = 1.0):
-    """The one tolerance rule c * k * n * eps * kappa * scale: a forward-error bound (Higham ch. 3).
+def error_bound(n: int, scale=1.0, k=1.0, kappa=1.0):
+    """The one tolerance rule k * n * eps * kappa * scale: a forward-error bound (Higham ch. 3).
 
     n is the length of the sums, k the number of operator applications between
     the stored inputs and the residual, kappa the conditioning the inputs
     inherit and scale the product of the norms of the operands the residual
-    combined; c is 1 unless a --tol-* flag sets it.  Arrays give one bound per entry.
+    combined.  Arrays give one bound per entry.
     """
-    return c * n * EPS * kappa * k * scale  # the scalars first: two passes over arrays
+    return n * EPS * kappa * k * scale  # the scalars first: two passes over arrays
 
 
 def rank_tolerance(values) -> float:

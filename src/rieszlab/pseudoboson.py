@@ -131,10 +131,8 @@ def ground_states(a, b) -> tuple[np.ndarray, np.ndarray, float]:
 
 @dataclass(frozen=True)
 class PseudoBosonSystem:
-    """Operator pair (a, b) with its vacua and number operators.
+    """Operator pair (a, b) with its vacua.
 
-    number_op = b a (forced by N phi_n = n phi_n together with the ladder
-    actions) and number_dag = adjoint(number_op) = adjoint(a) adjoint(b);
     kappa_vac is the conditioning the vacua inherit (see ground_states).
     """
 
@@ -142,8 +140,6 @@ class PseudoBosonSystem:
     b: np.ndarray
     phi0: np.ndarray
     psi0: np.ndarray
-    number_op: np.ndarray
-    number_dag: np.ndarray
     window: int
     kappa_vac: float
 
@@ -159,11 +155,8 @@ class PseudoBosonSystem:
         if not 0 < w < n:
             raise ValueError(f"window must lie in 1..{n - 1}, got {w}")
         phi0, psi0, kappa_vac = ground_states(a, b)
-        number_op = b @ a
         return cls(
             a=a, b=b, phi0=phi0, psi0=psi0,
-            number_op=number_op,
-            number_dag=linalg.adjoint(number_op),
             window=w, kappa_vac=kappa_vac,
         )
 
@@ -204,8 +197,8 @@ def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamil
     return phi, psi
 
 
-def pairing_check(sys: PseudoBosonSystem, phi: SequenceFamily, psi: SequenceFamily,
-                  c: float = 1.0) -> tuple[float, float]:
+def pairing_check(sys: PseudoBosonSystem, phi: SequenceFamily,
+                  psi: SequenceFamily) -> tuple[float, float]:
     """Worst-ratio entry of |(phi_n | psi_m) - delta_nm| against its bound, as (residual, bound).
 
     The bound of entry (n, m) is linalg.error_bound with k = n + m + 1
@@ -213,7 +206,7 @@ def pairing_check(sys: PseudoBosonSystem, phi: SequenceFamily, psi: SequenceFami
     """
     ks = np.arange(phi.size)
     scale = np.outer(linalg.column_norms(psi.coeffs), linalg.column_norms(phi.coeffs))
-    bound = linalg.error_bound(sys.dim, scale, k=ks[:, None] + ks + 1, kappa=sys.kappa_vac, c=c)
+    bound = linalg.error_bound(sys.dim, scale, k=ks[:, None] + ks + 1, kappa=sys.kappa_vac)
     return linalg.worst_ratio(family._gram_defect(phi, psi), bound)
 
 
@@ -228,8 +221,7 @@ def falling_factorial_identity(sys: PseudoBosonSystem, n: int, m: int) -> float:
     return float(falling_factorial_checks(sys, max(n, m))[0][n, m])
 
 
-def falling_factorial_checks(sys: PseudoBosonSystem, nmax: int,
-                             c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def falling_factorial_checks(sys: PseudoBosonSystem, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """falling_factorial_identity(sys, n, m) for n, m <= nmax, indexed [n, m], and its bounds.
 
     The bound is linalg.error_bound with k = n + m + 1 and the componentwise
@@ -257,23 +249,26 @@ def falling_factorial_checks(sys: PseudoBosonSystem, nmax: int,
     bn_norms = np.array([np.linalg.norm(p) for p in powers])[:, None]
     ks = np.arange(nmax + 1)
     return resid / bn_norms, linalg.error_bound(sys.dim, scale / bn_norms,
-                                                k=ks[:, None] + ks + 1, c=c)
+                                                k=ks[:, None] + ks + 1)
 
 
 def number_eigen_relations(sys: PseudoBosonSystem,
                            fams: tuple[SequenceFamily, SequenceFamily],
-                           mmax: int, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+                           mmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Relative residuals of N^m phi_n == n^m phi_n and of the dual relation, with their bounds.
 
+    N = b a, forced by N phi_n = n phi_n together with the ladder actions; the
+    dual relation reads adjoint(N).  Both are formed here and freed on return.
     Column n of N^m chi - chi diag(k)^m, over n < window, is divided by
     ||n^m chi_n||, except column 0 (eigenvalue 0), which stays absolute.  Its
     bound is linalg.error_bound with k = n + m + 1, kappa_vac and scale
     (||N||^m + n^m) ||chi_n||, divided alike.
     """
     phi, psi = fams
-    op_norm = linalg.norm_estimate(sys.number_op)  # adjoint(N) has the same estimate
+    number = sys.b @ sys.a
+    op_norm = linalg.norm_estimate(number)  # adjoint(N) has the same estimate
     resids, bounds = [], []
-    for op, fam in ((sys.number_op, phi), (sys.number_dag, psi)):
+    for op, fam in ((number, phi), (linalg.adjoint(number), psi)):
         limit = min(sys.window, fam.size)
         cols = fam.coeffs[:, :limit]
         col_norms = np.linalg.norm(cols, axis=0)
@@ -285,7 +280,7 @@ def number_eigen_relations(sys: PseudoBosonSystem,
             denom = np.where(ks > 0, scale * col_norms, 1.0)
             resids.append(np.linalg.norm(current - cols * scale, axis=0) / denom)
             bounds.append(linalg.error_bound(sys.dim, (op_norm ** m + scale) * col_norms / denom,
-                                             k=ks + m + 1, kappa=sys.kappa_vac, c=c))
+                                             k=ks + m + 1, kappa=sys.kappa_vac))
     return np.concatenate(resids), np.concatenate(bounds)
 
 

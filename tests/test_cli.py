@@ -278,19 +278,20 @@ def test_singular_operator_message_states_its_cut():
 #: The flags each command reads, with a value each takes; a command accepts no other.
 FLAGS = {
     "analyze": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
-                "--dim": "8", "--tol-pair": "1e-10", "--tol-ladder": "1e-12"},
+                "--dim": "8"},
     "sweep": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
               "--dims": "8,16", "--probe": "e_0"},
     "pseudoboson": {"--config": "run.yaml", "--model": "ccr", "--out": "out", "--dim": "8",
-                    "--window": "4", "--count": "4", "--tol-pb": "1e-9"},
+                    "--window": "4", "--count": "4"},
     "ladder": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
-               "--dim": "8", "--side": "psi", "--tol-pair": "1e-10", "--tol-ladder": "1e-12"},
+               "--dim": "8", "--side": "psi"},
 }
 
-#: The flags a command once accepted and never read.
-UNREAD_FLAGS = [("analyze", "--tol-pb"), ("ladder", "--tol-pb"), ("sweep", "--tol-pair"),
-                ("sweep", "--tol-ladder"), ("sweep", "--tol-pb"), ("pseudoboson", "--seed"),
-                ("pseudoboson", "--tol-pair"), ("pseudoboson", "--tol-ladder")]
+#: Flags a command once accepted: never read, or (--tol-*) setting the constant
+#: of the tolerance rule, which is 1.
+UNREAD_FLAGS = [("pseudoboson", "--seed"),
+                *((command, f"--tol-{name}") for command in FLAGS
+                  for name in ("pair", "ladder", "pb"))]
 
 
 class TestUsageErrors:
@@ -317,7 +318,7 @@ class TestUsageErrors:
         for command, flags in FLAGS.items():
             args = parser.parse_args([command])
             assert set(vars(args)) - {"command"} == {f[2:].replace("-", "_") for f in flags}
-        assert sum(map(len, FLAGS.values())) == 28
+        assert sum(map(len, FLAGS.values())) == 23
 
     def test_help_exits_ok(self, capsys):
         assert main(["analyze", "--help"]) == EXIT_OK
@@ -330,22 +331,13 @@ class TestLadderTolerance:
     def _meta(self, out):
         return json.loads((out / "ladder.meta.json").read_text())
 
-    def test_flag_and_config_set_the_constant(self, tmp_path, capsys):
-        assert main([*self.ARGV, "--out", str(tmp_path / "d")]) == EXIT_OK
-        default = self._meta(tmp_path / "d")
-        assert main([*self.ARGV, "--tol-ladder", "1e-3", "--out", str(tmp_path / "f")]) == EXIT_OK
-        flagged = self._meta(tmp_path / "f")
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml.safe_dump({"tolerances": {"ladder": 1e-3}}))
-        assert main([*self.ARGV, "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_OK
-        configured = self._meta(tmp_path / "c")
+    def test_recorded_tolerance_is_the_rule(self, tmp_path, capsys):
+        assert main([*self.ARGV, "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
+        meta = self._meta(tmp_path)
         # The phi side of random_regular:50 has columns of norm up to 50.
-        kappa = default["kappa"]
-        rule = linalg.error_bound(16, 4.0 * 50.0, kappa=kappa ** 2)
-        assert default["ladder_tolerance"] == pytest.approx(rule, rel=1e-12)
-        assert flagged["ladder_tolerance"] == pytest.approx(1e-3 * rule, rel=1e-12)
-        assert configured["ladder_tolerance"] == flagged["ladder_tolerance"]
+        rule = linalg.error_bound(16, 4.0 * 50.0, kappa=meta["kappa"] ** 2)
+        assert meta["ladder_tolerance"] == pytest.approx(rule, rel=1e-12)
 
 
 class TestMalformedFileModels:
@@ -495,6 +487,16 @@ class TestPseudobosonTableIsTheOneGate:
         assert captured.err == ""
         assert (out_dir / "pseudoboson.txt").read_text() == captured.out
 
-    def test_tol_pb_governs_the_pairing_line(self, tmp_path, capsys):
-        self._run(tmp_path, *self._perturbed_pair(), "--tol-pb", "1e6")
-        assert "PASS  generated pairing residual" in capsys.readouterr().out
+    def test_no_setting_passes_the_perturbed_pair(self, tmp_path, capsys):
+        # The constant of the tolerance rule is 1: neither a flag nor a config
+        # key can widen a bound until the perturbed pair passes.
+        pair = self._perturbed_pair()
+        assert self._run(tmp_path, *pair) == EXIT_CHECK
+        assert "FAIL  generated pairing residual" in capsys.readouterr().out
+        assert self._run(tmp_path, *pair, "--tol-pb", "1e6") == EXIT_INPUT
+        assert "usage:" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"tolerances": {"pb": 1.0e6}}))
+        assert self._run(tmp_path, *pair, "--config", str(cfg)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "input error: config: pseudoboson does not read tolerances\n"

@@ -27,18 +27,25 @@ def _argv(command: str, dim: int, out) -> list[str]:
                                   "--seed", "3", "--out", str(out)],
         "sweep paper_example": ["sweep", "--model", "paper_example",
                                 "--dims", f"{dim // 4},{dim}"],
+        "pseudoboson similarity": ["pseudoboson", "--model", "similarity:1.01^k",
+                                   "--dim", str(dim), "--window", str(dim * 25 // 32)],
+        "pseudoboson ccr": ["pseudoboson", "--model", "ccr", "--dim", str(dim)],
     }[command]
 
 
 #: Per command: the dtype of its N x N arrays and its bound in such arrays.
-#: Measured peaks (numpy 2.4, N = 256): 8.4, 8.5, 6.1 and 3.5 arrays.  Before
-#: build_analysis stopped copying T and each check freed its arrays, they were
-#: 16.3, 19.3, 9.3 and 5.2.
+#: Measured peaks (numpy 2.4, N = 256): 8.4, 8.5, 6.1, 3.5, 8.7 and 9.2 arrays.
+#: Before build_analysis stopped copying T and each check freed its arrays, the
+#: first four were 16.3, 19.3, 9.3 and 5.2; before the pseudo-boson system
+#: stopped keeping b a and its adjoint for the whole run, the last two were
+#: 10.7 and 11.1.
 BOUNDS = {
     "analyze random_regular": (np.complex128, 9.4),
     "analyze paper_example": (np.float64, 9.5),
     "ladder random_regular": (np.complex128, 7.1),
     "sweep paper_example": (np.float64, 4.5),
+    "pseudoboson similarity": (np.float64, 9.7),
+    "pseudoboson ccr": (np.float64, 10.2),
 }
 
 
