@@ -3,11 +3,12 @@
 Family format: header row re_0,im_0,re_1,im_1,..., one (re, im) column block
 per vector, one row per ambient coordinate; a real matrix is written with
 every im cell 0.  Values are written with 17 significant digits, which
-round-trips float64 bit-exactly.  Reading follows the dtype rule of
-linalg.narrow: a CSV whose im columns are all zero loads as float64, any other
-as complex128.  Shape metadata (N, M, index_offset, n_padding) lives in a JSON
-sidecar next to the CSV.  All writes go through a temp file and an atomic
-rename.
+round-trips float64 bit-exactly.  A read checks each line and hands the lines
+to numpy's C reader, which parses the cells into float64 with the bits float()
+gives.  Reading follows the dtype rule of linalg.narrow: a CSV whose im
+columns are all zero loads as float64, any other as complex128.  Shape
+metadata (N, M, index_offset, n_padding) lives in a JSON sidecar next to the
+CSV.  All writes go through a temp file and an atomic rename.
 
 Formatting a value to 17 digits takes about a microsecond of interpreter
 time, so a large matrix is cut into row blocks formatted at once: the first
@@ -58,8 +59,8 @@ for start in range(0, len(cells), width):
     write(row % tuple(cells[start:start + width].tolist()))
 """
 
-#: Bytes that float() skips but that no written cell holds: digit separators
-#: and ASCII whitespace.
+#: Bytes that no written cell holds but that a float parser may skip: digit
+#: separators and ASCII whitespace.
 _CELL_NOISE = tuple(bytes([c]) for c in b"_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f")
 
 
@@ -171,11 +172,15 @@ def _data_lines(handle: BinaryIO) -> Iterator[bytes]:
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
-    """The matrix of a CSV file, read line by line into one float64 array.
+    """The matrix of a CSV file, its checked lines parsed by numpy's C reader into float64.
 
     A first binary pass counts the rows, so that a matrix above the dense
     limit is refused before anything of its size is allocated, and no more
-    than one line of text is held at a time.
+    than one line of text is held at a time.  Each data line is checked as
+    numpy's reader takes it: ASCII only, no digit separator or whitespace,
+    and the header's number of commas.  The reader, with no comment and no
+    quote character, then refuses any cell that is not a decimal, inf or nan
+    literal, and gives the bits float() gives.
     """
     with open(path, "rb") as handle:
         n_lines = sum(1 for _ in _data_lines(handle))
@@ -191,18 +196,20 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
             raise ValueError("malformed family CSV header")
         if not n:
             raise ValueError("CSV has a header but no data rows")
-        # Row by row into one float64 array: a whole matrix of Python floats would
-        # take four times the memory of the array.
-        cells = np.empty((n, 2 * m))
-        for i, ln in enumerate(lines):
-            if i == n - 1:
-                ln = ln.rstrip()  # whitespace that ends the file
-            if not ln.isascii() or any(ch in ln for ch in _CELL_NOISE):
-                raise ValueError("CSV cells must not contain '_', whitespace or non-ASCII characters")
-            row = list(map(float, ln.split(b",")))
-            if len(row) != 2 * m:
-                raise ValueError("row width does not match header")
-            cells[i] = row
+
+        def checked_lines() -> Iterator[bytes]:
+            for i, ln in enumerate(lines):
+                if i == n - 1:
+                    ln = ln.rstrip()  # whitespace that ends the file
+                if not ln.isascii() or any(ch in ln for ch in _CELL_NOISE):
+                    raise ValueError("CSV cells must not contain '_', whitespace or non-ASCII "
+                                     "characters")
+                if ln.count(b",") != 2 * m - 1:
+                    raise ValueError("row width does not match header")
+                yield ln
+
+        cells = np.loadtxt(checked_lines(), delimiter=",", comments=None, dtype=np.float64,
+                           ndmin=2)
     if not np.all(np.isfinite(cells)):
         raise ValueError("CSV contains non-finite values")
     return narrow(cells.view(np.complex128))  # re_k, im_k interleaved per row, as written

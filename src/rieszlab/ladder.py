@@ -120,14 +120,16 @@ def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
     return worst
 
 
-def action_bound(ls: LadderSet, fam: SequenceFamily) -> float:
-    """Bound of a defect between ls applied to the columns of fam and its target.
+def action_bound(kappa: float, fam: SequenceFamily) -> float:
+    """Bound of the defect of a ladder transported by T, of condition kappa, acting on fam.
 
     linalg.error_bound with kappa(T)^2 (an inversion and two conjugations) and
-    scale sqrt(N) max ||chi_n|| (the shifts have norm at most sqrt(N)).
+    scale sqrt(N) max ||chi_n|| (the shifts have norm at most sqrt(N)).  It
+    reads kappa alone of T, so a check that needs no transported operator
+    takes it from a Factorization without building the ladder.
     """
-    scale = math.sqrt(ls.dim) * fam.max_norm
-    return linalg.error_bound(ls.dim, scale, kappa=ls.kappa ** 2)
+    scale = math.sqrt(fam.dim) * fam.max_norm
+    return linalg.error_bound(fam.dim, scale, kappa=kappa ** 2)
 
 
 def metric_operator(T) -> np.ndarray:

@@ -4,7 +4,11 @@ Given operators (a, b) with ab - ba = I away from the truncation edge, the
 families phi_n = b^n phi_0 / sqrt(n!) and psi_n = adjoint(a)^n psi_0 / sqrt(n!)
 are generated from the kernel vectors of a and adjoint(b) and checked for
 biorthogonality, number-operator eigenrelations, falling-factorial collapse,
-and agreement with the similarity-transported ladder operators.
+and agreement with the ladder transported by the phi family's analysis
+operator.  That ladder acts on its family exactly, so the agreement is
+checked in closed form, a phi_n against sqrt(n) phi_{n-1} and b phi_n against
+sqrt(n+1) phi_{n+1} (generated_ladder_defect): the generated family is
+neither inverted nor transported.
 
 The exact commutator cannot hold on all of a finite-dimensional space (the
 trace of ab - ba vanishes), so every check is quantified over a window of
@@ -26,7 +30,7 @@ from .errors import (
     SingularOperatorError,
 )
 from .family import SequenceFamily
-from .ladder import LadderSet
+from .ladder import LadderSet, _shifted
 
 
 def commutator_defect(a, b, window: int) -> float:
@@ -314,30 +318,26 @@ def restriction_containment(sys: PseudoBosonSystem, ls: LadderSet,
     return worst
 
 
-def span_invariance(ls: LadderSet, fam: SequenceFamily,
-                    window: int | None = None) -> float:
-    """Least-squares distance of A phi_n and B phi_n from the family span.
+def generated_ladder_defect(sys: PseudoBosonSystem, fam: SequenceFamily) -> float:
+    """Worst column norm of a phi_n - sqrt(n) phi_{n-1} and of b phi_n - sqrt(n+1) phi_{n+1}.
 
-    Finite-truncation surrogate of span invariance; the top raising column is
-    excluded (it leaves the truncation by construction).  A square family
-    spans the whole truncation (its reduced Q is unitary), so it gives exactly
-    0.0 without being factored.  The pseudoboson command passes its square
-    generated family, so its span invariance line is true by construction;
-    it is still to be restated so that it can fail, or deleted.  Any other
-    family is projected through its explicit Q, one GEMM pair per ladder
-    operator.
+    The closed form of restriction_containment on the phi side.  The ladder
+    transported by T = [phi_0 ... phi_(N-1)] acts on its own family exactly,
+    A phi_n = sqrt(n) phi_{n-1} and B phi_n = sqrt(n+1) phi_{n+1}, so
+    (a - A) phi_n and (b - B) phi_n differ from these defects only by the
+    rounding of the transport; T is neither inverted nor multiplied here, and
+    each operator costs one product with the columns.  Quantified over the
+    same windows: n < window, raising comparisons one column earlier.
+
+    The b half is true by construction: generate_families computes
+    phi_{n+1} = b phi_n / sqrt(n+1), so it measures only the rounding of that
+    product.  The a half is the statement about (a, b) that can fail.
     """
-    if fam.is_square():
-        return 0.0
-    w = ls.window if window is None else window
     cols = fam.coeffs
-    q, _ = np.linalg.qr(cols)
     worst = 0.0
-    low_limit = min(w, cols.shape[1])
-    high_limit = min(w, cols.shape[1] - 1)
-    for mat, limit in ((ls.lowering, low_limit), (ls.raising, high_limit)):
-        img = mat @ cols[:, :limit]
-        resid = img - q @ (q.conj().T @ img)
-        worst = max(worst, linalg.max_column_norm(resid))
+    for which, op in enumerate((sys.a, sys.b)):  # _shifted's 0 lowers, 1 raises
+        limit = min(sys.window, fam.size - which)
+        defect = op @ cols[:, :limit]
+        defect -= _shifted(cols, which)[:, :limit]
+        worst = max(worst, linalg.max_column_norm(defect))
     return worst
-

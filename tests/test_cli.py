@@ -410,6 +410,22 @@ class TestPseudobosonTableIsTheOneGate:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS  generated pairing residual" in out
 
+    def test_defect_of_a_on_its_family_fails_the_restriction_line(self, tmp_path, capsys):
+        # The ccr pair at N = 32 with a[3, 5] moved by 1e-6: a e_0 = 0 still, so
+        # phi_n = e_n and a phi_5 - sqrt(5) phi_4 = 1e-6 e_3.  The b half of the
+        # line is true by construction (phi_{n+1} is generated as
+        # b phi_n / sqrt(n+1)), so the a half is what the line can fail on.
+        from rieszlab.models import ModelSpec, instantiate_system
+
+        system = instantiate_system(ModelSpec("ccr", self.N))
+        a, b = np.array(system.a), system.b
+        assert self._run(tmp_path, a, b) == EXIT_OK
+        assert "PASS  restriction containment (phi side)" in capsys.readouterr().out
+        a[3, 5] += 1e-6
+        assert self._run(tmp_path, a, b) == EXIT_CHECK
+        out = capsys.readouterr().out
+        assert "FAIL  restriction containment (phi side): residual 1.000e-06" in out
+
     def _perturbed_pair(self, delta=1e-9, scale=0.3, n=N):
         # a = S S_- S^-1, b = S (S_+ + delta E) S^-1 with E's first row zeroed,
         # so both vacua survive and, for delta > 0, the pairing breaks inside

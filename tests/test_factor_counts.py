@@ -7,10 +7,11 @@ span distance when the psi family is not square; every other check reuses
 that factorization.  A sweep factors each family at most once per dimension:
 one QR per non-square side serves the span distance of every probe, and one
 values-only SVD of T gives op_norm and inv_norm.  A square family spans the
-whole truncation, so neither its span distances nor its span invariance
-factor it.  A pseudoboson run generates each family once, at full
-truncation, and finds each vacuum from one values-only SVD and one bordered
-solve.  No command computes singular vectors.
+whole truncation, so its span distances do not factor it.  A pseudoboson
+run generates each family once, at full truncation, finds each vacuum from
+one values-only SVD and one bordered solve, and takes kappa of the generated
+family from one more values-only SVD; it neither inverts that family nor
+transports a ladder through it.  No command computes singular vectors.
 """
 
 from collections import Counter
@@ -76,13 +77,14 @@ def test_ladder_needs_one_factorization_for_either_side(factor_counts, tmp_path,
 
 
 def test_pseudoboson_factors_each_operator_at_most_once(factor_counts, capsys):
-    # Three operators, one values-only SVD and one LU each: a and adjoint(b)
-    # (rank gate and bordered solve of the vacua) and the analysis operator of
-    # the generated family (for the transported ladder).  That family is square,
-    # so span invariance factors nothing.
+    # Three operators, one values-only SVD each: a and adjoint(b), each with
+    # the bordered solve of its vacuum, and the analysis operator of the
+    # generated family, whose kappa alone the restriction bound reads.  The
+    # restriction line is computed in closed form, so that family is not
+    # inverted (no third solve), and no ladder is transported through it.
     assert main(["pseudoboson", "--model", "ccr", "--dim", "16"]) == EXIT_OK
     capsys.readouterr()
-    assert factor_counts == Counter({"svd_values": 3, "solve": 3})
+    assert factor_counts == Counter({"svd_values": 3, "solve": 2})
 
 
 @pytest.mark.parametrize("probes", [["e_0"], ["e_0", "geom:0.5", "random:7"]])
@@ -115,7 +117,7 @@ def test_pseudoboson_generates_each_family_once(factor_counts, monkeypatch, caps
     monkeypatch.setattr(pseudoboson, "_generate", counted_generate)
     assert main(["pseudoboson", "--model", "similarity:1.1^k", "--dim", "32"]) == EXIT_OK
     capsys.readouterr()
-    assert factor_counts == Counter({"generate": 2, "svd_values": 3, "solve": 3})
+    assert factor_counts == Counter({"generate": 2, "svd_values": 3, "solve": 2})
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,11 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszlab.io
 from rieszlab.cli import EXIT_INPUT, main
@@ -23,6 +26,7 @@ from rieszlab.io import (
     save_matrix,
 )
 from rieszlab.ladder import build_ladder
+from rieszlab.linalg import narrow
 from rieszlab.models import paper_example_pair
 
 from conftest import random_complex
@@ -85,6 +89,26 @@ class TestMatrixRoundTrip:
         p.write_text("re_0,im_0\n1,2\n3\n")
         with pytest.raises(ValueError):
             load_matrix(p)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_FINITE, min_size=4, max_size=4),
+       st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+                        1.7976931348623157e308, -1.7976931348623157e308]))
+def test_any_finite_float_round_trips_bit_for_bit(values, edge):
+    # hypothesis draws -0.0, subnormals and +-max among its floats; the edge
+    # case puts one of them in every example
+    mat = np.array(values + [edge, 0.0]).reshape(2, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.csv"
+        save_matrix(mat, p)
+        assert load_matrix(p).tobytes() == mat.tobytes()
+        cplx = mat + 1j * mat[::-1]  # read back as float64 when every im is 0
+        save_matrix(cplx, p)
+        assert load_matrix(p).tobytes() == narrow(cplx).tobytes()
 
 
 class TestFamilyRoundTrip:
@@ -213,6 +237,32 @@ class TestMatrixReadChecks:
         p = tmp_path / "m.csv"
         p.write_text("re_0,im_0\n1,0 \n2,0\n")
         with pytest.raises(ValueError, match="must not contain"):
+            load_matrix(p)
+
+    @pytest.mark.parametrize("cell", [
+        "1.0#x", '"1.0"', "", "0x1p0", "1_0", " 1.0", "nan", "inf"])
+    def test_cell_that_is_not_a_written_float_is_refused(self, tmp_path, capsys, cell):
+        # numpy's reader would take a comment, skip blanks around a cell and
+        # parse nan and inf; each of these is refused, and the CLI exits 1.
+        # The cell ends its row, where a comment would leave the width intact.
+        for name, mat in (("a.csv", np.eye(4, k=1)), ("b.csv", np.eye(4, k=-1))):
+            save_matrix(mat, tmp_path / name)
+        path = tmp_path / "a.csv"
+        header, first, *rows = path.read_text().splitlines()
+        first = first.rpartition(",")[0] + "," + cell
+        path.write_text("\n".join([header, first, *rows]) + "\n")
+        with pytest.raises(ValueError):
+            load_matrix(path)
+        model = f"file:{path},{tmp_path / 'b.csv'}"
+        assert main(["pseudoboson", "--model", model]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_row_with_the_header_width_in_other_cells_is_refused(self, tmp_path):
+        # every row holds four cells where the header names two: equal widths,
+        # so only the comma count against the header tells
+        p = tmp_path / "m.csv"
+        p.write_text("re_0,im_0\n1,0,2,0\n3,0,4,0\n")
+        with pytest.raises(ValueError, match="row width"):
             load_matrix(p)
 
     def test_family_with_too_many_columns_is_value_error(self, tmp_path):

@@ -76,19 +76,19 @@ class TestBuildLadder:
         T = random_well_conditioned(rng, 10)
         ls = build_ladder(T)
         fam = SequenceFamily(T.copy())
-        assert verify_ladder_actions(ls, fam) <= action_bound(ls, fam)
+        assert verify_ladder_actions(ls, fam) <= action_bound(ls.kappa, fam)
 
     def test_paper_example_actions(self):
         n = 12
         T = pad_to_square(paper_example_pair(n).phi).coeffs
         ls = build_ladder(T)
         fam = SequenceFamily(T.copy())
-        assert verify_ladder_actions(ls, fam, window=n - 2) <= action_bound(ls, fam)
+        assert verify_ladder_actions(ls, fam, window=n - 2) <= action_bound(ls.kappa, fam)
 
     def test_number_is_raising_times_lowering(self, rng):
         T = random_well_conditioned(rng, 8)
         ls = build_ladder(T)
-        bound = action_bound(ls, SequenceFamily(T))
+        bound = action_bound(ls.kappa, SequenceFamily(T))
         assert linalg.max_abs(ls.raising @ ls.lowering - ls.number) <= bound
 
     def test_window_argument_gates_failures(self):
@@ -113,14 +113,14 @@ class TestDualLadder:
         T = random_well_conditioned(rng, 9)
         ls = dual_ladder(T)
         dual = SequenceFamily(linalg.adjoint(linalg.solve_inverse(T)))
-        assert verify_ladder_actions(ls, dual) <= action_bound(ls, dual)
+        assert verify_ladder_actions(ls, dual) <= action_bound(ls.kappa, dual)
 
     def test_dual_lowering_is_adjoint_of_raising(self, rng):
         # A_psi = (T^-1)* S_- T* = (T S_+ T^-1)* = adjoint(B_phi)
         T = random_well_conditioned(rng, 7)
         phi_ls = build_ladder(T)
         psi_ls = dual_ladder(T)
-        tol = action_bound(phi_ls, SequenceFamily(T))
+        tol = action_bound(phi_ls.kappa, SequenceFamily(T))
         assert linalg.max_abs(psi_ls.lowering - linalg.adjoint(phi_ls.raising)) <= tol
         assert linalg.max_abs(psi_ls.raising - linalg.adjoint(phi_ls.lowering)) <= tol
 

@@ -14,11 +14,11 @@ from rieszlab.pseudoboson import (
     commutator_defect,
     falling_factorial_identity,
     generate_families,
+    generated_ladder_defect,
     ground_states,
     number_eigen_check,
     pairing_check,
     restriction_containment,
-    span_invariance,
 )
 
 from conftest import border_orthogonal_operator, random_complex
@@ -262,10 +262,23 @@ class TestLadderAgreement:
         ls = dual_ladder(T, side="psi")
         assert restriction_containment(sys, ls, psi, side="psi") <= 1e-12
 
-    def test_span_invariance_square_family(self):
-        sys = similarity_system(12, 1.2 ** np.arange(12), window=10)
+    @pytest.mark.parametrize("delta", [0.0, 1e-6])
+    def test_closed_form_is_the_transported_restriction(self, delta):
+        # a = S_- + delta E with E's first column zero keeps the vacuum e_0, so
+        # phi_n = e_n and a phi_n - sqrt(n) phi_{n-1} = delta E e_n.  Comparing a
+        # with the transported A measures the same defect, up to the rounding of
+        # the transport.
+        n, window = 12, 10
+        s_minus, s_plus, _ = shift_matrices(n)
+        E = np.random.default_rng(5).standard_normal((n, n))
+        E[:, 0] = 0.0
+        sys = PseudoBosonSystem.build(s_minus + delta * E, s_plus, window=window)
         phi, ls = self._transported(sys)
-        assert span_invariance(ls, SequenceFamily(phi.coeffs)) <= 1e-10
+        closed = generated_ladder_defect(sys, phi)
+        assert closed == pytest.approx(delta * np.linalg.norm(E[:, :window], axis=0).max(),
+                                       rel=1e-12, abs=1e-15)
+        assert abs(closed - restriction_containment(sys, ls, phi, side="phi")) \
+            <= action_bound(ls.kappa, phi)
 
     def test_reconstruction(self):
         # the transported raising operator regenerates phi_n = B^n phi_0 / sqrt(n!)
@@ -274,7 +287,7 @@ class TestLadderAgreement:
         v = phi.coeffs[:, 0]
         for n in range(1, ls.window):
             v = ls.raising @ v / math.sqrt(n)
-            assert np.linalg.norm(v - phi.coeffs[:, n]) <= n * action_bound(ls, phi)
+            assert np.linalg.norm(v - phi.coeffs[:, n]) <= n * action_bound(ls.kappa, phi)
 
 
 class TestModelIntegration:
