@@ -366,7 +366,7 @@ def cmd_pseudoboson(cfg: dict) -> int:
     else:
         tol_ladder = ladder.action_bound(kappa, sq_phi)
         table.add("restriction containment (phi side)",
-                  pseudoboson.generated_ladder_defect(system, phi), tol_ladder)
+                  ladder.action_defect((system.a, system.b), phi, system.window), tol_ladder)
         # The family is square, so it spans the whole truncation: 0 by construction.
         table.add("span invariance (phi side)", 0.0, tol_ladder)
 

@@ -100,7 +100,7 @@ class BiorthogonalPair:
     @cached_property
     def pairing_residual(self) -> float:
         """max_{n,m} |(phi_n | psi_m) - delta_nm| over the family columns."""
-        defect = _gram_defect(self.phi, self.psi)
+        defect = gram_defect(self.phi, self.psi)
         return float(defect.max()) if defect.size else 0.0
 
 
@@ -120,7 +120,7 @@ def _identity_defect(K: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d if d.dtype == np.float64 else None)
 
 
-def _gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
+def gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
     """|(phi_n | psi_m) - delta_nm| over the family columns, indexed [m, n]."""
     return _identity_defect(psi.family_coeffs.conj().T, phi.family_coeffs)
 
@@ -142,7 +142,7 @@ def check_pairing(phi: SequenceFamily, psi: SequenceFamily) -> BiorthogonalPair:
     pair = BiorthogonalPair(phi=phi, psi=psi)
     tolerance = pairing_bound(phi, psi)
     if pair.pairing_residual > tolerance:
-        defect = _gram_defect(phi, psi)
+        defect = gram_defect(phi, psi)
         m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)
         raise NotBiorthogonalError(n=n, m=m, value=pair.pairing_residual, tolerance=tolerance)
     return pair
@@ -226,9 +226,13 @@ def verify_left_inverse(pair: BiorthogonalPair) -> float:
     """Residual of the left-inverse identity T_{e,psi} T_{phi,e} = I.
 
     Returns the max-norm of the defect at square truncation (the pair is
-    embedded first when its index set starts above 0), from the stored phi columns.
+    embedded first when its index set starts above 0), from the stored phi
+    columns.  Without padding columns K T is the pair's own Gram matrix, so the
+    cached pairing_residual is returned; a padded pair forms the full product.
     """
     sq = pair_to_square(pair)
+    if not (sq.phi.n_padding or sq.psi.n_padding):
+        return sq.pairing_residual
     return float(_identity_defect(build_coanalysis(sq.psi), build_analysis(sq.phi)).max())
 
 

@@ -93,31 +93,36 @@ def dual_ladder(T, side: str = "psi") -> LadderSet:
     return _transport(fac.dual, linalg.adjoint(fac.T), side, fac.kappa)
 
 
-def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
-                          window: int | None = None) -> float:
+def action_defect(ops, fam: SequenceFamily, window: int) -> float:
     """Largest column norm of the defects A chi - chi S_-, B chi - chi S_+ and N chi - chi N0.
 
-    They check A chi_n == sqrt(n) chi_{n-1} (0 for n = 0) and N chi_n == n chi_n
-    for n < window, and B chi_n == sqrt(n+1) chi_{n+1} for n < window - 1 (the
-    raising action at the top checked index leaves the truncation).  Each defect
-    and its target are freed before the next pair is built.
+    ops is (lowering, raising) or (lowering, raising, number).  They check
+    A chi_n == sqrt(n) chi_{n-1} (0 for n = 0) and N chi_n == n chi_n for
+    n < min(window, M), M the number of columns, and B chi_n == sqrt(n+1)
+    chi_{n+1} for one column fewer (the raising action at the top checked
+    index leaves the window).  Each product spans all M columns, so that a
+    column's rounding does not depend on the window; each defect and its
+    target are freed before the next pair is built.
     """
-    if fam.dim != ls.dim:
-        raise DimensionMismatchError("family and ladder set dimensions differ")
     cols = fam.coeffs
-    m = cols.shape[1]
-    w = ls.window if window is None else window
-    lower_limit = max(0, min(w, m))
-    raise_limit = max(0, min(w - 1, m - 1))
-
+    limit = max(0, min(window, cols.shape[1]))
     worst = 0.0
-    for which, (op, limit) in enumerate(zip((ls.lowering, ls.raising, ls.number),
-                                            (lower_limit, raise_limit, lower_limit))):
+    for which, op in enumerate(ops):  # _shifted's 0 lowers, 1 raises, 2 counts
+        n = max(0, limit - 1) if which == 1 else limit
         defect = op @ cols
         defect -= _shifted(cols, which)
-        worst = max(worst, linalg.max_column_norm(defect[:, :limit]))
+        worst = max(worst, linalg.max_column_norm(defect[:, :n]))
         del defect
     return worst
+
+
+def verify_ladder_actions(ls: LadderSet, fam: SequenceFamily,
+                          window: int | None = None) -> float:
+    """action_defect of the ladder triple on fam, over ls.window unless window is given."""
+    if fam.dim != ls.dim:
+        raise DimensionMismatchError("family and ladder set dimensions differ")
+    return action_defect((ls.lowering, ls.raising, ls.number), fam,
+                         ls.window if window is None else window)
 
 
 def action_bound(kappa: float, fam: SequenceFamily) -> float:

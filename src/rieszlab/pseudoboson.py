@@ -7,8 +7,8 @@ biorthogonality, number-operator eigenrelations, falling-factorial collapse,
 and agreement with the ladder transported by the phi family's analysis
 operator.  That ladder acts on its family exactly, so the agreement is
 checked in closed form, a phi_n against sqrt(n) phi_{n-1} and b phi_n against
-sqrt(n+1) phi_{n+1} (generated_ladder_defect): the generated family is
-neither inverted nor transported.
+sqrt(n+1) phi_{n+1}, by ladder.action_defect with (a, b) in place of the
+transported pair: the generated family is neither inverted nor transported.
 
 The exact commutator cannot hold on all of a finite-dimensional space (the
 trace of ab - ba vanishes), so every check is quantified over a window of
@@ -30,15 +30,18 @@ from .errors import (
     SingularOperatorError,
 )
 from .family import SequenceFamily
-from .ladder import LadderSet, _shifted
+from .ladder import LadderSet
 
 
 def commutator_defect(a, b, window: int) -> float:
-    """Max over columns j < window of ||(ab - ba - I) e_j||."""
+    """Max over columns j < window of ||(ab - ba - I) e_j||; only those columns are formed."""
     a = linalg.as_operator(a)
     b = linalg.as_operator(b)
-    defect = a @ b - b @ a - np.eye(a.shape[0])
-    return linalg.max_column_norm(defect[:, :window])
+    defect = a @ b[:, :window]
+    defect -= b @ a[:, :window]
+    diagonal = np.arange(window)
+    defect[diagonal, diagonal] -= 1.0
+    return linalg.max_column_norm(defect)
 
 
 def border_vector(dim: int, dtype) -> np.ndarray:
@@ -102,7 +105,17 @@ def _vacuum(T: np.ndarray, which: str) -> tuple[np.ndarray, float]:
             bound, cut, f"bordered vacuum system of {which} is singular (sigma_min <= {bound:.3e}"
                         f" <= cut (N+1)*eps*sigma_max={cut:.3e}): the border vector is "
                         f"orthogonal to the kernel of {which} or of its adjoint")
-    return _fix_phase(solution[:n]), smax / float(sigma[-2])
+    # The first block row reads T x = -t s u, and t = 0 whenever K is
+    # nonsingular.  When u misses the left kernel alone, the solve may not show
+    # K singular (sigma_min 0), but a t above the rounding does, x outside the kernel.
+    x, residual = solution[:n], t * smax
+    if residual > cut * float(np.linalg.norm(x)):
+        raise SingularOperatorError(
+            0.0, cut, f"bordered vacuum system of {which} is singular (||{which} x|| = "
+                      f"|t| sigma_max = {residual:.3e} > cut (N+1)*eps*sigma_max*||x||): the "
+                      f"border vector is orthogonal to the left kernel of {which}, the kernel "
+                      f"of its adjoint")
+    return _fix_phase(x), smax / float(sigma[-2])
 
 
 def ground_states(a, b) -> tuple[np.ndarray, np.ndarray, float]:
@@ -125,8 +138,8 @@ def ground_states(a, b) -> tuple[np.ndarray, np.ndarray, float]:
     ker(adjoint(T)), K is nonsingular exactly when (x0|u) != 0 and
     (u|y0) != 0; then t = 0 and x = x0 / (s (x0|u)).  SingularOperatorError
     is raised when the solve shows sigma_min(K) at or below the rank cut
-    (N + 1) * eps * sigma_max(T).  Residuals such as ||a phi_0|| are the
-    caller's to check.
+    (N + 1) * eps * sigma_max(T), or ||T x|| = |t| s above the cut times ||x||.
+    Residuals such as ||a phi_0|| are the caller's to check.
     """
     (phi0, kappa_a), (psi0, kappa_b) = (_vacuum(linalg.as_operator(a), "a"),
                                         _vacuum(linalg.adjoint(b), "adjoint(b)"))
@@ -211,7 +224,7 @@ def pairing_check(sys: PseudoBosonSystem, phi: SequenceFamily,
     ks = np.arange(phi.size)
     scale = np.outer(linalg.column_norms(psi.coeffs), linalg.column_norms(phi.coeffs))
     bound = linalg.error_bound(sys.dim, scale, k=ks[:, None] + ks + 1, kappa=sys.kappa_vac)
-    return linalg.worst_ratio(family._gram_defect(phi, psi), bound)
+    return linalg.worst_ratio(family.gram_defect(phi, psi), bound)
 
 
 def falling_factorial_identity(sys: PseudoBosonSystem, n: int, m: int) -> float:
@@ -262,7 +275,8 @@ def number_eigen_relations(sys: PseudoBosonSystem,
     """Relative residuals of N^m phi_n == n^m phi_n and of the dual relation, with their bounds.
 
     N = b a, forced by N phi_n = n phi_n together with the ladder actions; the
-    dual relation reads adjoint(N).  Both are formed here and freed on return.
+    dual relation reads adjoint(N) as N.conj().T, a view of N when N is real.
+    N is formed here and freed on return.
     Column n of N^m chi - chi diag(k)^m, over n < window, is divided by
     ||n^m chi_n||, except column 0 (eigenvalue 0), which stays absolute.  Its
     bound is linalg.error_bound with k = n + m + 1, kappa_vac and scale
@@ -272,7 +286,7 @@ def number_eigen_relations(sys: PseudoBosonSystem,
     number = sys.b @ sys.a
     op_norm = linalg.norm_estimate(number)  # adjoint(N) has the same estimate
     resids, bounds = [], []
-    for op, fam in ((number, phi), (linalg.adjoint(number), psi)):
+    for op, fam in ((number, phi), (number.conj().T, psi)):
         limit = min(sys.window, fam.size)
         cols = fam.coeffs[:, :limit]
         col_norms = np.linalg.norm(cols, axis=0)
@@ -300,13 +314,13 @@ def restriction_containment(sys: PseudoBosonSystem, ls: LadderSet,
     """Worst column defect between (a, b) and the transported ladder operators.
 
     phi side: ||(a - A) phi_n|| and ||(b - B) phi_n||.
-    psi side: ||(adjoint(a) - B) psi_n|| and ||(adjoint(b) - A) psi_n||.
+    psi side: ||(adjoint(b) - A) psi_n|| and ||(adjoint(a) - B) psi_n||.
     Quantified over n < window, raising comparisons stop one column earlier.
     """
     if side == "phi":
         pairs = ((sys.a, ls.lowering), (sys.b, ls.raising))
     elif side == "psi":
-        pairs = ((linalg.adjoint(sys.a), ls.raising), (linalg.adjoint(sys.b), ls.lowering))
+        pairs = ((linalg.adjoint(sys.b), ls.lowering), (linalg.adjoint(sys.a), ls.raising))
     else:
         raise ValueError(f"unknown side {side!r}")
     worst = 0.0
@@ -315,29 +329,4 @@ def restriction_containment(sys: PseudoBosonSystem, ls: LadderSet,
         limit = min(sys.window, fam.size - (1 if i == 1 else 0))
         diff = (op - transported) @ fam.coeffs[:, :limit]
         worst = max(worst, linalg.max_column_norm(diff))
-    return worst
-
-
-def generated_ladder_defect(sys: PseudoBosonSystem, fam: SequenceFamily) -> float:
-    """Worst column norm of a phi_n - sqrt(n) phi_{n-1} and of b phi_n - sqrt(n+1) phi_{n+1}.
-
-    The closed form of restriction_containment on the phi side.  The ladder
-    transported by T = [phi_0 ... phi_(N-1)] acts on its own family exactly,
-    A phi_n = sqrt(n) phi_{n-1} and B phi_n = sqrt(n+1) phi_{n+1}, so
-    (a - A) phi_n and (b - B) phi_n differ from these defects only by the
-    rounding of the transport; T is neither inverted nor multiplied here, and
-    each operator costs one product with the columns.  Quantified over the
-    same windows: n < window, raising comparisons one column earlier.
-
-    The b half is true by construction: generate_families computes
-    phi_{n+1} = b phi_n / sqrt(n+1), so it measures only the rounding of that
-    product.  The a half is the statement about (a, b) that can fail.
-    """
-    cols = fam.coeffs
-    worst = 0.0
-    for which, op in enumerate((sys.a, sys.b)):  # _shifted's 0 lowers, 1 raises
-        limit = min(sys.window, fam.size - which)
-        defect = op @ cols[:, :limit]
-        defect -= _shifted(cols, which)[:, :limit]
-        worst = max(worst, linalg.max_column_norm(defect))
     return worst

@@ -1,10 +1,15 @@
-"""No public function or class that nothing uses.
+"""No public function or class that nothing uses, and no private name used across modules.
 
 Every public top-level function or class of src/rieszlab must be named
 somewhere outside its own definition: in another statement of src/rieszlab
 (the package's __init__.py, which only re-exports, does not count) or in
 tests/test_acceptance.py.  A name that only the unit tests call is code that
 no command runs.
+
+A private name (one leading underscore) belongs to its module: no other
+module of src/rieszlab imports it or reads it as an attribute.  A helper that
+two modules need is public in one of them, so that it is not copied into the
+other.
 """
 
 import ast
@@ -54,3 +59,28 @@ def unreferenced() -> list[str]:
 def test_every_public_function_and_class_has_a_user():
     missing = unreferenced()
     assert not missing, "no command or acceptance test uses: " + ", ".join(missing)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses() -> list[str]:
+    """module: other.name for each private name a package module takes from another one."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    hits = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rieszlab")):
+                source = (node.module or "").rpartition(".")[2]
+                hits += [f"{path.stem}: {source or '.'}.{alias.name}"
+                         for alias in node.names if _is_private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules - {path.stem} and _is_private(node.attr)):
+                hits.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    return sorted(hits)
+
+
+def test_no_module_uses_another_modules_private_name():
+    hits = private_uses()
+    assert not hits, "private names used outside their module: " + ", ".join(hits)

@@ -143,13 +143,13 @@ def test_pseudoboson_computes_one_pairing_gram(monkeypatch, capsys, argv, count)
     from rieszlab import family
 
     sizes = []
-    gram_defect = family._gram_defect
+    gram_defect = family.gram_defect
 
     def counted_gram_defect(phi, psi):
         sizes.append(phi.size)
         return gram_defect(phi, psi)
 
-    monkeypatch.setattr(family, "_gram_defect", counted_gram_defect)
+    monkeypatch.setattr(family, "gram_defect", counted_gram_defect)
     assert main(["pseudoboson", *argv]) == EXIT_OK
     capsys.readouterr()
     assert sizes == [count]

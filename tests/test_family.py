@@ -12,7 +12,7 @@ from rieszlab.errors import (
 from rieszlab.family import (
     BiorthogonalPair,
     SequenceFamily,
-    _gram_defect,
+    gram_defect,
     build_analysis,
     build_coanalysis,
     check_pairing,
@@ -204,16 +204,19 @@ class TestNoCopy:
     @pytest.mark.parametrize("n", [7, 64, 100])
     def test_defects_equal_the_explicit_difference(self, real, n):
         # Bit for bit: the 1s subtracted in place give the entries of
-        # K T - np.eye(N), for K the psi side's conjugate transpose.
+        # K T - np.eye(N), for K the psi side's conjugate transpose.  An
+        # unpadded pair's left-inverse residual is its pairing residual.
         phi, psi = _random_pair(n, n, real)
         explicit = np.abs(psi.coeffs.conj().T @ phi.coeffs - np.eye(n))
-        assert np.array_equal(_gram_defect(phi, psi), explicit)
+        assert np.array_equal(gram_defect(phi, psi), explicit)
         K = build_coanalysis(psi)
-        assert verify_left_inverse(BiorthogonalPair(phi, psi)) == \
+        pair = BiorthogonalPair(phi, psi)
+        assert verify_left_inverse(pair) == pair.pairing_residual == \
             linalg.max_abs(K @ build_analysis(phi) - np.eye(n))
 
     def test_padded_left_inverse_equals_the_explicit_difference(self):
         sq = pair_to_square(paper_example_pair(8))
+        assert sq.phi.n_padding and sq.psi.n_padding
         explicit = build_coanalysis(sq.psi) @ sq.phi.coeffs - np.eye(8)
         assert verify_left_inverse(sq) == linalg.max_abs(explicit)
 

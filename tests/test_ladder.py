@@ -7,6 +7,7 @@ from rieszlab import linalg
 from rieszlab.family import SequenceFamily, pad_to_square
 from rieszlab.ladder import (
     action_bound,
+    action_defect,
     build_ladder,
     dual_ladder,
     intertwining_residual,
@@ -16,7 +17,7 @@ from rieszlab.ladder import (
 )
 from rieszlab.models import paper_example_pair
 
-from conftest import random_well_conditioned
+from conftest import random_complex, random_well_conditioned
 
 
 class TestShiftMatrices:
@@ -100,6 +101,28 @@ class TestBuildLadder:
         ls = build_ladder(np.eye(n))
         assert verify_ladder_actions(ls, fam, window=n - 1) > 1.0
         assert verify_ladder_actions(ls, fam, window=n - 2) <= 1e-14
+
+
+class TestActionDefect:
+    """The one kernel of ladder actions: a transported triple, or a pair (a, b)."""
+
+    @pytest.mark.parametrize("window", [9, 8, 3])
+    def test_triple_equals_verify_ladder_actions(self, rng, window):
+        T = random_well_conditioned(rng, 10)
+        ls = build_ladder(T)
+        fam = SequenceFamily(T + 1e-3 * random_complex(rng, 10, 10))
+        got = action_defect((ls.lowering, ls.raising, ls.number), fam, window)
+        assert got == verify_ladder_actions(ls, fam, window=window)
+        assert got > 1e-6
+
+    @pytest.mark.parametrize("column, caught", [(3, True), (4, False)])
+    def test_pair_reads_the_raising_columns_below_the_window(self, column, caught):
+        # On e_0 .. e_7 with window 5, b e_n is compared with sqrt(n+1) e_(n+1)
+        # for n < 4: a defect in column 3 of b is caught, one in column 4 is not.
+        a, b, _ = shift_matrices(8)
+        b[0, column] += 1e-3
+        got = action_defect((a, b), SequenceFamily.identity(8), 5)
+        assert got == (1e-3 if caught else 0.0)
 
 
 class TestDualLadder:

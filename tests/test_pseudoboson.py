@@ -7,14 +7,13 @@ import pytest
 from rieszlab import linalg
 from rieszlab.errors import AmbiguousVacuumError, SingularOperatorError
 from rieszlab.family import BiorthogonalPair, SequenceFamily, build_analysis
-from rieszlab.ladder import action_bound, build_ladder, shift_matrices
+from rieszlab.ladder import action_bound, action_defect, build_ladder, shift_matrices
 from rieszlab.models import ModelSpec, instantiate_system
 from rieszlab.pseudoboson import (
     PseudoBosonSystem,
     commutator_defect,
     falling_factorial_identity,
     generate_families,
-    generated_ladder_defect,
     ground_states,
     number_eigen_check,
     pairing_check,
@@ -119,17 +118,24 @@ class TestBorderOrthogonalToTheKernel:
 
     @pytest.mark.parametrize("n", [3, 8, 64])
     def test_border_orthogonal_to_the_left_kernel_gives_no_false_vacuum(self, n, real):
-        # One solve may not prove this system singular.  Then the vector it
-        # returns either spans the kernel or fails the vacuum residual line.
+        # The solve may not show this system singular; its t then does, as
+        # T x = -t s u.  Every vacuum that comes back spans the kernel.
         for seed in range(8):
             T, x = border_orthogonal_operator(n, "left", seed, real=real)
             try:
                 phi0, _, _ = ground_states(T, shift_matrices(n)[1])
-            except SingularOperatorError:
+            except SingularOperatorError as exc:
+                assert re.search(r"bordered vacuum system of a .*kernel", str(exc))
                 continue
-            spans_kernel = abs(linalg.inner(phi0, x)) == pytest.approx(1.0, abs=1e-12)
-            vacuum_bound = linalg.error_bound(n, linalg.norm_estimate(T))
-            assert spans_kernel or np.linalg.norm(T @ phi0) > vacuum_bound
+            assert abs(linalg.inner(phi0, x)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_solve_that_misses_the_left_kernel_raises():
+    # The solve does not show this bordered system singular, and its x has
+    # ||T x|| = 0.86 ||x||; t != 0 shows it, as T x = -t s u.
+    T, _ = border_orthogonal_operator(8, "left", seed=2)
+    with pytest.raises(SingularOperatorError, match=re.escape("left kernel of a,")):
+        ground_states(T, shift_matrices(8)[1])
 
 
 class TestSystemBuild:
@@ -274,7 +280,7 @@ class TestLadderAgreement:
         E[:, 0] = 0.0
         sys = PseudoBosonSystem.build(s_minus + delta * E, s_plus, window=window)
         phi, ls = self._transported(sys)
-        closed = generated_ladder_defect(sys, phi)
+        closed = action_defect((sys.a, sys.b), phi, sys.window)
         assert closed == pytest.approx(delta * np.linalg.norm(E[:, :window], axis=0).max(),
                                        rel=1e-12, abs=1e-15)
         assert abs(closed - restriction_containment(sys, ls, phi, side="phi")) \
