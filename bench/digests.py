@@ -22,11 +22,12 @@ outputs shows whether exit codes, PASS/FAIL statuses, residual digits and the
 other files moved with it.  The file inputs are written by perfbench's
 own CSV writer, not by the rieszlab under test, so both checkouts read the same
 bytes: the pseudo-boson pair, so that the `pseudoboson-pipeline` commands run
-exactly as in the benchmark, and the paper-example family pairs at N = 64
-(index offsets 1 and 2, with JSON sidecars) that the file-model `analyze` and
-`ladder` runs read.  One run per command reads its settings from a
-`--config run.yaml` written from CONFIGS, so that the config path is under
-the gate too.  BLAS runs on one thread, so that the digests do not depend
+exactly as in the benchmark, and the family pairs at N = 64 (with JSON
+sidecars) that the file-model `analyze` and `ladder` runs read: paper-example
+pairs with index offsets 1 and 2, whose 0/1 entries make every product exact,
+and a dense pair with offset 1, whose products round.  One run per command
+reads its settings from a `--config run.yaml` written from CONFIGS, so that
+the config path is under the gate too.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
 """
 
@@ -53,12 +54,13 @@ from perfbench.workloads import _write_matrix_csv, commands, write_inputs  # noq
 SEED = 3
 PROBES = ["--probe", "e_0", "--probe", "geom:0.5", "--probe", f"random:{SEED}"]
 PIPELINE = "pseudoboson-pipeline"
-#: Model specs of the paper-example family pairs written by _write_family_pair,
-#: with their index offsets: the offset-2 psi family leaves two coordinates
-#: outside its span.
+#: Model specs of the family pairs written by _write_family_pair, with their
+#: index offsets: the offset-2 psi family leaves two coordinates outside its
+#: span.
 FAMILY_MODEL = "file:phi.csv,psi.csv"
 FAMILY_MODEL_2 = "file:phi2.csv,psi2.csv"
-FAMILY_MODELS = {FAMILY_MODEL: 1, FAMILY_MODEL_2: 2}
+FAMILY_MODEL_DENSE = "file:phid.csv,psid.csv"
+FAMILY_MODELS = {FAMILY_MODEL: 1, FAMILY_MODEL_2: 2, FAMILY_MODEL_DENSE: 1}
 FAMILY_DIM = 64
 #: Per command, the YAML of its `--config run.yaml` run: only keys the command reads.
 CONFIGS = {
@@ -88,7 +90,9 @@ def _command_list() -> list[list[str]]:
                      "--side", side])
     cmds += [["analyze", "--model", FAMILY_MODEL],
              ["ladder", "--model", FAMILY_MODEL, "--side", "psi"],
-             ["analyze", "--model", FAMILY_MODEL_2]]
+             ["analyze", "--model", FAMILY_MODEL_2],
+             ["analyze", "--model", FAMILY_MODEL_DENSE],
+             ["ladder", "--model", FAMILY_MODEL_DENSE, "--side", "psi"]]
     # Above io.PARALLEL_MIN_CELLS: row blocks formatted by helper interpreters.
     cmds.append(["ladder", "--model", "random_regular:50", "--dim", "256", "--seed", str(SEED),
                  "--side", "phi"])
@@ -109,15 +113,24 @@ COMMANDS = _command_list()
 
 
 def _write_family_pair(workdir: Path, model: str) -> None:
-    """phi_k = e_k + e_0 + ... + e_(d-1) and psi_k = e_k, k = d..N-1, for the offset d of model.
+    """Two family CSVs with sidecars, indexed k = d..N-1 for the offset d of model.
 
-    Two family CSVs with sidecars.
+    The paper-example pairs are phi_k = e_k + e_0 + ... + e_(d-1) and
+    psi_k = e_k.  The dense pair is the tail of A = Q diag(geomspace(1, 50))
+    with column 0 set to e_0, for Q the orthogonal factor of a seeded Gaussian
+    matrix, and psi the tail of the inverse transpose of A.
     """
     offset = FAMILY_MODELS[model]
-    psi = np.eye(FAMILY_DIM)[:, offset:]
-    phi = psi.copy()
-    phi[:offset, :] = 1.0
-    meta = {"N": FAMILY_DIM, "M": FAMILY_DIM - offset, "index_offset": offset, "n_padding": 0}
+    if model == FAMILY_MODEL_DENSE:
+        q, _ = np.linalg.qr(np.random.default_rng(SEED).standard_normal((FAMILY_DIM,) * 2))
+        square = q * np.geomspace(1.0, 50.0, FAMILY_DIM)
+        square[:, 0] = np.eye(FAMILY_DIM)[:, 0]
+        phi, psi = square[:, offset:], np.linalg.inv(square).T[:, offset:]
+    else:
+        psi = np.eye(FAMILY_DIM)[:, offset:]
+        phi = psi.copy()
+        phi[:offset, :] = 1.0
+    meta = {"N": FAMILY_DIM, "M": FAMILY_DIM - offset, "index_offset": offset}
     for name, cols in zip(model[5:].split(","), (phi, psi)):
         _write_matrix_csv(workdir / name, cols)
         (workdir / f"{name}.meta.json").write_text(json.dumps(meta) + "\n")

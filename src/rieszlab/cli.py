@@ -242,7 +242,7 @@ def cmd_analyze(cfg: dict) -> int:
     d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
 
     # The one factorization of T: every check below reads from it.
-    phi_full = SequenceFamily(pad_to_square(pair.phi).coeffs)
+    phi_full = pad_to_square(pair.phi)
     fac = linalg.Factorization(build_analysis(phi_full))
     T = fac.T
     exact = linalg.error_bound(dim, phi_full.max_norm)

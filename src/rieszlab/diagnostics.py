@@ -96,7 +96,7 @@ class ProbeSpec:
 
 
 def span_distances(fam: SequenceFamily, vectors) -> list[float]:
-    """Distance from each vector to the span of the family columns (padding excluded).
+    """Distance from each vector to the span of the family columns.
 
     The distance is the norm of the trailing N - M entries of Q^H x, for the
     reduced QR A = Q R of the N x M family block (Golub & Van Loan, 5.3).  One
@@ -107,7 +107,7 @@ def span_distances(fam: SequenceFamily, vectors) -> list[float]:
     distances are exactly 0.0, and it is not factored.
     """
     vectors = as_vectors(fam, vectors)
-    block = fam.family_coeffs
+    block = fam.coeffs
     if block.shape[1] == fam.dim:
         return [0.0] * len(vectors)
     # Row j of h holds reflector j below its implicit leading 1: v_j = [1, h[j, j+1:]].
@@ -126,7 +126,7 @@ def span_distances(fam: SequenceFamily, vectors) -> list[float]:
 
 
 def span_distance(fam: SequenceFamily, x) -> float:
-    """Distance from x to the span of the family columns (padding excluded)."""
+    """Distance from x to the span of the family columns."""
     return span_distances(fam, [x])[0]
 
 
@@ -136,8 +136,8 @@ def quasi_basis_residual(pair: BiorthogonalPair, f, g) -> float:
     g = linalg.as_vector(g)
     if f.shape[0] != pair.dim or g.shape[0] != pair.dim:
         raise DimensionMismatchError("probe vectors do not match the pair dimension")
-    phi = pair.phi.family_coeffs
-    psi = pair.psi.family_coeffs
+    phi = pair.phi.coeffs
+    psi = pair.psi.coeffs
     return _quasi_basis_defect(f, g, phi @ (psi.conj().T @ f), psi @ (phi.conj().T @ f))
 
 
@@ -294,8 +294,8 @@ def _evaluate_dim(pair: BiorthogonalPair, probes: list[ProbeSpec]) -> dict:
     rec[("pairing_residual", "")] = pair.pairing_residual
     worst_qb = 0.0
     for f, c_phi, c_psi in zip(xs, coeffs["phi"], coeffs["psi"]):
-        phi_psih_f = pair.phi.family_coeffs @ c_psi
-        psi_phih_f = pair.psi.family_coeffs @ c_phi
+        phi_psih_f = pair.phi.coeffs @ c_psi
+        psi_phih_f = pair.psi.coeffs @ c_phi
         for g in xs:
             worst_qb = max(worst_qb, _quasi_basis_defect(f, g, phi_psih_f, psi_phih_f))
     rec[("quasi_basis_residual", "")] = worst_qb

@@ -4,9 +4,8 @@ A family is stored as an N x M coefficient matrix whose column k is the vector
 with index k + index_offset in the ambient basis.  The matrix follows the
 dtype rule of linalg.narrow: float64 when no coefficient has a nonzero
 imaginary part, complex128 otherwise.  Families whose natural index set starts
-above 0 (index_offset > 0) can be embedded in a square truncation by padding
-the missing leading indices; padding columns are flagged through n_padding and
-never count as family members.
+above 0 (index_offset > 0) can be embedded in a square truncation by filling
+the missing leading indices; the embedding is an ordinary square family.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ from .errors import (
 class SequenceFamily:
     """Truncated sequence {phi_k}: column k of coeffs is phi_{k + index_offset}.
 
-    The first n_padding columns are embedding padding (see pad_to_square),
-    not family members; all derived quantities that quantify over the family
-    (pairing, domain sums, span distances) skip them.
+    Every stored column is a family member; all derived quantities that
+    quantify over the family (pairing, domain sums, span distances) read them all.
     """
 
     coeffs: np.ndarray
     index_offset: int = 0
-    n_padding: int = 0
 
     def __post_init__(self):
         C = linalg.narrow(self.coeffs)
@@ -47,8 +44,8 @@ class SequenceFamily:
             raise ValueError("family coefficients contain non-finite entries")
         if not np.all(C.any(axis=0)):
             raise ValueError("zero column in family: every phi_k must be nonzero")
-        if self.index_offset < 0 or self.n_padding < 0 or self.n_padding > m:
-            raise ValueError("invalid index_offset / n_padding")
+        if self.index_offset < 0:
+            raise ValueError(f"invalid index_offset {self.index_offset}")
         C.setflags(write=False)
         object.__setattr__(self, "coeffs", C)
 
@@ -62,20 +59,15 @@ class SequenceFamily:
 
     @property
     def size(self) -> int:
-        """Number of stored columns, padding included."""
+        """Number of stored columns."""
         return self.coeffs.shape[1]
-
-    @property
-    def family_coeffs(self) -> np.ndarray:
-        """Coefficient block of the actual family members (padding dropped)."""
-        return self.coeffs[:, self.n_padding:]
 
     def is_square(self) -> bool:
         return self.size == self.dim
 
     @cached_property
     def max_norm(self) -> float:
-        """Largest Euclidean norm of a stored column, padding included; the scale of bounds."""
+        """Largest Euclidean norm of a stored column; the scale of bounds."""
         return float(linalg.column_norms(self.coeffs).max(initial=0.0))
 
 
@@ -113,16 +105,15 @@ def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
         )
 
 
-def _identity_defect(K: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """|K T - I| entrywise, the 1s subtracted in place from the square product K T."""
-    d = K @ T
+def gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
+    """|(phi_n | psi_m) - delta_nm| over the family columns, indexed [m, n].
+
+    The 1s are subtracted in place from the product of the conjugate transpose
+    of psi and phi.
+    """
+    d = psi.coeffs.conj().T @ phi.coeffs
     d.flat[::d.shape[0] + 1] -= 1.0
     return np.abs(d, out=d if d.dtype == np.float64 else None)
-
-
-def gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
-    """|(phi_n | psi_m) - delta_nm| over the family columns, indexed [m, n]."""
-    return _identity_defect(psi.family_coeffs.conj().T, phi.family_coeffs)
 
 
 def pairing_bound(phi: SequenceFamily, psi: SequenceFamily) -> float:
@@ -174,8 +165,8 @@ def pad_to_square(fam: SequenceFamily) -> SequenceFamily:
     """Embed a family with index_offset > 0 into a square truncation.
 
     The missing leading indices k < index_offset are filled with the basis
-    vectors e_k themselves, flagged as padding.  Requires that padding plus
-    family columns exactly fill the dimension.
+    vectors e_k themselves; the result is an ordinary square family.  Requires
+    that the filled and the family columns exactly fill the dimension.
     """
     if fam.is_square():
         return fam
@@ -183,22 +174,15 @@ def pad_to_square(fam: SequenceFamily) -> SequenceFamily:
         raise TruncationShapeError(
             f"cannot embed: offset {fam.index_offset} + {fam.size} columns != dim {fam.dim}"
         )
-    if fam.n_padding:
-        raise TruncationShapeError("family already carries padding columns")
-    pad = np.eye(fam.dim, fam.index_offset)
-    return SequenceFamily(
-        np.hstack([pad, fam.coeffs]),
-        index_offset=0,
-        n_padding=fam.index_offset,
-    )
+    return SequenceFamily(np.hstack([np.eye(fam.dim, fam.index_offset), fam.coeffs]))
 
 
 def pair_to_square(pair: BiorthogonalPair) -> BiorthogonalPair:
     """Embed both sides of a pair in a square truncation, keeping exact duality.
 
-    The phi side pads with basis vectors.  The psi side pads with the columns
-    of adjoint(inverse(phi_square)) at the padded indices, so that the padded
-    pair is biorthogonal including the padding block and the left-inverse
+    The phi side is filled with basis vectors.  The psi side is filled with the columns
+    of adjoint(inverse(phi_square)) at the filled indices, so that the square
+    pair is biorthogonal including the filled block and the left-inverse
     identity holds verbatim at the truncation.
     """
     if pair.phi.is_square() and pair.psi.is_square():
@@ -208,32 +192,27 @@ def pair_to_square(pair: BiorthogonalPair) -> BiorthogonalPair:
 
 
 def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization) -> BiorthogonalPair:
-    """pair_to_square, given the Factorization of the padded analysis operator.
+    """pair_to_square, given the Factorization of the analysis operator of pad_to_square(phi).
 
-    The padding columns of psi are read from fac.dual, so a caller that needs
+    The filled columns of psi are read from fac.dual, so a caller that needs
     the factorization anyway (kappa, dual family, ladders) pays for it once;
-    the padded phi is fac.T.  A pair that is square already is returned unchanged.
+    the square phi is fac.T.  A pair that is square already is returned unchanged.
     """
     if pair.phi.is_square() and pair.psi.is_square():
         return pair
     k = pair.psi.index_offset
-    psi_sq = SequenceFamily(np.hstack([fac.dual[:, :k], pair.psi.coeffs]),
-                            index_offset=0, n_padding=k)
-    return BiorthogonalPair(phi=SequenceFamily(fac.T, n_padding=k), psi=psi_sq)
+    psi_sq = SequenceFamily(np.hstack([fac.dual[:, :k], pair.psi.coeffs]))
+    return BiorthogonalPair(phi=SequenceFamily(fac.T), psi=psi_sq)
 
 
 def verify_left_inverse(pair: BiorthogonalPair) -> float:
     """Residual of the left-inverse identity T_{e,psi} T_{phi,e} = I.
 
     Returns the max-norm of the defect at square truncation (the pair is
-    embedded first when its index set starts above 0), from the stored phi
-    columns.  Without padding columns K T is the pair's own Gram matrix, so the
-    cached pairing_residual is returned; a padded pair forms the full product.
+    embedded first when its index set starts above 0).  On a square pair K T
+    is the pair's Gram matrix, so the defect is its cached pairing_residual.
     """
-    sq = pair_to_square(pair)
-    if not (sq.phi.n_padding or sq.psi.n_padding):
-        return sq.pairing_residual
-    return float(_identity_defect(build_coanalysis(sq.psi), build_analysis(sq.phi)).max())
+    return pair_to_square(pair).pairing_residual
 
 
 def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:
@@ -252,7 +231,7 @@ def analysis_coefficients(phi: SequenceFamily, vectors) -> list[np.ndarray]:
     The conjugate transpose of the family is formed once for all vectors.
     """
     vectors = as_vectors(phi, vectors)
-    adj = phi.family_coeffs.conj().T
+    adj = phi.coeffs.conj().T
     return [adj @ x for x in vectors]
 
 

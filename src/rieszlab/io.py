@@ -7,8 +7,8 @@ round-trips float64 bit-exactly.  A read checks each line and hands the lines
 to numpy's C reader, which parses the cells into float64 with the bits float()
 gives.  Reading follows the dtype rule of linalg.narrow: a CSV whose im
 columns are all zero loads as float64, any other as complex128.  Shape
-metadata (N, M, index_offset, n_padding) lives in a JSON sidecar next to the
-CSV.  All writes go through a temp file and an atomic rename.
+metadata (N, M, index_offset) lives in a JSON sidecar next to the CSV.  All
+writes go through a temp file and an atomic rename.
 
 Formatting a value to 17 digits takes about a microsecond of interpreter
 time, so a large matrix is cut into row blocks formatted at once: the first
@@ -222,20 +222,15 @@ def _sidecar(path: Path) -> Path:
 def save_family(fam: SequenceFamily, path: str | os.PathLike) -> None:
     path = Path(path)
     save_matrix(fam.coeffs, path)
-    meta = {
-        "N": fam.dim,
-        "M": fam.size,
-        "index_offset": fam.index_offset,
-        "n_padding": fam.n_padding,
-    }
+    meta = {"N": fam.dim, "M": fam.size, "index_offset": fam.index_offset}
     atomic_write_text(_sidecar(path), json.dumps(meta, indent=2) + "\n")
 
 
 def load_family(path: str | os.PathLike) -> SequenceFamily:
+    """The family of a CSV and its optional sidecar, whose n_padding key, if any, must be 0."""
     path = Path(path)
     mat = load_matrix(path)
     index_offset = 0
-    n_padding = 0
     sidecar = _sidecar(path)
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
@@ -249,11 +244,12 @@ def load_family(path: str | os.PathLike) -> SequenceFamily:
             raise ValueError(
                 f"sidecar shape ({meta['N']}, {meta['M']}) disagrees with CSV {mat.shape}"
             )
-        index_offset, n_padding = meta["index_offset"], meta["n_padding"]
-        if n_padding == meta["M"]:
-            raise ValueError(f"{sidecar}: n_padding {n_padding} leaves the family no members")
+        if meta["n_padding"]:
+            raise ValueError(f"{sidecar}: n_padding must be 0, got {meta['n_padding']}: "
+                             "every stored column is a family member")
+        index_offset = meta["index_offset"]
     try:
-        return SequenceFamily(mat, index_offset=index_offset, n_padding=n_padding)
+        return SequenceFamily(mat, index_offset=index_offset)
     except TruncationShapeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

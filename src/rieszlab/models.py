@@ -163,8 +163,8 @@ def instantiate_system(spec: ModelSpec, window: int | None = None) -> PseudoBoso
 def paper_example_pair(dim: int) -> BiorthogonalPair:
     """The semi-regular, non-regular example: phi_n = e_n + e_0, psi_n = e_n, n >= 1.
 
-    Families carry indices 1..dim-1 (index_offset 1); square embeddings are
-    obtained through family.pair_to_square.
+    Families carry indices 1..dim-1 (index_offset 1); family.pair_to_square
+    embeds them in a square pair, filling index 0.
     """
     if dim < MIN_DIM:
         raise ModelError(f"paper_example needs dimension >= {MIN_DIM}")

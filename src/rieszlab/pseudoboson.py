@@ -142,7 +142,7 @@ def ground_states(a, b) -> tuple[np.ndarray, np.ndarray, float]:
     Residuals such as ||a phi_0|| are the caller's to check.
     """
     (phi0, kappa_a), (psi0, kappa_b) = (_vacuum(linalg.as_operator(a), "a"),
-                                        _vacuum(linalg.adjoint(b), "adjoint(b)"))
+                                        _vacuum(linalg.as_operator(b).conj().T, "adjoint(b)"))
     return phi0, psi0, max(kappa_a, kappa_b)
 
 

@@ -180,11 +180,17 @@ class TestVerifyLeftInverse:
         assert linalg.max_abs(gram - np.eye(8)) <= 1e-13
 
 
-def _random_pair(seed, n, real):
-    """(phi, psi) with psi = adjoint(phi^-1): a real or complex biorthogonal pair."""
+def _random_pair(seed, n, real, offset=0):
+    """(phi, psi) with psi = adjoint(phi^-1): a real or complex biorthogonal pair.
+
+    With an offset d, column k < d of the square matrix is e_k and the pair
+    keeps columns d..N-1 only, indexed from d.
+    """
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, n)) if real else random_complex(rng, n, n)
-    return SequenceFamily(mat), SequenceFamily(np.linalg.inv(mat).conj().T)
+    mat[:, :offset] = np.eye(n, offset)
+    return (SequenceFamily(mat[:, offset:], index_offset=offset),
+            SequenceFamily(np.linalg.inv(mat).conj().T[:, offset:], index_offset=offset))
 
 
 class TestNoCopy:
@@ -204,8 +210,8 @@ class TestNoCopy:
     @pytest.mark.parametrize("n", [7, 64, 100])
     def test_defects_equal_the_explicit_difference(self, real, n):
         # Bit for bit: the 1s subtracted in place give the entries of
-        # K T - np.eye(N), for K the psi side's conjugate transpose.  An
-        # unpadded pair's left-inverse residual is its pairing residual.
+        # K T - np.eye(N), for K the psi side's conjugate transpose.  A
+        # square pair's left-inverse residual is its pairing residual.
         phi, psi = _random_pair(n, n, real)
         explicit = np.abs(psi.coeffs.conj().T @ phi.coeffs - np.eye(n))
         assert np.array_equal(gram_defect(phi, psi), explicit)
@@ -214,11 +220,17 @@ class TestNoCopy:
         assert verify_left_inverse(pair) == pair.pairing_residual == \
             linalg.max_abs(K @ build_analysis(phi) - np.eye(n))
 
-    def test_padded_left_inverse_equals_the_explicit_difference(self):
-        sq = pair_to_square(paper_example_pair(8))
-        assert sq.phi.n_padding and sq.psi.n_padding
-        explicit = build_coanalysis(sq.psi) @ sq.phi.coeffs - np.eye(8)
-        assert verify_left_inverse(sq) == linalg.max_abs(explicit)
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("offset", [1, 2])
+    @pytest.mark.parametrize("n", [7, 64, 100])
+    def test_padded_left_inverse_equals_the_explicit_difference(self, real, offset, n):
+        # Bit for bit: the embedded pair's residual, read from its Gram product
+        # on the conjugate-transposed view, is that of the C-ordered coanalysis.
+        phi, psi = _random_pair(10 * n + offset, n, real, offset)
+        pair = BiorthogonalPair(phi, psi)
+        sq = pair_to_square(pair)
+        explicit = build_coanalysis(sq.psi) @ sq.phi.coeffs - np.eye(n)
+        assert verify_left_inverse(pair) == verify_left_inverse(sq) == linalg.max_abs(explicit)
 
     @pytest.mark.parametrize("real", [True, False])
     def test_inverse_equals_a_solve_against_the_float_identity(self, real):

@@ -118,7 +118,6 @@ class TestFamilyRoundTrip:
         save_family(fam, p)
         loaded = load_family(p)
         assert np.array_equal(loaded.coeffs, fam.coeffs)
-        assert loaded.n_padding == fam.n_padding
         assert loaded.index_offset == fam.index_offset
 
     def test_sidecar_contents(self, tmp_path):
@@ -126,14 +125,14 @@ class TestFamilyRoundTrip:
         p = tmp_path / "f.csv"
         save_family(fam, p)
         meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
-        assert meta == {"N": 3, "M": 2, "index_offset": 1, "n_padding": 0}
+        assert meta == {"N": 3, "M": 2, "index_offset": 1}
 
     def test_missing_sidecar_defaults(self, rng, tmp_path):
         mat = random_complex(rng, 4, 4)
         p = tmp_path / "f.csv"
         save_matrix(mat, p)
         loaded = load_family(p)
-        assert loaded.index_offset == 0 and loaded.n_padding == 0
+        assert loaded.index_offset == 0
 
     def test_shape_disagreement_rejected(self, tmp_path):
         fam = SequenceFamily.identity(3)

@@ -169,19 +169,22 @@ class TestCellsThatFloatWouldForgive:
         assert "must not contain" in capsys.readouterr().err
 
 
-class TestSidecarThatLeavesNoMembers:
-    def test_all_padding_is_rejected(self, tmp_path, capsys):
-        # at the parent commit this pair printed PASS for its pairing residual
+class TestSidecarWithNonzeroPadding:
+    # Every stored column is a family member, so a sidecar that marks some (1)
+    # or all (6) of them as padding is refused, not read as a pairing over
+    # fewer columns: with all six marked, phi = I and psi = 3 I would pair over none.
+    @pytest.mark.parametrize("n_padding", [1, 6])
+    def test_is_refused(self, tmp_path, capsys, n_padding):
         save_family(SequenceFamily.identity(6), tmp_path / "phi.csv")
         save_family(SequenceFamily(3 * np.eye(6)), tmp_path / "psi.csv")
         for name in ("phi.csv", "psi.csv"):
-            meta = {"N": 6, "M": 6, "index_offset": 0, "n_padding": 6}
+            meta = {"N": 6, "M": 6, "index_offset": 0, "n_padding": n_padding}
             (tmp_path / f"{name}.meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="no members"):
+        with pytest.raises(ValueError, match="n_padding must be 0"):
             load_family(tmp_path / "phi.csv")
         assert main(["analyze", "--model", _files(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "no members" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and "n_padding" in err and "Traceback" not in err
 
 
 # --- property tests -------------------------------------------------------
