@@ -102,6 +102,10 @@ def _command_list() -> list[list[str]]:
          "--seed", str(SEED), *PROBES],
         ["sweep", "--model", "diagonal:k+1", "--dims", "16,32,64,128", *PROBES],
         ["sweep", "--model", "similarity:1.01^k", "--dims", "16,32,64", *PROBES],
+        # Spellings of e_1, geom:0.5 and random:7, named in normal form; the
+        # sweep comes out inconclusive.
+        ["sweep", "--model", "random_regular:50", "--seed", str(SEED), "--dims", "16,32,64,128",
+         "--probe", "e_01", "--probe", "geom:.50", "--probe", "random:007"],
     ]
     # A check failure (exit 2): the table of a singular transported ladder ends in a FAIL line.
     cmds.append(["pseudoboson", "--model", "similarity:2^k", "--dim", "64"])

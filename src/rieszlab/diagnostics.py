@@ -4,9 +4,13 @@ Density of spans, membership in the coefficient domains, and boundedness of
 the analysis operator cannot be decided at any fixed truncation.  A sweep
 evaluates the corresponding finite surrogates at increasing dimensions, fits
 log-log slopes, and maps the fitted trends to a classification through
-declared cutpoints.  "inconclusive" is a first-class outcome: when the slope
-fitted over all dimensions and the slope fitted over the top half disagree on
-a verdict, no branch is forced.
+declared cutpoints (`_verdict`): a span distance is dense when its last value
+is at most DENSITY_FLOOR or its slope at most DENSITY_SLOPE, and any other
+series is bounded when its slope is at most BOUNDED_SLOPE.  Each series is
+fitted over all dimensions and over the top half.  "inconclusive" is a
+first-class outcome: when the two fits of a series disagree on its verdict,
+or a probe series has fewer than two points, no branch is forced; stable
+fits look the classification and the Riesz class up in two tables.
 
 Each family is factored at most once per dimension: one Householder QR per
 side, kept as its reflectors, serves the span distance of every probe, and a
@@ -36,13 +40,27 @@ from .family import (
 )
 
 
-#: Classification cutpoints for fitted trends: a span distance is dense when
-#: its last value is at most DENSITY_FLOOR or its log-log slope at most
-#: DENSITY_SLOPE; a growing quantity is bounded when its slope is at most
-#: BOUNDED_SLOPE.
+#: Classification cutpoints for fitted trends, read by _verdict at call time.
 DENSITY_SLOPE = -0.25
 BOUNDED_SLOPE = 0.05
 DENSITY_FLOOR = 1e-8
+
+#: Each fitted metric -> (the flag its series decide, True when it is a span
+#: distance judged dense, False when it is a quantity judged bounded).
+_SERIES_FLAGS = {
+    "span_dist_phi": ("span_dense_phi", True),
+    "span_dist_psi": ("span_dense_psi", True),
+    "domain_partial_phi": ("domain_bounded_phi", False),
+    "domain_partial_psi": ("domain_bounded_psi", False),
+    "op_norm": ("op_norm_bounded", False),
+    "inv_norm": ("inv_norm_bounded", False),
+}
+#: (span_dense_phi, span_dense_psi) -> classification of stable fits.
+_CLASSIFICATIONS = {(True, True): "regular", (True, False): "semi-regular-phi",
+                    (False, True): "semi-regular-psi", (False, False): "irregular"}
+#: (op_norm_bounded, inv_norm_bounded) -> Riesz class of stable fits.
+_RIESZ_CLASSES = {(True, True): "riesz", (True, False): "semi-riesz",
+                  (False, True): "semi-riesz", (False, False): "neither"}
 
 
 @dataclass(frozen=True)
@@ -50,11 +68,12 @@ class ProbeSpec:
     """Dimension-consistent probe vector, defined by an index rule.
 
     kinds: "basis" (e_j), "geom" (normalized (1, r, r^2, ...)),
-    "random" (seeded complex Gaussian, normalized).
+    "random" (seeded complex Gaussian, normalized).  The index j and the seed
+    stay int, so that every integer names and draws itself.
     """
 
     kind: str
-    param: float = 0.0
+    param: int | float = 0
 
     @classmethod
     def parse(cls, text: str) -> "ProbeSpec":
@@ -63,34 +82,36 @@ class ProbeSpec:
             j = int(text[2:])
             if j < 0:
                 raise ValueError(f"probe {text}: basis index must be >= 0")
-            return cls("basis", float(j))
+            return cls("basis", j)
         if text.startswith("geom:"):
             r = float(text[5:])
             if not 0 < abs(r) < 1:
                 raise ValueError(f"geometric ratio must satisfy 0 < |r| < 1, got {r}")
             return cls("geom", r)
         if text.startswith("random:"):
-            return cls("random", float(int(text[7:])))
+            seed = int(text[7:])
+            if seed < 0:
+                raise ValueError(f"probe {text}: seed must be >= 0")
+            return cls("random", seed)
         raise ValueError(f"unknown probe spec {text!r} (use e_j, geom:r, random:seed)")
 
     @property
     def name(self) -> str:
         if self.kind == "basis":
-            return f"e_{int(self.param)}"
+            return f"e_{self.param}"
         if self.kind == "geom":
             return f"geom:{self.param:g}"
-        return f"random:{int(self.param)}"
+        return f"random:{self.param}"
 
     def instantiate(self, dim: int) -> np.ndarray:
         if self.kind == "basis":
-            j = int(self.param)
-            if j >= dim:
-                raise ValueError(f"probe e_{j} does not exist at dim {dim}")
-            return linalg.basis_vector(j, dim)
+            if self.param >= dim:
+                raise ValueError(f"probe {self.name} does not exist at dim {dim}")
+            return linalg.basis_vector(self.param, dim)
         if self.kind == "geom":
             v = self.param ** np.arange(dim, dtype=np.float64)
             return v / np.linalg.norm(v)
-        rng = np.random.default_rng(int(self.param))
+        rng = np.random.default_rng(self.param)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return v / np.linalg.norm(v)
 
@@ -197,9 +218,9 @@ class SweepReport:
         for key in sorted(self.fit_exponents):
             metric, probe = key
             tag = f"{metric}[{probe}]" if probe else metric
-            if metric.startswith("span_dist_") and self.series(*key)[1][-1] <= DENSITY_FLOOR:
-                # _dense_verdict decides on the floor alone; a slope fitted to
-                # rounding-level distances would flip with the last bits.
+            dense = _SERIES_FLAGS[metric][1]
+            if _verdict(dense, self.fit_exponents[key], self.series(*key)[1])[1]:
+                # A slope fitted to rounding-level distances would flip with the last bits.
                 slope = "below floor"
             else:
                 slope = f"{self.fit_exponents[key]:+.3f}"
@@ -207,9 +228,8 @@ class SweepReport:
                     # The sign of a slope that rounds to zero is rounding noise.
                     slope = "+0.000"
             lines.append(f"  slope {tag}: {slope}")
-        if self.skipped:
-            for dim, reason in self.skipped:
-                lines.append(f"  skipped dim {dim}: {reason}")
+        for dim, reason in self.skipped:
+            lines.append(f"  skipped dim {dim}: {reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -222,24 +242,13 @@ def _fit_slope(dims: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _dense_verdict(dims, values) -> bool:
+def _verdict(dense: bool, slope: float, values: np.ndarray) -> tuple[bool, bool]:
+    """(verdict, True when the floor alone decided it) of a series fitted to slope."""
+    if not dense:
+        return slope <= BOUNDED_SLOPE, False
     if values[-1] <= DENSITY_FLOOR:
-        return True
-    return _fit_slope(dims, values) <= DENSITY_SLOPE
-
-
-def _bounded_verdict(dims, values) -> bool:
-    return _fit_slope(dims, values) <= BOUNDED_SLOPE
-
-
-def _stable(dims, values, verdict_fn) -> tuple[bool, bool]:
-    """(verdict over all dims, True when the top-half fit agrees)."""
-    full = verdict_fn(dims, values)
-    half = len(dims) // 2
-    if len(dims) - half >= 2:
-        top = verdict_fn(dims[half:], values[half:])
-        return full, top == full
-    return full, True
+        return True, True
+    return slope <= DENSITY_SLOPE, False
 
 
 def run_sweep(pair_factory: Callable[[int], BiorthogonalPair],
@@ -272,7 +281,28 @@ def run_sweep(pair_factory: Callable[[int], BiorthogonalPair],
         raise SweepError("all requested dimensions were singular")
 
     report = SweepReport(dims=kept_dims, records=records, skipped=skipped)
-    _classify(report, probes)
+    flags = {flag: True for flag, _ in _SERIES_FLAGS.values()}
+    stable = True
+    for metric, probe in records[0]:  # every record holds the same keys
+        if metric not in _SERIES_FLAGS:
+            continue
+        flag, dense = _SERIES_FLAGS[metric]
+        xs, ys = report.series(metric, probe)
+        if probe and len(xs) < 2:
+            # op_norm and inv_norm fit slope 0 to fewer points; a probe series does not.
+            stable = False
+            continue
+        slope = report.fit_exponents[(metric, probe)] = _fit_slope(xs, ys)
+        verdict = _verdict(dense, slope, ys)[0]
+        half = len(xs) // 2
+        if len(xs) - half >= 2:
+            top = _verdict(dense, _fit_slope(xs[half:], ys[half:]), ys[half:])[0]
+            stable = stable and top == verdict
+        flags[flag] = flags[flag] and verdict
+    report.flags = {**flags, "fits_stable": stable}
+    if stable:
+        report.classification = _CLASSIFICATIONS[flags["span_dense_phi"], flags["span_dense_psi"]]
+        report.riesz_class = _RIESZ_CLASSES[flags["op_norm_bounded"], flags["inv_norm_bounded"]]
     return report
 
 
@@ -300,67 +330,3 @@ def _evaluate_dim(pair: BiorthogonalPair, probes: list[ProbeSpec]) -> dict:
             worst_qb = max(worst_qb, _quasi_basis_defect(f, g, phi_psih_f, psi_phih_f))
     rec[("quasi_basis_residual", "")] = worst_qb
     return rec
-
-
-def _classify(report: SweepReport, probes: list[ProbeSpec]) -> None:
-    stable = True
-
-    def all_probes(metric: str, verdict_fn) -> bool:
-        nonlocal stable
-        verdict = True
-        for p in probes:
-            xs, ys = report.series(metric, p.name)
-            if len(xs) < 2:
-                stable = False
-                continue
-            v, ok = _stable(xs, ys, verdict_fn)
-            report.fit_exponents[(metric, p.name)] = _fit_slope(xs, ys)
-            stable = stable and ok
-            verdict = verdict and v
-        return verdict
-
-    span_phi = all_probes("span_dist_phi", _dense_verdict)
-    span_psi = all_probes("span_dist_psi", _dense_verdict)
-    dom_phi = all_probes("domain_partial_phi", _bounded_verdict)
-    dom_psi = all_probes("domain_partial_psi", _bounded_verdict)
-
-    def global_bounded(metric: str) -> bool:
-        nonlocal stable
-        xs, ys = report.series(metric)
-        report.fit_exponents[(metric, "")] = _fit_slope(xs, ys)
-        v, ok = _stable(xs, ys, _bounded_verdict)
-        stable = stable and ok
-        return v
-
-    t_bounded = global_bounded("op_norm")
-    tinv_bounded = global_bounded("inv_norm")
-
-    report.flags.update({
-        "span_dense_phi": span_phi,
-        "span_dense_psi": span_psi,
-        "domain_bounded_phi": dom_phi,
-        "domain_bounded_psi": dom_psi,
-        "op_norm_bounded": t_bounded,
-        "inv_norm_bounded": tinv_bounded,
-        "fits_stable": stable,
-    })
-
-    if not stable:
-        report.classification = "inconclusive"
-    elif span_phi and span_psi:
-        report.classification = "regular"
-    elif span_phi:
-        report.classification = "semi-regular-phi"
-    elif span_psi:
-        report.classification = "semi-regular-psi"
-    else:
-        report.classification = "irregular"
-
-    if not stable:
-        report.riesz_class = "inconclusive"
-    elif t_bounded and tinv_bounded:
-        report.riesz_class = "riesz"
-    elif t_bounded or tinv_bounded:
-        report.riesz_class = "semi-riesz"
-    else:
-        report.riesz_class = "neither"

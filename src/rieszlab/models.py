@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class ModelSpec:
             raise ModelError(f"model kind {self.kind!r} requires an index rule")
         if self.kind == "random_regular" and not 1 <= self.kappa_max < math.inf:
             raise ModelError(f"kappa_max must be finite and >= 1, got {self.kappa_max}")
-
-    def with_dim(self, dim: int) -> "ModelSpec":
-        return ModelSpec(self.kind, dim, self.rule, self.seed, self.kappa_max)
 
     @property
     def is_system(self) -> bool:
@@ -181,7 +178,7 @@ def pair_factory(spec: ModelSpec):
     """Dimension-indexed factory for sweeps: dim -> BiorthogonalPair."""
 
     def factory(dim: int) -> BiorthogonalPair:
-        return instantiate_pair(spec.with_dim(dim))
+        return instantiate_pair(replace(spec, dim=dim))
 
     return factory
 

@@ -11,7 +11,7 @@ from rieszlab.diagnostics import (
     span_distance,
     span_distances,
 )
-from rieszlab.errors import DimensionMismatchError, SweepError
+from rieszlab.errors import DimensionMismatchError, SingularOperatorError, SweepError
 from rieszlab.family import BiorthogonalPair, SequenceFamily, check_pairing, domain_partial_sum
 from rieszlab.models import ModelSpec, pair_factory, paper_example_pair
 
@@ -33,6 +33,17 @@ class TestProbeSpec:
     def test_parse_random_is_seed_deterministic(self):
         p = ProbeSpec.parse("random:7")
         assert np.array_equal(p.instantiate(8), p.instantiate(8))
+
+    def test_integer_parameters_stay_exact(self):
+        # 2**53 + 1 has no float64: a float parameter would name and draw 2**53.
+        seed = 9007199254740993
+        p = ProbeSpec.parse(f"random:{seed}")
+        assert p.name == f"random:{seed}"
+        assert ProbeSpec.parse(p.name) == p
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        assert np.array_equal(p.instantiate(6), v / np.linalg.norm(v))
+        assert ProbeSpec.parse(f"e_{seed}").name == f"e_{seed}"
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
@@ -260,3 +271,84 @@ class TestVerdictSlopes:
         # dist(e_0, span phi) = 1/sqrt(N) in the paper example.
         report = run_sweep(pair_factory(ModelSpec("paper_example", 8)), self.DIMS, ["e_0"])
         assert "  slope span_dist_phi[e_0]: -0.500" in report.verdict_text().splitlines()
+
+
+class TestVerdictRule:
+    """Stability, skipped dimensions and the edge cases of the sweep's verdict rule."""
+
+    DIMS = [8, 16, 32, 64]
+
+    @staticmethod
+    def scaled_identity(scale):
+        """dim -> (scale[dim] I, I / scale[dim]): op_norm is scale[dim], inv_norm its inverse."""
+        def build(dim):
+            c = scale[dim]
+            return BiorthogonalPair(SequenceFamily(c * np.eye(dim)),
+                                    SequenceFamily(np.eye(dim) / c))
+        return build
+
+    @staticmethod
+    def singular_at(factory, bad_dims):
+        def build(dim):
+            if dim in bad_dims:
+                raise SingularOperatorError(0.0, 1e-12)
+            return factory(dim)
+        return build
+
+    def test_top_half_disagreement_is_inconclusive(self):
+        # op_norm 4, 1, 1, 1.1: the full fit decays (bounded), the top half
+        # grows with slope log2(1.1) > BOUNDED_SLOPE (unbounded).
+        factory = self.scaled_identity(dict(zip(self.DIMS, [4.0, 1.0, 1.0, 1.1])))
+        report = run_sweep(factory, self.DIMS, ["e_0"])
+        assert report.fit_exponents[("op_norm", "")] <= diagnostics.BOUNDED_SLOPE
+        assert report.flags["op_norm_bounded"] is True
+        assert report.flags["fits_stable"] is False
+        assert report.classification == "inconclusive"
+        assert report.riesz_class == "inconclusive"
+        text = report.verdict_text()
+        assert "classification: inconclusive" in text
+        assert "riesz class: inconclusive" in text
+
+    def test_constant_scale_is_stable(self):
+        factory = self.scaled_identity(dict.fromkeys(self.DIMS, 3.0))
+        report = run_sweep(factory, self.DIMS, ["e_0"])
+        assert report.flags["fits_stable"] is True
+        assert (report.classification, report.riesz_class) == ("regular", "riesz")
+
+    def test_singular_dim_is_skipped_and_left_out(self):
+        dims = [8, 16, 32, 64, 128]
+        factory = pair_factory(ModelSpec("paper_example", 8))
+        report = run_sweep(self.singular_at(factory, {32}), dims, ["e_0", "geom:0.5"])
+        reference = run_sweep(factory, [8, 16, 64, 128], ["e_0", "geom:0.5"])
+        assert report.dims == [8, 16, 64, 128]
+        assert report.skipped == [(32, str(SingularOperatorError(0.0, 1e-12)))]
+        assert report.to_csv() == reference.to_csv()
+        assert not any(line.startswith("32,") for line in report.to_csv().splitlines())
+        assert report.fit_exponents == reference.fit_exponents
+        assert report.flags == reference.flags
+        text = report.verdict_text()
+        skipped = [line for line in text.splitlines() if "skipped" in line]
+        assert skipped == [f"  skipped dim 32: {report.skipped[0][1]}"]
+        assert text == reference.verdict_text() + skipped[0] + "\n"
+
+    def test_one_surviving_dim_with_probes_is_inconclusive(self):
+        factory = pair_factory(ModelSpec("identity", 8))
+        report = run_sweep(self.singular_at(factory, {16, 32}), [8, 16, 32], ["e_0"])
+        assert report.dims == [8]
+        assert report.flags["fits_stable"] is False
+        assert report.classification == "inconclusive"
+        assert report.riesz_class == "inconclusive"
+
+    def test_one_surviving_dim_without_probes_is_stable(self):
+        # op_norm and inv_norm have no probe: one point fits slope 0, and
+        # does not make the fits unstable.
+        factory = pair_factory(ModelSpec("identity", 8))
+        report = run_sweep(self.singular_at(factory, {16, 32}), [8, 16, 32], [])
+        assert report.flags["fits_stable"] is True
+        assert report.fit_exponents == {("op_norm", ""): 0.0, ("inv_norm", ""): 0.0}
+        assert report.riesz_class == "riesz"
+
+    def test_all_dims_singular_raises(self):
+        factory = pair_factory(ModelSpec("identity", 8))
+        with pytest.raises(SweepError, match="all requested dimensions were singular"):
+            run_sweep(self.singular_at(factory, {8, 16, 32}), [8, 16, 32], ["e_0"])

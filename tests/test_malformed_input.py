@@ -137,6 +137,15 @@ class TestNegativeProbeIndex:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "basis index must be >= 0" in err
 
+    def test_negative_seed_is_refused_when_parsed(self, capsys):
+        # numpy refuses it too, but only at the first dimension and without the probe
+        with pytest.raises(ValueError, match="probe random:-3: seed must be >= 0"):
+            ProbeSpec.parse("random:-3")
+        argv = ["sweep", "--model", "paper_example", "--dims", "8,16", "--probe", "random:-3"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "probe random:-3: seed must be >= 0" in err
+
 
 class TestSidecarThatIsNotAnIntegerRecord:
     @pytest.mark.parametrize("meta", [

@@ -18,6 +18,7 @@ from rieszlab.models import (
     instantiate_pair,
     instantiate_system,
     model_catalogue,
+    pair_factory,
     paper_example_pair,
     parse_model,
     random_unitary,
@@ -62,10 +63,6 @@ class TestModelSpec:
     def test_rule_required(self):
         with pytest.raises(ModelError):
             ModelSpec("diagonal", 8)
-
-    def test_with_dim(self):
-        spec = ModelSpec("similarity", 8, rule="2^k").with_dim(16)
-        assert spec.dim == 16 and spec.rule == "2^k"
 
     @pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.5])
     def test_kappa_max_must_be_finite_and_at_least_1(self, kappa):
@@ -143,6 +140,18 @@ class TestInstantiation:
         s_minus, s_plus, _ = shift_matrices(n)
         assert np.array_equal(sys.a, S @ s_minus @ S_inv)
         assert np.array_equal(sys.b, S @ s_plus @ S_inv)
+
+    @pytest.mark.parametrize("spec", [ModelSpec("diagonal", 8, rule="2^k"),
+                                      ModelSpec("similarity", 8, rule="1.1^k"),
+                                      ModelSpec("random_regular", 8, seed=5, kappa_max=30.0)],
+                             ids=lambda spec: spec.kind)
+    def test_pair_factory_keeps_every_field_but_dim(self, spec):
+        pair = pair_factory(spec)(16)
+        expected = instantiate_pair(ModelSpec(spec.kind, 16, spec.rule, spec.seed,
+                                              spec.kappa_max))
+        assert pair.dim == 16
+        assert np.array_equal(pair.phi.coeffs, expected.phi.coeffs)
+        assert np.array_equal(pair.psi.coeffs, expected.psi.coeffs)
 
     def test_catalogue_covers_all_kinds(self):
         names = " ".join(name for name, _ in model_catalogue())
