@@ -67,7 +67,7 @@ CONFIGS = {
     "analyze": f"model: random_regular:50\ndim: 64\nseed: {SEED}\n",
     "sweep": f"model: random_regular:50\ndims: [16, 32, 64]\nseed: {SEED}\n"
              "probes: [e_0, 'geom:0.5']\n",
-    "pseudoboson": "model: similarity:1.01^k\ndim: 64\nwindow: 32\ncount: 16\n",
+    "pseudoboson": "model: similarity:1.01^k\ndim: 64\nwindow: 32\n",
     "ladder": f"model: random_regular:50\ndim: 64\nseed: {SEED}\nside: psi\n",
 }
 
@@ -82,7 +82,7 @@ def _command_list() -> list[list[str]]:
         for n in (64, 128):
             cmds.append(["pseudoboson", "--model", model, "--dim", str(n)])
             cmds.append(["pseudoboson", "--model", model, "--dim", str(n),
-                         "--window", str(n // 2), "--count", str(n // 4)])
+                         "--window", str(n // 2)])
     cmds += [argv for _, argv in commands(PIPELINE, "full", SEED)]
     for model, side in (("random_regular:50", "phi"), ("random_regular:50", "psi"),
                         ("paper_example", "phi"), ("paper_example", "psi")):

@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 input/config error (usage errors included),
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -75,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("pseudoboson", "(a, b) pipeline checks", seed=False)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--count", type=int, default=None, help="number of generated columns")
 
     p = command("ladder", "build and export ladder operators", seed=True)
     p.add_argument("--dim", type=int, default=None)
@@ -102,7 +103,6 @@ _CONFIG_TYPES = {
     "dim": (_is_int, "an integer"),
     "seed": (_is_int, "an integer"),
     "window": (_is_int, "an integer"),
-    "count": (_is_int, "an integer"),
     "dims": (lambda v: _is_str(v) or isinstance(v, list) and all(map(_is_int, v)),
              "a string or a list of integers"),
     "probes": (lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
@@ -199,8 +199,25 @@ def _load_pair_model(cfg: dict, dim: int) -> BiorthogonalPair:
         raise ValueError(f"model: {exc}") from exc
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull: its reader has closed the pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _write(text: str) -> None:
+    """Write to stdout.  A reader that closed the pipe ends the output, not the
+    command: the rest goes to os.devnull, so the files under --out are still
+    written and the exit status is the command's own."""
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _emit(cfg: dict, name: str, text: str) -> None:
-    sys.stdout.write(text)
+    _write(text)
     out = cfg.get("out")
     if out:
         io.atomic_write_text(Path(out) / name, text)
@@ -250,28 +267,30 @@ def cmd_analyze(cfg: dict) -> int:
               linalg.max_abs(build_coanalysis(phi_full) - linalg.adjoint(T)), exact)
     table.add("analysis action T e_k == phi_k", linalg.max_column_norm(T - phi_full.coeffs), exact)
     sq = embed_pair(pair, fac)
+    del pair
     table.add("left-inverse identity", verify_left_inverse(sq), pairing_bound(sq.phi, sq.psi))
-    del pair, sq
+    del sq
 
-    dual = riesz.dual_family(fac)
-    table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
-              linalg.error_bound(dim, kappa=fac.kappa ** 2))
-
-    ls_phi = ladder.build_ladder(fac, side="phi")
-    table.add("ladder actions (phi side)",
-              ladder.verify_ladder_actions(ls_phi, phi_full, window=dim - 2),
-              ladder.action_bound(fac.kappa, phi_full))
-    # The metric line reads the phi-side number operator alone, so it is computed
-    # before the psi side is built.  ||G|| = 1 / sigma_min(T)^2 for G = adjoint(T^-1) T^-1.
-    number = ls_phi.number
-    del ls_phi
+    # The phi side and the metric read T and T^-1 alone: they run before the dual
+    # family is formed.  Each transported operator is checked as soon as it is
+    # formed and freed after its check, but for the phi-side number operator,
+    # which the metric reads.  The lines are printed in their usual order.
+    phi_ops = ladder.transported(fac)
+    phi_actions = ladder.action_defect(itertools.islice(phi_ops, 2), phi_full, dim - 2)
+    number = next(phi_ops)
+    phi_actions = max(phi_actions, ladder.shift_defect(number, 2, phi_full, dim - 2))
+    # ||G|| = 1 / sigma_min(T)^2 for G = adjoint(T^-1) T^-1.
     metric = (ladder.intertwining_residual(ladder.metric_operator(fac), number),
               linalg.error_bound(dim, linalg.norm_estimate(number) / fac.sigma_min ** 2,
                                  kappa=fac.kappa))
     del number
-    ls_psi = ladder.dual_ladder(fac, side="psi")
+
+    dual = riesz.dual_family(fac)
+    table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
+              linalg.error_bound(dim, kappa=fac.kappa ** 2))
+    table.add("ladder actions (phi side)", phi_actions, ladder.action_bound(fac.kappa, phi_full))
     table.add("ladder actions (psi side)",
-              ladder.verify_ladder_actions(ls_psi, dual, window=dim - 2),
+              ladder.action_defect(ladder.transported(fac, dual=True), dual, dim - 2),
               ladder.action_bound(fac.kappa, dual))
     table.add("metric intertwining", *metric)
 
@@ -297,13 +316,13 @@ def cmd_sweep(cfg: dict) -> int:
     report = diagnostics.run_sweep(models.pair_factory(spec), dims, probes)
     csv_text = report.to_csv()
     verdict = report.verdict_text()
-    sys.stdout.write(verdict)
+    _write(verdict)
     out = cfg.get("out")
     if out:
         io.atomic_write_text(Path(out) / "sweep.csv", csv_text)
         io.atomic_write_text(Path(out) / "verdict.txt", verdict)
     else:
-        sys.stdout.write(csv_text)
+        _write(csv_text)
     return EXIT_OK
 
 
@@ -325,10 +344,6 @@ def cmd_pseudoboson(cfg: dict) -> int:
     window = int(window) if window is not None else None
     system = _load_system(cfg, dim, window)
     n = system.dim
-    count = cfg.get("count")
-    count = int(count) if count is not None else min(system.window, n - 1)
-    if not 1 <= count <= n:
-        raise ValueError(f"count: must lie in 1..{n}, got {count}")
     norm_a, norm_b = linalg.norm_estimate(system.a), linalg.norm_estimate(system.b)
 
     table = CheckTable()
@@ -341,14 +356,14 @@ def cmd_pseudoboson(cfg: dict) -> int:
               system.commutator_defect(), linalg.error_bound(n, norm_a * norm_b, k=2))
 
     # The families are generated once, at full truncation.  Each column is
-    # computed from the one before, so their first count columns are exactly
-    # what generating count columns gives; the pairing line gates those alone.
+    # computed from the one before, so their first W columns, W the window, are
+    # exactly what generating W columns gives; the checks read those alone.
     sq_phi, sq_psi = pseudoboson.generate_families(system, n)
-    phi = SequenceFamily(sq_phi.coeffs[:, :count])
-    psi = SequenceFamily(sq_psi.coeffs[:, :count])
+    phi = SequenceFamily(sq_phi.coeffs[:, :system.window])
+    psi = SequenceFamily(sq_psi.coeffs[:, :system.window])
     table.add("generated pairing residual", *pseudoboson.pairing_check(system, phi, psi))
 
-    nmax = min(6, count - 1, system.window // 2)
+    nmax = min(6, system.window // 2)
     residuals, bounds = pseudoboson.falling_factorial_checks(system, nmax)
     for (npow, mpow), r in np.ndenumerate(residuals):
         table.add(f"falling-factorial n={npow} m={mpow}", r, bounds[npow, mpow])
@@ -371,7 +386,7 @@ def cmd_pseudoboson(cfg: dict) -> int:
         table.add("span invariance (phi side)", 0.0, tol_ladder)
 
     text = table.render(
-        f"pseudoboson: dim {n}, window {system.window}, generated columns {count}"
+        f"pseudoboson: dim {n}, window {system.window}, generated columns {system.window}"
     )
     _emit(cfg, "pseudoboson.txt", text)
     return EXIT_CHECK if table.failed else EXIT_OK
@@ -391,27 +406,26 @@ def cmd_ladder(cfg: dict) -> int:
     out = cfg.get("out") or "."
     written = io.save_ladder(ls, out, tolerance=ladder.action_bound(fac.kappa, fam))
     for p in written:
-        sys.stdout.write(f"wrote {p}\n")
+        _write(f"wrote {p}\n")
     return EXIT_OK
 
 
 def cmd_example_list() -> int:
     for name, desc in models.model_catalogue():
-        sys.stdout.write(f"{name:28s} {desc}\n")
+        _write(f"{name:28s} {desc}\n")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
         if args.command == "example-list":
             return cmd_example_list()
         run = {"analyze": cmd_analyze, "sweep": cmd_sweep,
                "pseudoboson": cmd_pseudoboson, "ladder": cmd_ladder}[args.command]
         return run(_merge_config(args))
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     except ModelError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
@@ -421,6 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    finally:
+        try:  # what is still buffered, so that no flush at exit meets a closed pipe
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ op_norm and inv_norm.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -77,22 +78,25 @@ class ProbeSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ProbeSpec":
+        """The probe of a spelling whose parameter is ASCII digits (e_j, random:s) or,
+        for geom:r, an ASCII decimal literal with an optional minus and exponent.
+
+        Python's int and float would also take digit separators, a plus sign and
+        non-ASCII digits, and so give another spelling's name; each is refused.
+        """
         text = text.strip()
         if text.startswith("e_"):
-            j = int(text[2:])
-            if j < 0:
-                raise ValueError(f"probe {text}: basis index must be >= 0")
-            return cls("basis", j)
+            return cls("basis", _digits(text, text[2:], "basis index"))
         if text.startswith("geom:"):
+            if not _DECIMAL.fullmatch(text[5:]):
+                raise ValueError(f"probe {text}: ratio must be a decimal literal")
             r = float(text[5:])
             if not 0 < abs(r) < 1:
-                raise ValueError(f"geometric ratio must satisfy 0 < |r| < 1, got {r}")
+                raise ValueError(f"probe {text}: geometric ratio must satisfy 0 < |r| < 1, "
+                                 f"got {r}")
             return cls("geom", r)
         if text.startswith("random:"):
-            seed = int(text[7:])
-            if seed < 0:
-                raise ValueError(f"probe {text}: seed must be >= 0")
-            return cls("random", seed)
+            return cls("random", _digits(text, text[7:], "seed"))
         raise ValueError(f"unknown probe spec {text!r} (use e_j, geom:r, random:seed)")
 
     @property
@@ -114,6 +118,20 @@ class ProbeSpec:
         rng = np.random.default_rng(self.param)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return v / np.linalg.norm(v)
+
+
+#: An ASCII decimal literal: an optional minus, digits with an optional point
+#: (or a point and digits) and an optional exponent.
+_DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def _digits(probe: str, text: str, what: str) -> int:
+    """The int that the ASCII digits of text spell; what names it in the error of probe."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+        raise ValueError(f"probe {probe}: {what} must be >= 0")
+    raise ValueError(f"probe {probe}: {what} must be ASCII digits")
 
 
 def span_distances(fam: SequenceFamily, vectors) -> list[float]:

@@ -194,14 +194,16 @@ def pair_to_square(pair: BiorthogonalPair) -> BiorthogonalPair:
 def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization) -> BiorthogonalPair:
     """pair_to_square, given the Factorization of the analysis operator of pad_to_square(phi).
 
-    The filled columns of psi are read from fac.dual, so a caller that needs
-    the factorization anyway (kappa, dual family, ladders) pays for it once;
-    the square phi is fac.T.  A pair that is square already is returned unchanged.
+    The filled columns of psi are the first index_offset columns of fac.dual,
+    formed from as many rows of fac.inverse without caching the whole dual, so
+    a caller that needs the factorization anyway (kappa, dual family, ladders)
+    pays for it once; the square phi is fac.T.  A pair that is square already
+    is returned unchanged.
     """
     if pair.phi.is_square() and pair.psi.is_square():
         return pair
     k = pair.psi.index_offset
-    psi_sq = SequenceFamily(np.hstack([fac.dual[:, :k], pair.psi.coeffs]))
+    psi_sq = SequenceFamily(np.hstack([linalg.adjoint(fac.inverse[:k]), pair.psi.coeffs]))
     return BiorthogonalPair(phi=SequenceFamily(fac.T), psi=psi_sq)
 
 

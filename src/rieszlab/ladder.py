@@ -9,11 +9,14 @@ whose inverse is adjoint(T), so no second inversion is needed.
 Both sides and the metric run through one linalg.Factorization of T.  Since
 T S_- and T S_+ are column shifts of T weighted by sqrt(k) and T diag(k) is a
 column scaling, each transported operator costs a single matrix product.
+transported forms them one at a time, so that a caller that checks each in
+turn holds one of them at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +70,24 @@ class LadderSet:
         return self.lowering.shape[0]
 
 
-def _transport(M: np.ndarray, M_inv: np.ndarray, side: str, kappa: float) -> LadderSet:
-    """(M S_- M^-1, M S_+ M^-1, M N0 M^-1); each shifted M is freed after its product."""
-    lowering, raising, number = (_shifted(M, which) @ M_inv for which in range(3))
-    return LadderSet(lowering=lowering, raising=raising, number=number,
-                     side=side, window=M.shape[0] - 1, kappa=kappa)
+def transported(T, dual: bool = False) -> Iterator[np.ndarray]:
+    """M S_- M^-1, M S_+ M^-1 and M N0 M^-1 in turn, each formed when it is drawn.
+
+    M is T, or D = adjoint(T^-1) when dual is set: D^-1 = adjoint(T), so the
+    dual side costs no inversion beyond T's own.  T may be a
+    linalg.Factorization; its inverse is reused.  Each shifted M is freed
+    after its product, and a caller that drops an operator before drawing the
+    next holds one transported operator at a time.
+    """
+    fac = linalg.as_factorization(T)
+    M, M_inv = (fac.dual, linalg.adjoint(fac.T)) if dual else (fac.T, fac.inverse)
+    for which in range(3):
+        yield _shifted(M, which) @ M_inv
+
+
+def _ladder_set(T, dual: bool, side: str) -> LadderSet:
+    fac = linalg.as_factorization(T)
+    return LadderSet(*transported(fac, dual), side=side, window=fac.dim - 1, kappa=fac.kappa)
 
 
 def build_ladder(T, side: str = "phi") -> LadderSet:
@@ -79,40 +95,50 @@ def build_ladder(T, side: str = "phi") -> LadderSet:
 
     T may be a linalg.Factorization; its inverse and kappa are reused.
     """
-    fac = linalg.as_factorization(T)
-    return _transport(fac.T, fac.inverse, side, fac.kappa)
+    return _ladder_set(T, False, side)
 
 
 def dual_ladder(T, side: str = "psi") -> LadderSet:
     """Ladder set for the dual family, transported by D = adjoint(T^-1).
 
-    D^-1 = adjoint(T), so the dual side costs no inversion beyond T's own;
-    kappa(D) = kappa(T) is read from the same singular values.
+    kappa(D) = kappa(T) is read from T's singular values.
     """
-    fac = linalg.as_factorization(T)
-    return _transport(fac.dual, linalg.adjoint(fac.T), side, fac.kappa)
+    return _ladder_set(T, True, side)
+
+
+def _image_defect(image: np.ndarray, which: int, cols: np.ndarray, window: int) -> float:
+    """Largest checked column norm of image - cols S, for image = op cols, which it overwrites."""
+    limit = max(0, min(window, cols.shape[1]))
+    image -= _shifted(cols, which)
+    return linalg.max_column_norm(image[:, :max(0, limit - 1) if which == 1 else limit])
+
+
+def shift_defect(op: np.ndarray, which: int, fam: SequenceFamily, window: int) -> float:
+    """Largest column norm of op chi - chi S, S = S_- (which = 0), S_+ (1) or N0 (2).
+
+    It checks A chi_n == sqrt(n) chi_{n-1} (0 for n = 0), B chi_n ==
+    sqrt(n+1) chi_{n+1} or N chi_n == n chi_n for n < min(window, M), M the
+    number of columns, one column fewer for B (the raising action at the top
+    checked index leaves the window).  The product spans all M columns, so
+    that a column's rounding does not depend on the window.
+    """
+    return _image_defect(op @ fam.coeffs, which, fam.coeffs, window)
 
 
 def action_defect(ops, fam: SequenceFamily, window: int) -> float:
-    """Largest column norm of the defects A chi - chi S_-, B chi - chi S_+ and N chi - chi N0.
+    """Largest shift_defect of ops = (lowering, raising) or (lowering, raising, number) on fam.
 
-    ops is (lowering, raising) or (lowering, raising, number).  They check
-    A chi_n == sqrt(n) chi_{n-1} (0 for n = 0) and N chi_n == n chi_n for
-    n < min(window, M), M the number of columns, and B chi_n == sqrt(n+1)
-    chi_{n+1} for one column fewer (the raising action at the top checked
-    index leaves the window).  Each product spans all M columns, so that a
-    column's rounding does not depend on the window; each defect and its
-    target are freed before the next pair is built.
+    ops may be an iterator such as transported(T): an operator drawn from it
+    is freed once its product with the family exists, before its defect is
+    formed and before the next operator is drawn.
     """
-    cols = fam.coeffs
-    limit = max(0, min(window, cols.shape[1]))
-    worst = 0.0
-    for which, op in enumerate(ops):  # _shifted's 0 lowers, 1 raises, 2 counts
-        n = max(0, limit - 1) if which == 1 else limit
-        defect = op @ cols
-        defect -= _shifted(cols, which)
-        worst = max(worst, linalg.max_column_norm(defect[:, :n]))
-        del defect
+    worst, which = 0.0, 0
+    for op in ops:  # not enumerate, whose cached pair would keep op alive while the next is formed
+        image = op @ fam.coeffs
+        del op
+        worst = max(worst, _image_defect(image, which, fam.coeffs, window))
+        del image
+        which += 1
     return worst
 
 
@@ -141,15 +167,23 @@ def metric_operator(T) -> np.ndarray:
     """Metric G = adjoint(T^-1) T^-1 for the quasi-Hermitian number operator.
 
     G is positive and self-adjoint and intertwines N and N*.  T may be a
-    linalg.Factorization; its inverse is reused.
+    linalg.Factorization; its inverse is reused, and adjoint(T^-1) is formed
+    for the product and freed, so that fac.dual is not cached by the metric.
     """
-    fac = linalg.as_factorization(T)
-    return fac.dual @ fac.inverse
+    inverse = linalg.as_factorization(T).inverse
+    return linalg.adjoint(inverse) @ inverse
 
 
 def intertwining_residual(G, number_op) -> float:
-    """Max-norm defect of G N - adjoint(N) G."""
+    """Max-norm defect of G N - adjoint(N) G.
+
+    adjoint(N) G is formed first, and adjoint(N) freed, before G N exists;
+    their difference overwrites G N.
+    """
     G = linalg.as_operator(G)
     N = linalg.as_operator(number_op)
+    NG = linalg.adjoint(N) @ G
     GN = G @ N
-    return linalg.max_abs(np.subtract(GN, linalg.adjoint(N) @ G, out=GN))
+    GN -= NG
+    del NG
+    return linalg.max_abs(GN)

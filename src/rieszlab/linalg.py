@@ -76,11 +76,13 @@ def inner(x, y) -> complex:
 
 
 def adjoint(T) -> np.ndarray:
-    """Conjugate transpose; the Hilbert adjoint at finite truncation.
+    """Conjugate transpose, C-ordered; the Hilbert adjoint at finite truncation.
 
-    For a real T, conj() returns T itself, so the one copy is the transpose.
+    The conjugate is written straight into the one new array, so a complex T
+    costs no second temporary.
     """
-    return narrow(T).conj().T.copy()
+    M = narrow(T)
+    return np.conjugate(M.T, out=np.empty(M.shape[::-1], dtype=M.dtype))
 
 
 def singular_values(T) -> np.ndarray:

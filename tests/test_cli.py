@@ -192,20 +192,11 @@ class TestPseudoboson:
         assert f"<= cut N*eps={8 * np.finfo(float).eps:.3e}" in lines[0]
         assert "ambiguous" not in lines[0] and "kernel dimension" not in lines[0]
 
-    @pytest.mark.parametrize("count", [0, -1, 17])
-    def test_count_outside_range_is_input_error(self, tmp_path, capsys, count):
-        argv = ["pseudoboson", "--model", "ccr", "--dim", "16"]
-        assert main([*argv, "--count", str(count)]) == EXIT_INPUT
-        assert "count: must lie in 1..16" in capsys.readouterr().err
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml.safe_dump({"count": count}))
-        assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT
-        assert "count: must lie in 1..16" in capsys.readouterr().err
-
-    def test_count_reports_its_leading_columns(self, capsys):
-        assert main(["pseudoboson", "--model", "ccr", "--dim", "16", "--count", "16"]) == EXIT_OK
+    def test_checks_read_the_window_columns(self, capsys):
+        assert main(["pseudoboson", "--model", "ccr", "--dim", "16", "--window", "9"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "generated columns 16" in out and "FAIL" not in out
+        assert out.startswith("pseudoboson: dim 16, window 9, generated columns 9\n")
+        assert "FAIL" not in out
 
 
 class TestLadder:
@@ -258,6 +249,47 @@ def _run_python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
+class TestClosedStdout:
+    """A reader that has closed its end of the pipe is not bad input.
+
+    The read end is closed before the command starts, so every write to stdout
+    meets a closed pipe.  The command still writes its files and exits with
+    its own status, with nothing on stderr.
+    """
+
+    @pytest.mark.parametrize("argv, code, files", [
+        (["sweep", "--model", "paper_example", "--dims", "16,32,64,128", "--probe", "e_0",
+          "--out", "out"], EXIT_OK, ["sweep.csv", "verdict.txt"]),
+        (["sweep", "--model", "paper_example", "--dims", "16,32"], EXIT_OK, []),
+        (["pseudoboson", "--model", "similarity:2^k", "--dim", "64", "--out", "out"],
+         EXIT_CHECK, ["pseudoboson.txt"]),
+        (["ladder", "--model", "identity", "--dim", "8", "--out", "out"], EXIT_OK,
+         ["ladder.meta.json", "lowering.csv", "number.csv", "raising.csv"]),
+        (["--help"], EXIT_OK, []),
+    ])
+    def test_command_runs_to_its_own_end(self, tmp_path, capsys, argv, code, files):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            src = str(Path(__file__).resolve().parent.parent / "src")
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            proc = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv], cwd=tmp_path,
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        out = tmp_path / "out"
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert written == files
+        if files:  # the files of a run whose stdout stays open
+            assert main([*argv[:-1], str(tmp_path / "ref")]) == code
+            assert capsys.readouterr().out
+            for name in files:
+                assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 def test_import_does_not_load_yaml():
     # Only --config needs yaml; the import every CLI call pays stays without it.
     proc = _run_python("-c", "import sys, rieszlab.cli; print('yaml' in sys.modules)")
@@ -282,14 +314,15 @@ FLAGS = {
     "sweep": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
               "--dims": "8,16", "--probe": "e_0"},
     "pseudoboson": {"--config": "run.yaml", "--model": "ccr", "--out": "out", "--dim": "8",
-                    "--window": "4", "--count": "4"},
+                    "--window": "4"},
     "ladder": {"--config": "run.yaml", "--model": "identity", "--out": "out", "--seed": "1",
                "--dim": "8", "--side": "psi"},
 }
 
-#: Flags a command once accepted: never read, or (--tol-*) setting the constant
-#: of the tolerance rule, which is 1.
-UNREAD_FLAGS = [("pseudoboson", "--seed"),
+#: Flags a command once accepted: never read, setting the constant of the
+#: tolerance rule, which is 1 (--tol-*), or checking other than the window's
+#: columns (--count).
+UNREAD_FLAGS = [("pseudoboson", "--seed"), ("pseudoboson", "--count"),
                 *((command, f"--tol-{name}") for command in FLAGS
                   for name in ("pair", "ladder", "pb"))]
 
@@ -318,7 +351,7 @@ class TestUsageErrors:
         for command, flags in FLAGS.items():
             args = parser.parse_args([command])
             assert set(vars(args)) - {"command"} == {f[2:].replace("-", "_") for f in flags}
-        assert sum(map(len, FLAGS.values())) == 23
+        assert sum(map(len, FLAGS.values())) == 22
 
     def test_help_exits_ok(self, capsys):
         assert main(["analyze", "--help"]) == EXIT_OK

@@ -94,7 +94,6 @@ class TestConfigValuesOfTheWrongType:
         ("analyze", "out: 5"),
         ("sweep", "dims: 8"),
         ("pseudoboson", "window: [3]"),
-        ("pseudoboson", "count: {a: 1}"),
         ("sweep", "probes: e_0\ndims: 8,16"),
         ("analyze", "dim: 8.7"),
     ])
@@ -118,6 +117,7 @@ class TestConfigKeysTheCommandDoesNotRead:
         ("analyze", "tolerances: {pb: 1.0e-9}", "tolerances"),
         ("analyze", "tolerances: [1, 2]", "tolerances"),
         ("pseudoboson", "seed: 1", "seed"),
+        ("pseudoboson", "count: 16", "count"),
     ])
     def test_one_input_error_line_naming_the_key(self, tmp_path, capsys, command, text, key):
         cfg = tmp_path / "cfg.yaml"
@@ -145,6 +145,29 @@ class TestNegativeProbeIndex:
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "probe random:-3: seed must be >= 0" in err
+
+
+class TestProbeSpellings:
+    # Python's int and float also take digit separators, a plus sign and
+    # non-ASCII digits: e_1_0 ran as e_10 and geom:0.2_5 as geom:0.25, each
+    # under the other spelling's name.
+    @pytest.mark.parametrize("probe", [
+        "e_1_0", "e_+3", "e_\u0663", "e_\uff13", "e_-0", "e_",
+        "random:1_0", "random:+7", "random:\u0667",
+        "geom:0.2_5", "geom:+0.5", "geom:nan", "geom:inf", "geom:0x1p-1", "geom:.", "geom:1e",
+    ])
+    def test_refused_with_one_line_naming_the_probe(self, capsys, probe):
+        argv = ["sweep", "--model", "paper_example", "--dims", "8,16", "--probe", probe]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: probe {probe}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spelling, name", [
+        ("e_01", "e_1"), ("random:007", "random:7"), ("geom:.50", "geom:0.5"),
+        ("geom:5E-1", "geom:0.5"), ("geom:-5.e-1", "geom:-0.5"), ("geom:0.25", "geom:0.25"),
+    ])
+    def test_ascii_literals_name_their_number(self, spelling, name):
+        assert ProbeSpec.parse(spelling).name == name
 
 
 class TestSidecarThatIsNotAnIntegerRecord:

@@ -34,15 +34,17 @@ def _argv(command: str, dim: int, out) -> list[str]:
 
 
 #: Per command: the dtype of its N x N arrays and its bound in such arrays.
-#: Measured peaks (numpy 2.4, N = 256): 8.4, 8.5, 6.1, 3.5, 7.5 and 8.2 arrays.
-#: Before build_analysis stopped copying T and each check freed its arrays, the
-#: first four were 16.3, 19.3, 9.3 and 5.2; before the pseudo-boson system
-#: stopped keeping b a and its adjoint for the whole run, the last two were
-#: 10.7 and 11.1, and 8.5 and 9.2 before the commutator formed only its window
-#: columns and the dual number relation stopped copying adjoint(b a).
+#: Measured peaks (numpy 2.4, N = 256): 6.4, 6.5, 6.0, 3.4, 7.5 and 8.2 arrays.
+#: The first two were 8.4 and 8.5 before analyze checked each transported
+#: ladder operator as it was formed and freed it, and the first four 16.3,
+#: 19.3, 9.3 and 5.2 before build_analysis stopped copying T and each check
+#: freed its arrays; before the pseudo-boson system stopped keeping b a and
+#: its adjoint for the whole run, the last two were 10.7 and 11.1, and 8.5 and
+#: 9.2 before the commutator formed only its window columns and the dual
+#: number relation stopped copying adjoint(b a).
 BOUNDS = {
-    "analyze random_regular": (np.complex128, 9.4),
-    "analyze paper_example": (np.float64, 9.5),
+    "analyze random_regular": (np.complex128, 7.4),
+    "analyze paper_example": (np.float64, 7.5),
     "ladder random_regular": (np.complex128, 7.1),
     "sweep paper_example": (np.float64, 4.5),
     "pseudoboson similarity": (np.float64, 8.5),
