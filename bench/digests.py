@@ -25,7 +25,12 @@ bytes: the pseudo-boson pair, so that the `pseudoboson-pipeline` commands run
 exactly as in the benchmark, and the family pairs at N = 64 (with JSON
 sidecars) that the file-model `analyze` and `ladder` runs read: paper-example
 pairs with index offsets 1 and 2, whose 0/1 entries make every product exact,
-and a dense pair with offset 1, whose products round.  One run per command
+a real and a complex dense pair with offset 1, whose products round, and a
+square identity pair whose sidecars claim offset 1, which is bad input (the
+offset of N x M columns is N - M).  The complex pair is written with its im
+cells, which perfbench's writer leaves 0.  Further runs spell a number with
+a digit separator, a plus sign or non-ASCII digits, each of which is bad
+input too.  One run per command
 reads its settings from a `--config run.yaml` written from CONFIGS, so that
 the config path is under the gate too.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
@@ -60,7 +65,10 @@ PIPELINE = "pseudoboson-pipeline"
 FAMILY_MODEL = "file:phi.csv,psi.csv"
 FAMILY_MODEL_2 = "file:phi2.csv,psi2.csv"
 FAMILY_MODEL_DENSE = "file:phid.csv,psid.csv"
-FAMILY_MODELS = {FAMILY_MODEL: 1, FAMILY_MODEL_2: 2, FAMILY_MODEL_DENSE: 1}
+FAMILY_MODEL_COMPLEX = "file:phic.csv,psic.csv"
+FAMILY_MODEL_SQUARE = "file:phis.csv,psis.csv"
+FAMILY_MODELS = {FAMILY_MODEL: 1, FAMILY_MODEL_2: 2, FAMILY_MODEL_DENSE: 1,
+                 FAMILY_MODEL_COMPLEX: 1, FAMILY_MODEL_SQUARE: 1}
 FAMILY_DIM = 64
 #: Per command, the YAML of its `--config run.yaml` run: only keys the command reads.
 CONFIGS = {
@@ -110,6 +118,16 @@ def _command_list() -> list[list[str]]:
     # A check failure (exit 2): the table of a singular transported ladder ends in a FAIL line.
     cmds.append(["pseudoboson", "--model", "similarity:2^k", "--dim", "64"])
     cmds += [[command, "--config", "run.yaml"] for command in CONFIGS]
+    cmds += [["analyze", "--model", FAMILY_MODEL_COMPLEX],
+             ["ladder", "--model", FAMILY_MODEL_COMPLEX, "--side", "psi"],
+             ["analyze", "--model", FAMILY_MODEL_SQUARE]]
+    # Numbers that Python's int and float read but the number grammar refuses.
+    cmds += [["sweep", "--model", "paper_example", "--dims", "1_6,3_2"],
+             ["sweep", "--model", "paper_example", "--dims", "\u0661\u0666,32"],
+             ["analyze", "--model", "identity", "--dim", "1_6"],
+             ["analyze", "--model", "random_regular:50", "--dim", "16", "--seed", "0_1"],
+             ["analyze", "--model", "random_regular:5_0", "--dim", "16"],
+             ["pseudoboson", "--model", "ccr", "--dim", "16", "--window", "1_0"]]
     return cmds
 
 
@@ -117,27 +135,45 @@ COMMANDS = _command_list()
 
 
 def _write_family_pair(workdir: Path, model: str) -> None:
-    """Two family CSVs with sidecars, indexed k = d..N-1 for the offset d of model.
+    """Two family CSVs with sidecars that state the offset d of model.
 
     The paper-example pairs are phi_k = e_k + e_0 + ... + e_(d-1) and
-    psi_k = e_k.  The dense pair is the tail of A = Q diag(geomspace(1, 50))
-    with column 0 set to e_0, for Q the orthogonal factor of a seeded Gaussian
-    matrix, and psi the tail of the inverse transpose of A.
+    psi_k = e_k, k = d..N-1.  A dense pair is the tail of
+    A = Q diag(geomspace(1, 50)) with column 0 set to e_0, for Q the orthogonal
+    (or unitary) factor of a seeded real (or complex) Gaussian matrix, and psi
+    the tail of the inverse conjugate transpose of A.  The square pair is two
+    identities.
     """
     offset = FAMILY_MODELS[model]
-    if model == FAMILY_MODEL_DENSE:
-        q, _ = np.linalg.qr(np.random.default_rng(SEED).standard_normal((FAMILY_DIM,) * 2))
+    if model == FAMILY_MODEL_SQUARE:
+        phi = psi = np.eye(FAMILY_DIM)
+    elif model in (FAMILY_MODEL_DENSE, FAMILY_MODEL_COMPLEX):
+        rng = np.random.default_rng(SEED)
+        gauss = rng.standard_normal((FAMILY_DIM,) * 2)
+        if model == FAMILY_MODEL_COMPLEX:
+            gauss = gauss + 1j * rng.standard_normal((FAMILY_DIM,) * 2)
+        q, _ = np.linalg.qr(gauss)
         square = q * np.geomspace(1.0, 50.0, FAMILY_DIM)
         square[:, 0] = np.eye(FAMILY_DIM)[:, 0]
-        phi, psi = square[:, offset:], np.linalg.inv(square).T[:, offset:]
+        phi, psi = square[:, offset:], np.linalg.inv(square).conj().T[:, offset:]
     else:
         psi = np.eye(FAMILY_DIM)[:, offset:]
         phi = psi.copy()
         phi[:offset, :] = 1.0
-    meta = {"N": FAMILY_DIM, "M": FAMILY_DIM - offset, "index_offset": offset}
+    meta = {"N": FAMILY_DIM, "M": phi.shape[1], "index_offset": offset}
     for name, cols in zip(model[5:].split(","), (phi, psi)):
-        _write_matrix_csv(workdir / name, cols)
+        if np.iscomplexobj(cols):
+            _write_complex_csv(workdir / name, cols)
+        else:
+            _write_matrix_csv(workdir / name, cols)
         (workdir / f"{name}.meta.json").write_text(json.dumps(meta) + "\n")
+
+
+def _write_complex_csv(path: Path, mat: np.ndarray) -> None:
+    """perfbench's CSV format (re_k,im_k column pairs, 17 digits) with the im cells filled."""
+    cells = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
+    header = ",".join(f"re_{k},im_{k}" for k in range(mat.shape[1]))
+    np.savetxt(path, cells, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _sha(data: bytes) -> str:

@@ -23,7 +23,6 @@ from .family import (
     check_pairing,
     domain_partial_sum,
     pad_to_square,
-    pair_to_square,
     verify_left_inverse,
 )
 from .ladder import LadderSet, build_ladder, dual_ladder, metric_operator, shift_matrices
@@ -64,7 +63,6 @@ __all__ = [
     "instantiate_system",
     "metric_operator",
     "pad_to_square",
-    "pair_to_square",
     "shift_matrices",
     "solve_inverse",
     "verify_left_inverse",

@@ -27,7 +27,6 @@ from .errors import (
     ModelError,
     RieszLabError,
     SingularOperatorError,
-    TruncationShapeError,
 )
 from .family import (
     BiorthogonalPair,
@@ -63,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
                                        "ccr, or file:...")
         p.add_argument("--out", help="output directory for reports and CSV")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="seed for random models")
+            p.add_argument("--seed", default=None, help="seed for random models")
         return p
 
     p = command("analyze", "single-truncation identity checks for a pair", seed=True)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", default=None)
 
     p = command("sweep", "truncation sweep and classification verdict", seed=True)
     p.add_argument("--dims", default=None, help="comma-separated dimensions, e.g. 8,16,32,64")
@@ -75,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probe spec (repeatable): e_j, geom:r, random:seed")
 
     p = command("pseudoboson", "(a, b) pipeline checks", seed=False)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--dim", default=None)
+    p.add_argument("--window", default=None)
 
     p = command("ladder", "build and export ladder operators", seed=True)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", default=None)
     p.add_argument("--side", default=None, help="phi or psi (default phi)")
 
     sub.add_parser("example-list", help="list built-in models")
@@ -161,8 +160,8 @@ def _require(cfg: dict, key: str, default=None):
 
 
 def _dim(value) -> int:
-    """A truncation dimension from a flag or config value, within the dense limit."""
-    dim = int(value)
+    """A truncation dimension from a flag's text or a config integer, within the dense limit."""
+    dim = diagnostics.ascii_int(value, "dim")
     if dim > linalg.DENSE_DIM_LIMIT:
         raise ValueError(f"dim: {dim} exceeds the dense limit {linalg.DENSE_DIM_LIMIT}")
     return dim
@@ -170,7 +169,7 @@ def _dim(value) -> int:
 
 def _model_spec(cfg: dict, dim: int) -> models.ModelSpec:
     text = _require(cfg, "model")
-    seed = int(cfg.get("seed") or 0)
+    seed = diagnostics.ascii_int(_require(cfg, "seed", 0), "seed")
     return models.parse_model(str(text), dim=dim, seed=seed)
 
 
@@ -193,9 +192,8 @@ def _load_pair_model(cfg: dict, dim: int) -> BiorthogonalPair:
     if phi.dim < models.MIN_DIM:
         raise ValueError(f"model: file families need dimension >= {models.MIN_DIM}")
     try:
-        pad_to_square(phi)  # analyze and ladder embed phi in a square truncation
         return check_pairing(phi, psi)
-    except (DimensionMismatchError, TruncationShapeError) as exc:
+    except DimensionMismatchError as exc:
         raise ValueError(f"model: {exc}") from exc
 
 
@@ -271,11 +269,11 @@ def cmd_analyze(cfg: dict) -> int:
     table.add("left-inverse identity", verify_left_inverse(sq), pairing_bound(sq.phi, sq.psi))
     del sq
 
-    # The phi side and the metric read T and T^-1 alone: they run before the dual
-    # family is formed.  Each transported operator is checked as soon as it is
-    # formed and freed after its check, but for the phi-side number operator,
-    # which the metric reads.  The lines are printed in their usual order.
-    phi_ops = ladder.transported(fac)
+    # Each transported operator is checked as soon as it is formed and freed
+    # after its check, but for the phi-side number operator, which the metric
+    # reads: the metric runs next, so that it is freed before the dual family
+    # is formed.  The lines are printed in their usual order.
+    phi_ops = ladder.transported(T, fac.inverse)
     phi_actions = ladder.action_defect(itertools.islice(phi_ops, 2), phi_full, dim - 2)
     number = next(phi_ops)
     phi_actions = max(phi_actions, ladder.shift_defect(number, 2, phi_full, dim - 2))
@@ -290,7 +288,8 @@ def cmd_analyze(cfg: dict) -> int:
               linalg.error_bound(dim, kappa=fac.kappa ** 2))
     table.add("ladder actions (phi side)", phi_actions, ladder.action_bound(fac.kappa, phi_full))
     table.add("ladder actions (psi side)",
-              ladder.action_defect(ladder.transported(fac, dual=True), dual, dim - 2),
+              ladder.action_defect(ladder.transported(dual.coeffs, linalg.adjoint(T)), dual,
+                                   dim - 2),
               ladder.action_bound(fac.kappa, dual))
     table.add("metric intertwining", *metric)
 
@@ -306,7 +305,7 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     dims_value = _require(cfg, "dims")
     if isinstance(dims_value, str):
-        dims = [_dim(d) for d in dims_value.split(",") if d.strip()]
+        dims = [_dim(d.strip()) for d in dims_value.split(",") if d.strip()]
     else:
         dims = [_dim(d) for d in dims_value]
     if len(set(dims)) < 2:
@@ -341,7 +340,7 @@ def _load_system(cfg: dict, dim: int, window: int | None):
 def cmd_pseudoboson(cfg: dict) -> int:
     dim = _dim(_require(cfg, "dim", 32))
     window = cfg.get("window")
-    window = int(window) if window is not None else None
+    window = diagnostics.ascii_int(window, "window") if window is not None else None
     system = _load_system(cfg, dim, window)
     n = system.dim
     norm_a, norm_b = linalg.norm_estimate(system.a), linalg.norm_estimate(system.b)

@@ -79,18 +79,13 @@ class ProbeSpec:
     @classmethod
     def parse(cls, text: str) -> "ProbeSpec":
         """The probe of a spelling whose parameter is ASCII digits (e_j, random:s) or,
-        for geom:r, an ASCII decimal literal with an optional minus and exponent.
-
-        Python's int and float would also take digit separators, a plus sign and
-        non-ASCII digits, and so give another spelling's name; each is refused.
+        for geom:r, an ASCII decimal literal (see ascii_int and ascii_float).
         """
         text = text.strip()
         if text.startswith("e_"):
             return cls("basis", _digits(text, text[2:], "basis index"))
         if text.startswith("geom:"):
-            if not _DECIMAL.fullmatch(text[5:]):
-                raise ValueError(f"probe {text}: ratio must be a decimal literal")
-            r = float(text[5:])
+            r = ascii_float(text[5:], f"probe {text}: ratio")
             if not 0 < abs(r) < 1:
                 raise ValueError(f"probe {text}: geometric ratio must satisfy 0 < |r| < 1, "
                                  f"got {r}")
@@ -120,18 +115,37 @@ class ProbeSpec:
         return v / np.linalg.norm(v)
 
 
-#: An ASCII decimal literal: an optional minus, digits with an optional point
-#: (or a point and digits) and an optional exponent.
+#: The grammar of every number a user types: an ASCII integer is an optional
+#: minus and digits; an ASCII decimal literal is an optional minus, digits with
+#: an optional point (or a point and digits) and an optional exponent.  Leading
+#: zeros are legal.  Python's int and float would also take digit separators, a
+#: plus sign, whitespace and non-ASCII digits, and so give one number many names.
+_INTEGER = re.compile(r"-?[0-9]+")
 _DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def ascii_int(value: str | int, what: str) -> int:
+    """The int that value spells as an ASCII integer; an int (a YAML integer) is itself."""
+    if type(value) is int:
+        return value
+    if not _INTEGER.fullmatch(value):
+        raise ValueError(f"{what}: {value!r} is not an ASCII integer")
+    return int(value)
+
+
+def ascii_float(text: str, what: str) -> float:
+    """The float that text spells as an ASCII decimal literal; what names it in the error."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{what}: {text!r} is not an ASCII decimal literal")
+    return float(text)
 
 
 def _digits(probe: str, text: str, what: str) -> int:
     """The int that the ASCII digits of text spell; what names it in the error of probe."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+    n = ascii_int(text, f"probe {probe}: {what}")
+    if text.startswith("-"):
         raise ValueError(f"probe {probe}: {what} must be >= 0")
-    raise ValueError(f"probe {probe}: {what} must be ASCII digits")
+    return n
 
 
 def span_distances(fam: SequenceFamily, vectors) -> list[float]:

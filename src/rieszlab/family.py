@@ -1,11 +1,10 @@
 """Sequence families, biorthogonal pairs and their analysis operators.
 
-A family is stored as an N x M coefficient matrix whose column k is the vector
-with index k + index_offset in the ambient basis.  The matrix follows the
-dtype rule of linalg.narrow: float64 when no coefficient has a nonzero
-imaginary part, complex128 otherwise.  Families whose natural index set starts
-above 0 (index_offset > 0) can be embedded in a square truncation by filling
-the missing leading indices; the embedding is an ordinary square family.
+A family is stored as an N x M coefficient matrix, one column per member.
+The matrix follows the dtype rule of linalg.narrow: float64 when no
+coefficient has a nonzero imaginary part, complex128 otherwise.  A family with
+M < N columns embeds in a square truncation (pad_to_square, embed_pair) as the
+indices N - M..N-1, its missing leading indices filled.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SequenceFamily:
-    """Truncated sequence {phi_k}: column k of coeffs is phi_{k + index_offset}.
+    """Truncated sequence {phi_k}: one column of coeffs per member.
 
     Every stored column is a family member; all derived quantities that
     quantify over the family (pairing, domain sums, span distances) read them all.
     """
 
     coeffs: np.ndarray
-    index_offset: int = 0
 
     def __post_init__(self):
         C = linalg.narrow(self.coeffs)
@@ -44,8 +42,6 @@ class SequenceFamily:
             raise ValueError("family coefficients contain non-finite entries")
         if not np.all(C.any(axis=0)):
             raise ValueError("zero column in family: every phi_k must be nonzero")
-        if self.index_offset < 0:
-            raise ValueError(f"invalid index_offset {self.index_offset}")
         C.setflags(write=False)
         object.__setattr__(self, "coeffs", C)
 
@@ -68,7 +64,7 @@ class SequenceFamily:
     @cached_property
     def max_norm(self) -> float:
         """Largest Euclidean norm of a stored column; the scale of bounds."""
-        return float(linalg.column_norms(self.coeffs).max(initial=0.0))
+        return linalg.max_column_norm(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -97,12 +93,9 @@ class BiorthogonalPair:
 
 
 def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
-    if (phi.dim, phi.size, phi.index_offset) != (psi.dim, psi.size, psi.index_offset):
+    if (phi.dim, phi.size) != (psi.dim, psi.size):
         raise DimensionMismatchError(
-            "families disagree in shape or index offset: "
-            f"({phi.dim},{phi.size},{phi.index_offset}) vs "
-            f"({psi.dim},{psi.size},{psi.index_offset})"
-        )
+            f"families disagree in shape: ({phi.dim},{phi.size}) vs ({psi.dim},{psi.size})")
 
 
 def gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
@@ -162,47 +155,27 @@ def build_coanalysis(phi: SequenceFamily) -> np.ndarray:
 
 
 def pad_to_square(fam: SequenceFamily) -> SequenceFamily:
-    """Embed a family with index_offset > 0 into a square truncation.
+    """Embed a family in a square truncation: its M columns are the indices N - M..N-1.
 
-    The missing leading indices k < index_offset are filled with the basis
-    vectors e_k themselves; the result is an ordinary square family.  Requires
-    that the filled and the family columns exactly fill the dimension.
+    The missing leading indices are filled with the basis vectors e_k
+    themselves; the result is an ordinary square family.
     """
     if fam.is_square():
         return fam
-    if fam.index_offset + fam.size != fam.dim:
-        raise TruncationShapeError(
-            f"cannot embed: offset {fam.index_offset} + {fam.size} columns != dim {fam.dim}"
-        )
-    return SequenceFamily(np.hstack([np.eye(fam.dim, fam.index_offset), fam.coeffs]))
-
-
-def pair_to_square(pair: BiorthogonalPair) -> BiorthogonalPair:
-    """Embed both sides of a pair in a square truncation, keeping exact duality.
-
-    The phi side is filled with basis vectors.  The psi side is filled with the columns
-    of adjoint(inverse(phi_square)) at the filled indices, so that the square
-    pair is biorthogonal including the filled block and the left-inverse
-    identity holds verbatim at the truncation.
-    """
-    if pair.phi.is_square() and pair.psi.is_square():
-        return pair
-    T = build_analysis(pad_to_square(pair.phi))
-    return embed_pair(pair, linalg.Factorization(T))
+    return SequenceFamily(np.hstack([np.eye(fam.dim, fam.dim - fam.size), fam.coeffs]))
 
 
 def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization) -> BiorthogonalPair:
-    """pair_to_square, given the Factorization of the analysis operator of pad_to_square(phi).
+    """The pair in a square truncation, given fac, the Factorization of pad_to_square(phi).
 
-    The filled columns of psi are the first index_offset columns of fac.dual,
-    formed from as many rows of fac.inverse without caching the whole dual, so
-    a caller that needs the factorization anyway (kappa, dual family, ladders)
-    pays for it once; the square phi is fac.T.  A pair that is square already
-    is returned unchanged.
+    The square phi is fac.T.  The N - M filled columns of psi are those of
+    adjoint(T^-1), formed from as many rows of fac.inverse, so that the
+    left-inverse identity holds verbatim at the truncation.  A square pair is
+    returned unchanged.
     """
-    if pair.phi.is_square() and pair.psi.is_square():
+    if pair.phi.is_square():
         return pair
-    k = pair.psi.index_offset
+    k = pair.dim - pair.psi.size
     psi_sq = SequenceFamily(np.hstack([linalg.adjoint(fac.inverse[:k]), pair.psi.coeffs]))
     return BiorthogonalPair(phi=SequenceFamily(fac.T), psi=psi_sq)
 
@@ -210,11 +183,14 @@ def embed_pair(pair: BiorthogonalPair, fac: linalg.Factorization) -> Biorthogona
 def verify_left_inverse(pair: BiorthogonalPair) -> float:
     """Residual of the left-inverse identity T_{e,psi} T_{phi,e} = I.
 
-    Returns the max-norm of the defect at square truncation (the pair is
-    embedded first when its index set starts above 0).  On a square pair K T
-    is the pair's Gram matrix, so the defect is its cached pairing_residual.
+    Returns the max-norm of the defect at square truncation (a pair of M < N
+    columns is embedded first, through a Factorization of its padded phi).  On
+    a square pair K T is the pair's Gram matrix, so the defect is its cached
+    pairing_residual.
     """
-    return pair_to_square(pair).pairing_residual
+    if not pair.phi.is_square():
+        pair = embed_pair(pair, linalg.Factorization(build_analysis(pad_to_square(pair.phi))))
+    return pair.pairing_residual
 
 
 def as_vectors(fam: SequenceFamily, vectors) -> list[np.ndarray]:

@@ -222,12 +222,15 @@ def _sidecar(path: Path) -> Path:
 def save_family(fam: SequenceFamily, path: str | os.PathLike) -> None:
     path = Path(path)
     save_matrix(fam.coeffs, path)
-    meta = {"N": fam.dim, "M": fam.size, "index_offset": fam.index_offset}
+    meta = {"N": fam.dim, "M": fam.size, "index_offset": fam.dim - fam.size}
     atomic_write_text(_sidecar(path), json.dumps(meta, indent=2) + "\n")
 
 
 def load_family(path: str | os.PathLike) -> SequenceFamily:
-    """The family of a CSV and its optional sidecar, whose n_padding key, if any, must be 0."""
+    """The family of a CSV and its optional sidecar, whose n_padding key, if any, must be 0.
+
+    The index_offset, 0 without a sidecar, must be N - M, the first index of the columns.
+    """
     path = Path(path)
     mat = load_matrix(path)
     index_offset = 0
@@ -249,9 +252,13 @@ def load_family(path: str | os.PathLike) -> SequenceFamily:
                              "every stored column is a family member")
         index_offset = meta["index_offset"]
     try:
-        return SequenceFamily(mat, index_offset=index_offset)
+        fam = SequenceFamily(mat)
     except TruncationShapeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if index_offset != fam.dim - fam.size:
+        raise ValueError(f"{path}: index_offset is {index_offset}, but {fam.size} columns in "
+                         f"dimension {fam.dim} need N - M = {fam.dim - fam.size}")
+    return fam
 
 
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:

@@ -70,24 +70,14 @@ class LadderSet:
         return self.lowering.shape[0]
 
 
-def transported(T, dual: bool = False) -> Iterator[np.ndarray]:
+def transported(M: np.ndarray, M_inv: np.ndarray) -> Iterator[np.ndarray]:
     """M S_- M^-1, M S_+ M^-1 and M N0 M^-1 in turn, each formed when it is drawn.
 
-    M is T, or D = adjoint(T^-1) when dual is set: D^-1 = adjoint(T), so the
-    dual side costs no inversion beyond T's own.  T may be a
-    linalg.Factorization; its inverse is reused.  Each shifted M is freed
-    after its product, and a caller that drops an operator before drawing the
-    next holds one transported operator at a time.
+    Each shifted M is freed after its product, and a caller that drops an
+    operator before drawing the next holds one transported operator at a time.
     """
-    fac = linalg.as_factorization(T)
-    M, M_inv = (fac.dual, linalg.adjoint(fac.T)) if dual else (fac.T, fac.inverse)
     for which in range(3):
         yield _shifted(M, which) @ M_inv
-
-
-def _ladder_set(T, dual: bool, side: str) -> LadderSet:
-    fac = linalg.as_factorization(T)
-    return LadderSet(*transported(fac, dual), side=side, window=fac.dim - 1, kappa=fac.kappa)
 
 
 def build_ladder(T, side: str = "phi") -> LadderSet:
@@ -95,7 +85,9 @@ def build_ladder(T, side: str = "phi") -> LadderSet:
 
     T may be a linalg.Factorization; its inverse and kappa are reused.
     """
-    return _ladder_set(T, False, side)
+    fac = linalg.as_factorization(T)
+    return LadderSet(*transported(fac.T, fac.inverse), side=side, window=fac.dim - 1,
+                     kappa=fac.kappa)
 
 
 def dual_ladder(T, side: str = "psi") -> LadderSet:
@@ -103,7 +95,9 @@ def dual_ladder(T, side: str = "psi") -> LadderSet:
 
     kappa(D) = kappa(T) is read from T's singular values.
     """
-    return _ladder_set(T, True, side)
+    fac = linalg.as_factorization(T)
+    return LadderSet(*transported(linalg.adjoint(fac.inverse), linalg.adjoint(fac.T)),
+                     side=side, window=fac.dim - 1, kappa=fac.kappa)
 
 
 def _image_defect(image: np.ndarray, which: int, cols: np.ndarray, window: int) -> float:
@@ -167,8 +161,7 @@ def metric_operator(T) -> np.ndarray:
     """Metric G = adjoint(T^-1) T^-1 for the quasi-Hermitian number operator.
 
     G is positive and self-adjoint and intertwines N and N*.  T may be a
-    linalg.Factorization; its inverse is reused, and adjoint(T^-1) is formed
-    for the product and freed, so that fac.dual is not cached by the metric.
+    linalg.Factorization; its inverse is reused.
     """
     inverse = linalg.as_factorization(T).inverse
     return linalg.adjoint(inverse) @ inverse

@@ -140,9 +140,9 @@ class Factorization:
     The singular values come from one values-only SVD; the rank gate
     sigma_min <= N * eps * sigma_max raises SingularOperatorError at
     construction.  The inverse is one LU solve of T X = I (I of T's dtype),
-    made on first use, and the dual operator adjoint(T^-1) is derived from it.
-    Whatever needs kappa, sigma_min, the inverse, the dual family, the metric
-    or either ladder side of T reads it from here instead of factoring T again.
+    made on first use.  Whatever needs kappa, sigma_min, the inverse, the dual
+    family, the metric or either ladder side of T reads it from here instead
+    of factoring T again.
 
     T, narrowed (see narrow), is kept by reference when it has that dtype
     already, and made read-only, so that it cannot change under the
@@ -181,13 +181,6 @@ class Factorization:
         inv = np.linalg.solve(self.T, np.eye(self.dim, dtype=self.T.dtype))
         inv.setflags(write=False)
         return inv
-
-    @cached_property
-    def dual(self) -> np.ndarray:
-        """adjoint(T^-1): maps e_k to the dual family member psi_k."""
-        d = adjoint(self.inverse)
-        d.setflags(write=False)
-        return d
 
 
 def as_factorization(T) -> Factorization:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .diagnostics import ascii_float
 from .errors import ModelError
 from .family import BiorthogonalPair, SequenceFamily, check_pairing
 from .ladder import shift_matrices
@@ -95,7 +96,7 @@ def parse_model(text: str, dim: int, seed: int = 0) -> ModelSpec:
     """Parse a CLI model string: kind[:argument].
 
     Arguments: diagonal/similarity take the index rule; random_regular takes
-    the maximum condition number.
+    the maximum condition number, an ASCII decimal literal.
     """
     kind, _, arg = text.partition(":")
     kind = kind.strip().replace("-", "_")
@@ -104,7 +105,7 @@ def parse_model(text: str, dim: int, seed: int = 0) -> ModelSpec:
     if kind in ("diagonal", "similarity"):
         rule = arg.strip() or None
     elif kind == "random_regular" and arg.strip():
-        kappa_max = float(arg)
+        kappa_max = ascii_float(arg.strip(), f"model {text}: kappa_max")
     elif arg.strip():
         raise ModelError(f"model kind {kind!r} takes no argument, got {arg!r}")
     return ModelSpec(kind=kind, dim=dim, rule=rule, seed=seed, kappa_max=kappa_max)
@@ -160,7 +161,7 @@ def instantiate_system(spec: ModelSpec, window: int | None = None) -> PseudoBoso
 def paper_example_pair(dim: int) -> BiorthogonalPair:
     """The semi-regular, non-regular example: phi_n = e_n + e_0, psi_n = e_n, n >= 1.
 
-    Families carry indices 1..dim-1 (index_offset 1); family.pair_to_square
+    The families are dim x (dim - 1), indices 1..dim-1; family.embed_pair
     embeds them in a square pair, filling index 0.
     """
     if dim < MIN_DIM:
@@ -169,9 +170,7 @@ def paper_example_pair(dim: int) -> BiorthogonalPair:
     phi_cols = eye[:, 1:].copy()
     phi_cols[0, :] = 1.0
     psi_cols = eye[:, 1:]
-    phi = SequenceFamily(phi_cols, index_offset=1)
-    psi = SequenceFamily(psi_cols, index_offset=1)
-    return check_pairing(phi, psi)
+    return check_pairing(SequenceFamily(phi_cols), SequenceFamily(psi_cols))
 
 
 def pair_factory(spec: ModelSpec):

@@ -15,6 +15,6 @@ from .family import SequenceFamily
 
 
 def dual_family(T) -> SequenceFamily:
-    """Dual family psi_k = adjoint(inverse(T)) e_k; biorthogonal to {T e_k}."""
-    return SequenceFamily(linalg.as_factorization(T).dual)
+    """Dual family psi_k = adjoint(T^-1) e_k, the array adjoint(T^-1); biorthogonal to {T e_k}."""
+    return SequenceFamily(linalg.adjoint(linalg.as_factorization(T).inverse))
 

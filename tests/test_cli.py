@@ -329,7 +329,6 @@ UNREAD_FLAGS = [("pseudoboson", "--seed"), ("pseudoboson", "--count"),
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["analyze", "--model", "identity", "--dim", "abc"],
         ["analyze", "--model", "identity", "--no-such-flag"],
         ["no-such-command"],
         [],

@@ -1,9 +1,11 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from rieszlab import linalg
+from rieszlab.cli import EXIT_OK, main
 from rieszlab.errors import (
     DimensionMismatchError,
     NotBiorthogonalError,
@@ -17,10 +19,12 @@ from rieszlab.family import (
     build_coanalysis,
     check_pairing,
     domain_partial_sum,
+    embed_pair,
     pad_to_square,
-    pair_to_square,
+    pairing_bound,
     verify_left_inverse,
 )
+from rieszlab.io import load_family, save_matrix
 from rieszlab.models import paper_example_pair
 
 from conftest import random_complex, random_well_conditioned
@@ -28,6 +32,11 @@ from conftest import random_complex, random_well_conditioned
 
 def random_family(rng, n):
     return SequenceFamily(random_well_conditioned(rng, n))
+
+
+def embedded(pair):
+    """The square embedding of pair, through a Factorization of its padded phi."""
+    return embed_pair(pair, linalg.Factorization(build_analysis(pad_to_square(pair.phi))))
 
 
 class TestTypes:
@@ -174,7 +183,7 @@ class TestVerifyLeftInverse:
         assert verify_left_inverse(pair) <= 1e-10
 
     def test_square_embedding_keeps_duality(self):
-        pair = pair_to_square(paper_example_pair(8))
+        pair = embedded(paper_example_pair(8))
         assert pair.phi.is_square() and pair.psi.is_square()
         gram = pair.psi.coeffs.conj().T @ pair.phi.coeffs
         assert linalg.max_abs(gram - np.eye(8)) <= 1e-13
@@ -189,8 +198,8 @@ def _random_pair(seed, n, real, offset=0):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, n)) if real else random_complex(rng, n, n)
     mat[:, :offset] = np.eye(n, offset)
-    return (SequenceFamily(mat[:, offset:], index_offset=offset),
-            SequenceFamily(np.linalg.inv(mat).conj().T[:, offset:], index_offset=offset))
+    return (SequenceFamily(mat[:, offset:]),
+            SequenceFamily(np.linalg.inv(mat).conj().T[:, offset:]))
 
 
 class TestNoCopy:
@@ -228,7 +237,7 @@ class TestNoCopy:
         # on the conjugate-transposed view, is that of the C-ordered coanalysis.
         phi, psi = _random_pair(10 * n + offset, n, real, offset)
         pair = BiorthogonalPair(phi, psi)
-        sq = pair_to_square(pair)
+        sq = embedded(pair)
         explicit = build_coanalysis(sq.psi) @ sq.phi.coeffs - np.eye(n)
         assert verify_left_inverse(pair) == verify_left_inverse(sq) == linalg.max_abs(explicit)
 
@@ -238,6 +247,38 @@ class TestNoCopy:
         inv = linalg.Factorization(phi.coeffs).inverse
         assert inv.dtype == phi.coeffs.dtype
         assert np.array_equal(inv, np.linalg.solve(phi.coeffs, np.eye(64)))
+
+
+class TestComplexOffsetPair:
+    """A dense complex pair at offset 1 or 2, read from files.
+
+    The filled psi columns are conjugated columns of T^-1.  A real pair, or a
+    residual compared with one from the same embedding, cannot tell a dropped
+    conjugate; the bound of the embedded pair can.
+    """
+
+    @staticmethod
+    def _files(tmp_path, offset):
+        phi, psi = _random_pair(offset, 16, False, offset)
+        paths = [tmp_path / "phi.csv", tmp_path / "psi.csv"]
+        for path, fam in zip(paths, (phi, psi)):
+            save_matrix(fam.coeffs, path)
+            meta = {"N": 16, "M": 16 - offset, "index_offset": offset}
+            path.with_name(path.name + ".meta.json").write_text(json.dumps(meta))
+        return paths
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_left_inverse_within_the_bound_of_the_embedded_pair(self, tmp_path, offset):
+        pair = check_pairing(*map(load_family, self._files(tmp_path, offset)))
+        assert pair.phi.coeffs.dtype == np.complex128
+        sq = embedded(pair)
+        assert verify_left_inverse(pair) <= pairing_bound(sq.phi, sq.psi)
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_analyze_passes_the_left_inverse_line(self, tmp_path, capsys, offset):
+        model = "file:" + ",".join(map(str, self._files(tmp_path, offset)))
+        assert main(["analyze", "--model", model]) == EXIT_OK
+        assert "PASS  left-inverse identity:" in capsys.readouterr().out
 
 
 class TestDomainPartialSum:

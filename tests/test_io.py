@@ -112,27 +112,41 @@ def test_any_finite_float_round_trips_bit_for_bit(values, edge):
 
 
 class TestFamilyRoundTrip:
-    def test_metadata_preserved(self, tmp_path):
-        fam = pad_to_square(paper_example_pair(6).phi)
+    @pytest.mark.parametrize("square", [True, False])
+    def test_metadata_preserved(self, tmp_path, square):
+        fam = paper_example_pair(6).phi
+        fam = pad_to_square(fam) if square else fam
         p = tmp_path / "phi.csv"
         save_family(fam, p)
         loaded = load_family(p)
         assert np.array_equal(loaded.coeffs, fam.coeffs)
-        assert loaded.index_offset == fam.index_offset
 
     def test_sidecar_contents(self, tmp_path):
-        fam = SequenceFamily(np.eye(3)[:, :2], index_offset=1)
+        # index_offset is N - M, the first index of the columns
+        fam = SequenceFamily(np.eye(3)[:, :2])
         p = tmp_path / "f.csv"
         save_family(fam, p)
         meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
         assert meta == {"N": 3, "M": 2, "index_offset": 1}
 
     def test_missing_sidecar_defaults(self, rng, tmp_path):
+        # no sidecar means offset 0: a square CSV loads, a non-square one is refused
         mat = random_complex(rng, 4, 4)
         p = tmp_path / "f.csv"
         save_matrix(mat, p)
-        loaded = load_family(p)
-        assert loaded.index_offset == 0
+        assert np.array_equal(load_family(p).coeffs, mat)
+        save_matrix(mat[:, 1:], p)
+        with pytest.raises(ValueError, match="index_offset is 0, but 3 columns in dimension 4"):
+            load_family(p)
+
+    @pytest.mark.parametrize("n, m, offset", [(4, 4, 1), (4, 3, 0), (4, 3, 2), (4, 2, 1)])
+    def test_sidecar_offset_other_than_n_minus_m_is_refused(self, tmp_path, n, m, offset):
+        p = tmp_path / "f.csv"
+        save_matrix(np.eye(n)[:, n - m:], p)
+        meta = {"N": n, "M": m, "index_offset": offset}
+        (tmp_path / "f.csv.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"index_offset is {offset}, but .* N - M = {n - m}"):
+            load_family(p)
 
     def test_shape_disagreement_rejected(self, tmp_path):
         fam = SequenceFamily.identity(3)

@@ -4,6 +4,8 @@ Each case runs the CLI in-process.  The hypothesis tests write their files to
 a fresh temporary directory per example instead of a function-scoped fixture.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszlab.cli import EXIT_INPUT, EXIT_OK, main
-from rieszlab.diagnostics import ProbeSpec
+from rieszlab.diagnostics import ProbeSpec, ascii_int
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_family, save_family, save_matrix
 from rieszlab.ladder import shift_matrices
@@ -34,18 +36,28 @@ class TestLoadedFamiliesThatDisagree:
         assert main(argv) == EXIT_INPUT
         assert "families disagree" in capsys.readouterr().err
 
-    def test_two_index_offsets(self, tmp_path, capsys):
-        save_family(SequenceFamily(np.eye(6)[:, 1:], index_offset=1), tmp_path / "phi.csv")
-        save_family(SequenceFamily(np.eye(6)[:, 1:]), tmp_path / "psi.csv")
+    def test_square_families_whose_sidecars_say_offset_1(self, tmp_path, capsys):
+        # The offset is N - M, so 0 here: the sidecar is bad input, not a
+        # failed check.
+        for name in ("phi.csv", "psi.csv"):
+            save_matrix(np.eye(6), tmp_path / name)
+            (tmp_path / f"{name}.meta.json").write_text(
+                json.dumps({"N": 6, "M": 6, "index_offset": 1}))
         assert main(["analyze", "--model", _files(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
-        assert "families disagree" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "index_offset is 1, but 6 columns in dimension 6" in err
 
-    def test_family_that_does_not_fill_its_dimension(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sidecar", [True, False])
+    def test_family_that_does_not_fill_its_dimension(self, tmp_path, capsys, sidecar):
         # five columns at offset 0 in dimension 6: no square embedding exists
         for name in ("phi.csv", "psi.csv"):
-            save_family(SequenceFamily(np.eye(6)[:, :5]), tmp_path / name)
+            save_matrix(np.eye(6)[:, :5], tmp_path / name)
+            if sidecar:
+                (tmp_path / f"{name}.meta.json").write_text(
+                    json.dumps({"N": 6, "M": 5, "index_offset": 0}))
         assert main(["analyze", "--model", _files(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
-        assert "cannot embed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "index_offset is 0, but 5 columns in dimension 6" in err
 
 
 class TestFileModelsBelowTheMinimumDimension:
@@ -217,6 +229,69 @@ class TestSidecarWithNonzeroPadding:
         assert main(["analyze", "--model", _files(tmp_path, "phi.csv", "psi.csv")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "n_padding" in err and "Traceback" not in err
+
+
+class TestNumberSpellings:
+    # Python's int and float also take digit separators, a plus sign,
+    # whitespace and non-ASCII digits, and so give one number many spellings;
+    # each such spelling is one input error line naming its flag.
+    @pytest.mark.parametrize("argv, name", [
+        (["sweep", "--model", "paper_example", "--dims", "1_6,3_2"], "dim"),
+        (["sweep", "--model", "paper_example", "--dims", "\u0661\u0666,32"], "dim"),
+        (["analyze", "--model", "identity", "--dim", "1_6"], "dim"),
+        (["analyze", "--model", "identity", "--dim", "abc"], "dim"),
+        (["ladder", "--model", "identity", "--dim", "+16"], "dim"),
+        (["pseudoboson", "--model", "ccr", "--dim", " 16"], "dim"),
+        (["analyze", "--model", "random_regular:50", "--dim", "8", "--seed", "0_1"], "seed"),
+        (["analyze", "--model", "random_regular:5_0", "--dim", "8"],
+         "model random_regular:5_0: kappa_max"),
+        (["analyze", "--model", "random_regular:+50", "--dim", "8"],
+         "model random_regular:+50: kappa_max"),
+        (["pseudoboson", "--model", "ccr", "--dim", "16", "--window", "1_0"], "window"),
+    ])
+    def test_refused_with_one_line_naming_the_flag(self, capsys, argv, name):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {name}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "paper_example", "--dims", "08, 016", "--probe", "e_0"],
+        ["analyze", "--model", "random_regular:050.0", "--dim", "08", "--seed", "003"],
+        ["pseudoboson", "--model", "ccr", "--dim", "016", "--window", "04"],
+    ])
+    def test_leading_zeros_are_legal(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+
+
+_ASCII_DIGITS = st.text(st.sampled_from("0123456789"), min_size=1, max_size=5)
+
+
+@given(st.booleans(), _ASCII_DIGITS)
+def test_accepted_integer_spellings_are_their_int(minus, digits):
+    text = "-" * minus + digits
+    assert ascii_int(text, "dim") == int(text)
+
+
+#: Characters that int() skips or reads as digits: a digit separator, a plus
+#: sign, whitespace, and Arabic-Indic, fullwidth and Devanagari digits.
+_FOREIGN = st.sampled_from(["_", "+", " ", "\u0663", "\uff13", "\u0967"])
+_NUMBER_FLAGS = {
+    "dim": ["analyze", "--model", "identity", "--dim"],
+    "seed": ["analyze", "--model", "random_regular:50", "--dim", "8", "--seed"],
+    "window": ["pseudoboson", "--model", "ccr", "--dim", "8", "--window"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ASCII_DIGITS, _FOREIGN, st.integers(0, 5), st.sampled_from(sorted(_NUMBER_FLAGS)))
+def test_foreign_characters_exit_1_naming_the_flag(digits, char, at, flag):
+    text = digits[:at] + char + digits[at:]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([*_NUMBER_FLAGS[flag], text]) == EXIT_INPUT
+    assert err.getvalue().startswith(f"input error: {flag}: ")
+    assert err.getvalue().count("\n") == 1
 
 
 # --- property tests -------------------------------------------------------

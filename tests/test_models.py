@@ -100,8 +100,7 @@ class TestInstantiation:
 
     def test_paper_example_shape(self):
         pair = paper_example_pair(8)
-        assert pair.phi.index_offset == 1
-        assert pair.phi.size == 7
+        assert pair.phi.dim == 8 and pair.phi.size == 7
         # phi_n = e_n + e_0
         assert np.array_equal(pair.phi.coeffs[0, :], np.ones(7))
 
@@ -222,10 +221,18 @@ def test_tower_rule_exits_at_once():
 
 @pytest.mark.parametrize("kappa", ["inf", "nan"])
 def test_non_finite_kappa_is_one_input_error_line(kappa):
-    # inf leaked a geomspace warning; nan passed `< 1` and failed on the family entries
+    # inf leaked a geomspace warning; nan passed `< 1` and failed on the family
+    # entries.  Neither is an ASCII decimal literal.
     proc = _analyze(f"random_regular:{kappa}")
     assert proc.returncode == 1
-    assert proc.stderr == f"input error: kappa_max must be finite and >= 1, got {kappa}\n"
+    assert proc.stderr == (f"input error: model random_regular:{kappa}: kappa_max: "
+                           f"'{kappa}' is not an ASCII decimal literal\n")
+
+
+def test_kappa_that_overflows_is_refused_by_its_range_check():
+    proc = _analyze("random_regular:1e400")
+    assert proc.returncode == 1
+    assert proc.stderr == "input error: kappa_max must be finite and >= 1, got inf\n"
 
 
 def test_kappa_beyond_the_rank_cut_is_one_check_failure_line():
