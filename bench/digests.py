@@ -29,8 +29,9 @@ a real and a complex dense pair with offset 1, whose products round, and a
 square identity pair whose sidecars claim offset 1, which is bad input (the
 offset of N x M columns is N - M).  The complex pair is written with its im
 cells, which perfbench's writer leaves 0.  Further runs spell a number with
-a digit separator, a plus sign or non-ASCII digits, each of which is bad
-input too.  One run per command
+a digit separator, a plus sign or non-ASCII digits, give a negative seed (to
+a model that reads it and to one that does not) or leave a `--dims` entry
+empty, each of which is bad input too.  One run per command
 reads its settings from a `--config run.yaml` written from CONFIGS, so that
 the config path is under the gate too.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
@@ -128,6 +129,10 @@ def _command_list() -> list[list[str]]:
              ["analyze", "--model", "random_regular:50", "--dim", "16", "--seed", "0_1"],
              ["analyze", "--model", "random_regular:5_0", "--dim", "16"],
              ["pseudoboson", "--model", "ccr", "--dim", "16", "--window", "1_0"]]
+    # A negative seed, read by the model or not, and an empty --dims entry.
+    cmds += [["analyze", "--model", "random_regular:50", "--dim", "16", "--seed", "-1"],
+             ["sweep", "--model", "paper_example", "--dims", "16,32", "--seed", "-1"],
+             ["sweep", "--model", "identity", "--dims", "8,,16,"]]
     return cmds
 
 

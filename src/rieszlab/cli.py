@@ -17,6 +17,7 @@ import argparse
 import itertools
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -167,10 +168,17 @@ def _dim(value) -> int:
     return dim
 
 
+def _seed(value) -> int:
+    """A model seed from a flag's text or a config integer: at least 0."""
+    seed = diagnostics.ascii_int(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
+    return seed
+
+
 def _model_spec(cfg: dict, dim: int) -> models.ModelSpec:
     text = _require(cfg, "model")
-    seed = diagnostics.ascii_int(_require(cfg, "seed", 0), "seed")
-    return models.parse_model(str(text), dim=dim, seed=seed)
+    return models.parse_model(str(text), dim=dim, seed=_require(cfg, "seed", 0))
 
 
 def _file_paths(cfg: dict, first: str, second: str) -> list[str] | None:
@@ -305,7 +313,10 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     dims_value = _require(cfg, "dims")
     if isinstance(dims_value, str):
-        dims = [_dim(d.strip()) for d in dims_value.split(",") if d.strip()]
+        entries = [d.strip() for d in dims_value.split(",")]
+        if "" in entries:
+            raise ValueError(f"dims: empty entry in {dims_value!r}")
+        dims = [_dim(d) for d in entries]
     else:
         dims = [_dim(d) for d in dims_value]
     if len(set(dims)) < 2:
@@ -342,7 +353,7 @@ def cmd_pseudoboson(cfg: dict) -> int:
     window = cfg.get("window")
     window = diagnostics.ascii_int(window, "window") if window is not None else None
     system = _load_system(cfg, dim, window)
-    n = system.dim
+    n, window, kappa_vac = system.dim, system.window, system.kappa_vac
     norm_a, norm_b = linalg.norm_estimate(system.a), linalg.norm_estimate(system.b)
 
     table = CheckTable()
@@ -351,42 +362,46 @@ def cmd_pseudoboson(cfg: dict) -> int:
     table.add("vacuum residual ||adjoint(b) psi_0||",
               float(np.linalg.norm(linalg.adjoint(system.b) @ system.psi0)),
               linalg.error_bound(n, norm_b))
-    table.add(f"commutator defect on window {system.window}",
+    table.add(f"commutator defect on window {window}",
               system.commutator_defect(), linalg.error_bound(n, norm_a * norm_b, k=2))
 
-    # The families are generated once, at full truncation.  Each column is
-    # computed from the one before, so their first W columns, W the window, are
-    # exactly what generating W columns gives; the checks read those alone.
-    sq_phi, sq_psi = pseudoboson.generate_families(system, n)
-    phi = SequenceFamily(sq_phi.coeffs[:, :system.window])
-    psi = SequenceFamily(sq_psi.coeffs[:, :system.window])
+    # phi is generated at full truncation, which kappa(T_gen) below reads, and
+    # psi to the window W alone.  Each column is computed from the one before,
+    # so the first W columns of phi are what generating W columns gives; the
+    # checks read those alone.
+    sq_phi, psi = pseudoboson.generate_families(system, n, psi_count=window)
+    phi = SequenceFamily(sq_phi.coeffs[:, :window])
     table.add("generated pairing residual", *pseudoboson.pairing_check(system, phi, psi))
 
-    nmax = min(6, system.window // 2)
+    nmax = min(6, window // 2)
     residuals, bounds = pseudoboson.falling_factorial_checks(system, nmax)
     for (npow, mpow), r in np.ndenumerate(residuals):
         table.add(f"falling-factorial n={npow} m={mpow}", r, bounds[npow, mpow])
-    table.add("number eigen-relations (m <= 3)", *linalg.worst_ratio(
-        *pseudoboson.number_eigen_relations(system, (phi, psi), 3)))
-    del psi, sq_psi  # the ladder lines read the phi side alone
 
     # The ladder transported by the family's analysis operator T acts on the
     # family exactly, so the restriction line compares a and b with that action
-    # in closed form.  T is not inverted: its bound reads kappa(T) alone.
+    # in closed form.  T is not inverted: its bound reads kappa(T) alone.  The
+    # ladder lines are computed before the number relations, so that a and b
+    # are freed before N = b a is powered, and printed after them.
     try:
         kappa = linalg.Factorization(build_analysis(sq_phi)).kappa
     except SingularOperatorError as exc:  # the lines above stand; the two below cannot be bounded
-        table.fail("transported ladder (phi side)", str(exc))
+        ladder_lines = [partial(table.fail, "transported ladder (phi side)", str(exc))]
     else:
         tol_ladder = ladder.action_bound(kappa, sq_phi)
-        table.add("restriction containment (phi side)",
-                  ladder.action_defect((system.a, system.b), phi, system.window), tol_ladder)
-        # The family is square, so it spans the whole truncation: 0 by construction.
-        table.add("span invariance (phi side)", 0.0, tol_ladder)
+        ladder_lines = [
+            partial(table.add, "restriction containment (phi side)",
+                    ladder.action_defect((system.a, system.b), phi, window), tol_ladder),
+            # The family is square, so it spans the whole truncation: 0 by construction.
+            partial(table.add, "span invariance (phi side)", 0.0, tol_ladder)]
+    number = system.b @ system.a
+    del system  # a and b: the number relations read N alone
+    table.add("number eigen-relations (m <= 3)", *linalg.worst_ratio(
+        *pseudoboson.number_eigen_relations(number, (phi, psi), 3, window, kappa_vac)))
+    for line in ladder_lines:
+        line()
 
-    text = table.render(
-        f"pseudoboson: dim {n}, window {system.window}, generated columns {system.window}"
-    )
+    text = table.render(f"pseudoboson: dim {n}, window {window}, generated columns {window}")
     _emit(cfg, "pseudoboson.txt", text)
     return EXIT_CHECK if table.failed else EXIT_OK
 
@@ -422,7 +437,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_example_list()
         run = {"analyze": cmd_analyze, "sweep": cmd_sweep,
                "pseudoboson": cmd_pseudoboson, "ladder": cmd_ladder}[args.command]
-        return run(_merge_config(args))
+        cfg = _merge_config(args)
+        if cfg.get("seed") is not None:  # checked whether or not the model reads it
+            cfg["seed"] = _seed(cfg["seed"])
+        return run(cfg)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT if exc.code else EXIT_OK
     except ModelError as exc:

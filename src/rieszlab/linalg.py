@@ -110,20 +110,50 @@ def rank_tolerance(values) -> float:
     return error_bound(values.size, float(np.abs(values).max(initial=0.0)))
 
 
+#: Width of the column (or row) blocks in which the O(N^2) reductions below
+#: run, so that none forms an N x N temporary such as |M| or |M|^2.
+BLOCK = 64
+
+
+def blocks(n: int) -> list[slice]:
+    """Slices of 0..n-1, BLOCK long but the last; a last block of one joins the one before.
+
+    numpy sums the columns of a C-ordered block two or more wide in row
+    order, as it sums those of the whole matrix, but a lone column pairwise;
+    so no block is one wide unless the whole matrix is, and each block-wise
+    reduction below gives the bits of its whole-matrix formula.
+    """
+    starts = list(range(0, n, BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
+
+
+def _by_blocks(reduce, M: np.ndarray, axis: int = 1) -> np.ndarray:
+    """reduce(block) over the column (axis 1) or row (axis 0) blocks of M, one value each."""
+    out = np.empty(M.shape[axis])
+    for s in blocks(M.shape[axis]):
+        out[s] = reduce(M[:, s] if axis == 1 else M[s])
+    return out
+
+
 def norm_estimate(M) -> float:
     """sqrt(||M||_1 ||M||_inf), an O(N^2) upper bound of the spectral norm of M."""
-    A = np.abs(M)
-    return math.sqrt(float(A.sum(axis=0).max())) * math.sqrt(float(A.sum(axis=1).max()))
+    M = np.asarray(M)
+    col_sums = _by_blocks(lambda b: np.abs(b).sum(axis=0), M)
+    row_sums = _by_blocks(lambda b: np.abs(b).sum(axis=1), M, axis=0)
+    return math.sqrt(float(col_sums.max())) * math.sqrt(float(row_sums.max()))
 
 
 def column_norms(M) -> np.ndarray:
     """Euclidean column norms of a matrix; taken of M / max|M| when a square overflows float64."""
+    M = np.asarray(M)
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(M, axis=0)
+        norms = _by_blocks(lambda b: np.linalg.norm(b, axis=0), M)
     if np.isfinite(norms).all():
         return norms
     top = max_abs(M)
-    return top * np.linalg.norm(np.asarray(M) / top, axis=0)
+    return top * _by_blocks(lambda b: np.linalg.norm(b / top, axis=0), M)
 
 
 def worst_ratio(residuals, bounds) -> tuple[float, float]:
@@ -198,8 +228,8 @@ def solve_inverse(T) -> np.ndarray:
 
 def max_abs(M) -> float:
     """Max-norm (largest entry modulus) of a matrix or vector."""
-    M = np.asarray(M)
-    return float(np.max(np.abs(M))) if M.size else 0.0
+    M = np.atleast_2d(M)
+    return float(_by_blocks(lambda b: np.abs(b).max(axis=0), M).max()) if M.size else 0.0
 
 
 def max_column_norm(M) -> float:

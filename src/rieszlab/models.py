@@ -147,14 +147,18 @@ def instantiate_pair(spec: ModelSpec) -> BiorthogonalPair:
 def instantiate_system(spec: ModelSpec, window: int | None = None) -> PseudoBosonSystem:
     """Build the (a, b) pseudo-bosonic system a model describes."""
     n = spec.dim
-    s_minus, s_plus, _ = shift_matrices(n)
+    s_minus, s_plus = shift_matrices(n)[:2]  # N0 is freed before the vacua are solved for
     if spec.kind == "ccr":
         return PseudoBosonSystem.build(s_minus, s_plus, window=window)
     if spec.kind == "similarity":
-        # S M S^-1 with S = diag(s): scale the rows by s and the columns by 1/s.
+        # S M S^-1 with S = diag(s): scale the rows by s and the columns by 1/s,
+        # in place, so that a and b are the shifts' own arrays.
         s = evaluate_rule(spec.rule, np.arange(n))
         row, col = s[:, None], (1.0 / s)[None, :]
-        return PseudoBosonSystem.build(row * s_minus * col, row * s_plus * col, window=window)
+        for shift in (s_minus, s_plus):
+            shift *= row
+            shift *= col
+        return PseudoBosonSystem.build(s_minus, s_plus, window=window)
     raise ModelError(f"model kind {spec.kind!r} is not a pseudo-bosonic system")
 
 

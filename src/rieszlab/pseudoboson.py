@@ -193,16 +193,22 @@ def _generate(op: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
     return cols
 
 
-def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamily, SequenceFamily]:
+def generate_families(sys: PseudoBosonSystem, count: int,
+                      psi_count: int | None = None) -> tuple[SequenceFamily, SequenceFamily]:
     """Generate phi_n = b phi_{n-1} / sqrt(n) and psi_n = adjoint(a) psi_{n-1} / sqrt(n).
 
-    psi_0 is rescaled so that (phi_0 | psi_0) = 1; pairing is the caller's
-    check.  The overlap of two real vacua is a float, so that a real system
-    generates both families in float64.  Columns above the system window are
-    untrusted at the truncation edge; count may not exceed the dimension.
+    phi gets count columns and psi psi_count (count by default); each column
+    is computed from the one before, so the first columns of a longer family
+    are those of a shorter one.  psi_0 is rescaled so that (phi_0 | psi_0) = 1;
+    pairing is the caller's check.  The overlap of two real vacua is a float,
+    so that a real system generates both families in float64.  Columns above
+    the system window are untrusted at the truncation edge; neither count may
+    exceed the dimension.
     """
-    if not 1 <= count <= sys.dim:
-        raise ValueError(f"count must lie in 1..{sys.dim}, got {count}")
+    psi_count = count if psi_count is None else psi_count
+    for what, n in (("count", count), ("psi_count", psi_count)):
+        if not 1 <= n <= sys.dim:
+            raise ValueError(f"{what} must lie in 1..{sys.dim}, got {n}")
     overlap = linalg.inner(sys.phi0, sys.psi0)
     cut = linalg.error_bound(sys.dim)
     if abs(overlap) <= cut:  # the overlap of two unit vacua is rounding at most
@@ -210,7 +216,7 @@ def generate_families(sys: PseudoBosonSystem, count: int) -> tuple[SequenceFamil
                             f" <= cut N*eps={cut:.3e}")
     psi0 = sys.psi0 / np.conj(overlap)
     phi = SequenceFamily(_generate(sys.b, sys.phi0, count))
-    psi = SequenceFamily(_generate(linalg.adjoint(sys.a), psi0, count))
+    psi = SequenceFamily(_generate(linalg.adjoint(sys.a), psi0, psi_count))
     return phi, psi
 
 
@@ -220,11 +226,19 @@ def pairing_check(sys: PseudoBosonSystem, phi: SequenceFamily,
 
     The bound of entry (n, m) is linalg.error_bound with k = n + m + 1
     applications of b and adjoint(a), kappa_vac and scale ||phi_n|| ||psi_m||.
+    It is formed for one block of rows m at a time; of equal worst ratios the
+    first in row-major order wins, as np.argmax picks it.
     """
+    defect = family.gram_defect(phi, psi)
+    phi_norms, psi_norms = linalg.column_norms(phi.coeffs), linalg.column_norms(psi.coeffs)
     ks = np.arange(phi.size)
-    scale = np.outer(linalg.column_norms(psi.coeffs), linalg.column_norms(phi.coeffs))
-    bound = linalg.error_bound(sys.dim, scale, k=ks[:, None] + ks + 1, kappa=sys.kappa_vac)
-    return linalg.worst_ratio(family.gram_defect(phi, psi), bound)
+    worst = np.array([
+        linalg.worst_ratio(defect[rows], linalg.error_bound(
+            sys.dim, np.outer(psi_norms[rows], phi_norms), k=ks[rows, None] + ks + 1,
+            kappa=sys.kappa_vac))
+        for rows in linalg.blocks(psi.size)])
+    residual, bound = worst[int(np.argmax(worst[:, 0] / worst[:, 1]))]
+    return float(residual), float(bound)
 
 
 def falling_factorial_identity(sys: PseudoBosonSystem, n: int, m: int) -> float:
@@ -269,36 +283,40 @@ def falling_factorial_checks(sys: PseudoBosonSystem, nmax: int) -> tuple[np.ndar
                                                 k=ks[:, None] + ks + 1)
 
 
-def number_eigen_relations(sys: PseudoBosonSystem,
-                           fams: tuple[SequenceFamily, SequenceFamily],
-                           mmax: int) -> tuple[np.ndarray, np.ndarray]:
+def number_eigen_relations(number: np.ndarray, fams: tuple[SequenceFamily, SequenceFamily],
+                           mmax: int, window: int,
+                           kappa_vac: float) -> tuple[np.ndarray, np.ndarray]:
     """Relative residuals of N^m phi_n == n^m phi_n and of the dual relation, with their bounds.
 
-    N = b a, forced by N phi_n = n phi_n together with the ladder actions; the
-    dual relation reads adjoint(N) as N.conj().T, a view of N when N is real.
-    N is formed here and freed on return.
+    number is N = b a of the system, forced by N phi_n = n phi_n together
+    with the ladder actions; the caller forms it, so that it can drop a and b
+    first.  The dual relation reads adjoint(N) as N.conj().T, a view of N
+    when N is real.
     Column n of N^m chi - chi diag(k)^m, over n < window, is divided by
     ||n^m chi_n||, except column 0 (eigenvalue 0), which stays absolute.  Its
     bound is linalg.error_bound with k = n + m + 1, kappa_vac and scale
-    (||N||^m + n^m) ||chi_n||, divided alike.
+    (||N||^m + n^m) ||chi_n||, divided alike.  Each difference is written
+    into the buffer of the power before, which no later product reads.
     """
-    phi, psi = fams
-    number = sys.b @ sys.a
+    dim = number.shape[0]
     op_norm = linalg.norm_estimate(number)  # adjoint(N) has the same estimate
     resids, bounds = [], []
-    for op, fam in ((number, phi), (number.conj().T, psi)):
-        limit = min(sys.window, fam.size)
+    for op, fam in ((number, fams[0]), (number.conj().T, fams[1])):
+        limit = min(window, fam.size)
         cols = fam.coeffs[:, :limit]
-        col_norms = np.linalg.norm(cols, axis=0)
+        col_norms = linalg.column_norms(cols)
         ks = np.arange(limit, dtype=np.float64)
         current = cols
         for m in range(1, mmax + 1):
-            current = op @ current
+            image = op @ current
             scale = ks ** m
             denom = np.where(ks > 0, scale * col_norms, 1.0)
-            resids.append(np.linalg.norm(current - cols * scale, axis=0) / denom)
-            bounds.append(linalg.error_bound(sys.dim, (op_norm ** m + scale) * col_norms / denom,
-                                             k=ks + m + 1, kappa=sys.kappa_vac))
+            diff = np.multiply(cols, scale, out=None if current is cols else current)
+            current = image
+            resids.append(linalg.column_norms(np.subtract(image, diff, out=diff)) / denom)
+            del image, diff  # current, this power, is all that the next product reads
+            bounds.append(linalg.error_bound(dim, (op_norm ** m + scale) * col_norms / denom,
+                                             k=ks + m + 1, kappa=kappa_vac))
     return np.concatenate(resids), np.concatenate(bounds)
 
 
@@ -306,7 +324,8 @@ def number_eigen_check(sys: PseudoBosonSystem,
                        fams: tuple[SequenceFamily, SequenceFamily],
                        mmax: int) -> float:
     """Worst relative residual of N^m phi_n == n^m phi_n and its dual (number_eigen_relations)."""
-    return float(number_eigen_relations(sys, fams, mmax)[0].max())
+    return float(number_eigen_relations(sys.b @ sys.a, fams, mmax, sys.window,
+                                        sys.kappa_vac)[0].max())
 
 
 def restriction_containment(sys: PseudoBosonSystem, ls: LadderSet,

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import linalg
+from rieszlab import family, linalg
 from rieszlab.family import SequenceFamily
 from rieszlab.ladder import build_ladder, shift_matrices, verify_ladder_actions
 from rieszlab.models import instantiate_system, parse_model
@@ -18,6 +18,7 @@ from rieszlab.pseudoboson import (
     PseudoBosonSystem,
     generate_families,
     number_eigen_check,
+    pairing_check,
 )
 
 from conftest import random_complex, random_well_conditioned
@@ -54,6 +55,14 @@ def number_eigen_oracle(sys_, fams, mmax):
                     target = n ** m * fam.coeffs[:, n]
                     worst = max(worst, np.linalg.norm(v - target) / np.linalg.norm(target))
     return worst
+
+
+def pairing_oracle(sys_, phi, psi):
+    """The worst-ratio entry of the whole pairing matrix against its whole bound matrix."""
+    ks = np.arange(phi.size)
+    scale = np.outer(np.linalg.norm(psi.coeffs, axis=0), np.linalg.norm(phi.coeffs, axis=0))
+    bound = linalg.error_bound(sys_.dim, scale, k=ks[:, None] + ks + 1, kappa=sys_.kappa_vac)
+    return linalg.worst_ratio(family.gram_defect(phi, psi), bound)
 
 
 def generation_oracle(op, start, count):
@@ -137,6 +146,32 @@ class TestNumberEigenOracle:
 
 
 
+class TestPairingOracle:
+    # pairing_check bounds one block of linalg.BLOCK rows at a time; it must
+    # give the entry the whole bound matrix gives, to the bit.
+    W = 2 * linalg.BLOCK + 3
+
+    @pytest.mark.parametrize("count", [W, linalg.BLOCK, 5])
+    def test_matches_the_whole_matrix(self, rng, count):
+        sys_ = instantiate_system(parse_model("similarity:1.01^k", self.W + 1))
+        phi, psi = generate_families(sys_, count)
+        fams = (_perturbed(phi, rng, count), _perturbed(psi, rng, count))
+        assert pairing_check(sys_, *fams) == pairing_oracle(sys_, *fams)
+
+    @pytest.mark.parametrize("later, first_wins", [(2.0, True), (2.5, False)])
+    def test_first_of_equal_ratios_wins(self, later, first_wins):
+        # psi = I + E with E = d at (98, 1) (k = 100) and later * d at
+        # (99, 100) (k = 200, a later row block): 2 d against a bound twice as
+        # large is an equal ratio, and the first entry in row-major order wins.
+        sys_ = instantiate_system(parse_model("ccr", self.W + 1))
+        phi = SequenceFamily(np.eye(self.W + 1)[:, :self.W])
+        cols = phi.coeffs.copy()
+        cols[98, 1], cols[99, 100] = 1e-10, later * 1e-10
+        residual, bound = pairing_check(sys_, phi, SequenceFamily(cols))
+        assert (residual, bound) == pairing_oracle(sys_, phi, SequenceFamily(cols))
+        assert residual == (1e-10 if first_wins else later * 1e-10)
+
+
 class TestGenerationOracle:
     # phi_n = b^n phi_0 / sqrt(n!) and psi_n = adjoint(a)^n psi_0 / sqrt(n!),
     # psi_0 scaled so that (phi_0 | psi_0) = 1
@@ -149,6 +184,13 @@ class TestGenerationOracle:
             expected = generation_oracle(op, start, count)
             assert fam.coeffs.shape == (N, count)
             assert linalg.max_column_norm(fam.coeffs - expected) <= 1e-12 * linalg.max_column_norm(expected)
+
+    def test_shorter_psi_is_the_leading_columns(self):
+        sys_ = _system()
+        phi, psi = generate_families(sys_, N)
+        phi_w, psi_w = generate_families(sys_, N, psi_count=4)
+        assert np.array_equal(phi_w.coeffs, phi.coeffs)
+        assert np.array_equal(psi_w.coeffs, psi.coeffs[:, :4])
 
     def test_one_column_is_the_vacuum(self):
         sys_ = _system()

@@ -54,7 +54,7 @@ def _system_arrays(model):
     """Every array of the pseudo-boson system of model and of its generated families."""
     sys_ = instantiate_system(parse_model(model, DIM))
     phi, psi = generate_families(sys_, DIM)
-    number = sys_.b @ sys_.a  # the number operator number_eigen_relations forms
+    number = sys_.b @ sys_.a  # the number operator number_eigen_relations powers
     return {"a": sys_.a, "b": sys_.b, "number_op": number,
             "number_dag": linalg.adjoint(number), "phi0": sys_.phi0, "psi0": sys_.psi0,
             "generated phi": phi.coeffs, "generated psi": psi.coeffs}

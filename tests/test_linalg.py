@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,50 @@ class TestSolveInverse:
         kappa = linalg.Factorization(T).kappa
         assert kappa > 1e8
         assert linalg.max_abs(inv @ T - np.eye(8)) <= kappa * linalg.EPS * 8
+
+
+class TestBlockwiseReductions:
+    """column_norms, max_abs and norm_estimate run in blocks of linalg.BLOCK
+    columns (or rows), so that none forms an N x N temporary; each gives the
+    bits of numpy's whole-matrix formula.  A last block one column wide would
+    not: numpy sums a lone column pairwise, not in row order."""
+
+    @staticmethod
+    def _matrix(rng, rows, width, complex_):
+        M = rng.standard_normal((rows, width)) * np.exp(5 * rng.standard_normal((rows, width)))
+        return M + 1j * rng.standard_normal((rows, width)) if complex_ else M
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 1023])
+    @pytest.mark.parametrize("rows", [1, 65, 513])
+    def test_bits_of_the_whole_matrix_formulas(self, rng, rows, width, complex_):
+        M = self._matrix(rng, rows, width, complex_)
+        for A in (M, M.T, M[:, 1:]):  # C order, Fortran order and a strided view
+            if not A.size:
+                continue
+            assert np.array_equal(linalg.column_norms(A), np.linalg.norm(A, axis=0))
+            assert linalg.max_abs(A) == float(np.max(np.abs(A)))
+            abs_A = np.abs(A)
+            assert linalg.norm_estimate(A) == (math.sqrt(float(abs_A.sum(axis=0).max()))
+                                               * math.sqrt(float(abs_A.sum(axis=1).max())))
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 5), (0, 0)])
+    def test_empty_matrix(self, shape):
+        M = np.zeros(shape)
+        assert np.array_equal(linalg.column_norms(M), np.linalg.norm(M, axis=0))
+        assert linalg.max_abs(M) == 0.0
+        with pytest.raises(ValueError):  # as np.abs(M).sum(axis=0).max() does
+            linalg.norm_estimate(M)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_overflow_fallback_of_column_norms(self, rng, complex_):
+        M = 1e300 * self._matrix(rng, 70, 65, complex_) / np.exp(25)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.linalg.norm(M, axis=0)).all()
+        top = float(np.max(np.abs(M)))
+        norms = linalg.column_norms(M)
+        assert np.isfinite(norms).all()
+        assert np.array_equal(norms, top * np.linalg.norm(M / top, axis=0))
 
 
 @settings(max_examples=25, deadline=None)

@@ -96,6 +96,39 @@ class TestSweepInput:
         assert main(["sweep", "--model", "identity", "--dims", dims]) == EXIT_INPUT
         assert "two distinct dimensions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", ["8,,16,", "8, ,16", ",8,16", "8,16,"])
+    def test_empty_entry(self, capsys, dims):
+        # An empty entry is a typo: 8,,16, ran as 8,16.
+        assert main(["sweep", "--model", "identity", "--dims", dims]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: dims: empty entry in {dims!r}\n"
+
+
+class TestNegativeSeed:
+    # -1 passes the number grammar; random_regular was refused by numpy with a
+    # line naming no flag, and a model that reads no seed ran with it.
+    ERR = "input error: seed: must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "random_regular:50", "--dim", "8"],
+        ["analyze", "--model", "paper_example", "--dim", "8"],
+        ["sweep", "--model", "paper_example", "--dims", "8,16"],
+        ["sweep", "--model", "random_regular:50", "--dims", "8,16"],
+        ["ladder", "--model", "identity", "--dim", "8"],
+    ])
+    def test_flag(self, tmp_path, capsys, argv):
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err == self.ERR
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("analyze", "dim: 8"), ("sweep", "dims: [8, 16]"), ("ladder", "dim: 8"),
+    ])
+    def test_config(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"model: paper_example\n{text}\nseed: -1\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_INPUT
+        assert capsys.readouterr().err == self.ERR
+
 
 class TestConfigValuesOfTheWrongType:
     # Each value must have the type its flag gives; none may print a traceback

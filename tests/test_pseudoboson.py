@@ -157,7 +157,7 @@ class TestSystemBuild:
         assert commutator_defect(s_minus, s_plus, window=6) >= 5.0
 
     def test_number_operators(self):
-        # N = b a, as number_eigen_relations forms it, and its adjoint
+        # N = b a, the operator number_eigen_relations powers, and its adjoint
         sys = ccr_system(7)
         number = sys.b @ sys.a
         assert np.allclose(number, np.diag(np.arange(7.0)), atol=1e-14)
@@ -193,6 +193,9 @@ class TestGenerateFamilies:
         sys = ccr_system(6)
         with pytest.raises(ValueError):
             generate_families(sys, 7)
+        for psi_count in (0, 7):
+            with pytest.raises(ValueError, match="psi_count"):
+                generate_families(sys, 6, psi_count=psi_count)
 
     def test_pairing_bound_of_an_entry_scales_with_its_columns(self):
         # phi_n = 2^n e_n and psi_m = 2^-m e_m: the bound of entry (n, m) is

@@ -34,21 +34,25 @@ def _argv(command: str, dim: int, out) -> list[str]:
 
 
 #: Per command: the dtype of its N x N arrays and its bound in such arrays.
-#: Measured peaks (numpy 2.4, N = 256): 6.4, 6.5, 6.0, 3.4, 7.5 and 8.2 arrays.
+#: Measured peaks (numpy 2.4, N = 256): 6.4, 6.5, 6.0, 3.2, 5.8 and 6.5 arrays.
 #: The first two were 8.4 and 8.5 before analyze checked each transported
 #: ladder operator as it was formed and freed it, and the first four 16.3,
 #: 19.3, 9.3 and 5.2 before build_analysis stopped copying T and each check
 #: freed its arrays; before the pseudo-boson system stopped keeping b a and
 #: its adjoint for the whole run, the last two were 10.7 and 11.1, and 8.5 and
 #: 9.2 before the commutator formed only its window columns and the dual
-#: number relation stopped copying adjoint(b a).
+#: number relation stopped copying adjoint(b a).  They were 7.5 and 8.2 (and
+#: the sweep 3.4) before the column norms, max-norms and norm estimates ran
+#: in column blocks and pseudoboson freed the shift matrices before the
+#: vacua, generated psi to the window alone, bounded the pairing one row
+#: block at a time and freed a and b before the number relations.
 BOUNDS = {
     "analyze random_regular": (np.complex128, 7.4),
     "analyze paper_example": (np.float64, 7.5),
     "ladder random_regular": (np.complex128, 7.1),
     "sweep paper_example": (np.float64, 4.5),
-    "pseudoboson similarity": (np.float64, 8.5),
-    "pseudoboson ccr": (np.float64, 9.2),
+    "pseudoboson similarity": (np.float64, 6.8),
+    "pseudoboson ccr": (np.float64, 7.5),
 }
 
 
