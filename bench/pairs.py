@@ -6,7 +6,11 @@ commit, e.g. made with `git archive`):
 
     python3 bench/pairs.py --parent PARENT --change . --out BENCH_2.json
 
-For every workload in BENCHMARK.json, pair i of PAIRS runs
+Before the first pair, `python -m compileall -q src` writes current `.pyc`
+files in both checkouts: a worker that compiles its modules at import (as
+under PYTHONDONTWRITEBYTECODE, or in a fresh checkout) starts about 1 MB
+higher in peak RSS than one that loads them, which would otherwise tilt the
+comparison.  For every workload in BENCHMARK.json, pair i of PAIRS runs
 `perfbench/run.py --trace 0` for the benchmark's run_seconds once in each
 checkout with the same seed (BASE_SEED + i); which side goes
 first alternates from pair to pair, so drift of a shared machine hits both
@@ -59,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     metrics = [m["name"] for m in bench["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
     report: dict = {"pairs": PAIRS, "seconds": seconds, "workloads": {}}
+    for checkout in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout,
+                       check=True)
 
     for workload in (w["name"] for w in bench["workloads"]):
         samples = {side: {m: [] for m in metrics} for side in sides}

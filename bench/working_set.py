@@ -12,10 +12,10 @@ Each command of perfbench's workloads (full scale, input seed --seed) runs
 twice as `rieszlab.cli.main(argv)`, each time in a fresh interpreter with BLAS
 on one thread, as in bench/digests.py:
 
-- once under tracemalloc, for the traced peak: every block Python and numpy
-  allocated during the call, temporaries included, counted in N x N arrays of
-  the run's dtype (complex128 for random_regular, float64 for every other
-  model);
+- once under tracemalloc, with the cyclic garbage collector off, for the
+  traced peak: every block Python and numpy allocated during the call,
+  temporaries included, counted in N x N arrays of the run's dtype
+  (complex128 for random_regular, float64 for every other model);
 - once untraced, for the peak resident set size of the process from
   getrusage(RUSAGE_SELF), interpreter and imports included.
 
@@ -40,10 +40,11 @@ from perfbench.workloads import SCALES, WORKLOADS, commands, write_inputs  # noq
 
 #: Runs one command in the child interpreter and prints its measurements as JSON.
 CHILD = """
-import contextlib, io, json, resource, sys, tracemalloc
+import contextlib, gc, io, json, resource, sys, tracemalloc
 from rieszlab.cli import main
 argv, traced = json.loads(sys.argv[1]), sys.argv[2] == "1"
 if traced:
+    gc.disable()  # so that the peak does not depend on when the cyclic collector runs
     tracemalloc.start()
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(argv)

@@ -280,10 +280,13 @@ def cmd_analyze(cfg: dict) -> int:
     # Each transported operator is checked as soon as it is formed and freed
     # after its check, but for the phi-side number operator, which the metric
     # reads: the metric runs next, so that it is freed before the dual family
-    # is formed.  The lines are printed in their usual order.
+    # is formed.  The phi-side generator, drawn three times and never
+    # exhausted, is dropped at once: its frame holds T and T^-1.  The lines
+    # are printed in their usual order.
     phi_ops = ladder.transported(T, fac.inverse)
     phi_actions = ladder.action_defect(itertools.islice(phi_ops, 2), phi_full, dim - 2)
     number = next(phi_ops)
+    del phi_ops
     phi_actions = max(phi_actions, ladder.shift_defect(number, 2, phi_full, dim - 2))
     # ||G|| = 1 / sigma_min(T)^2 for G = adjoint(T^-1) T^-1.
     metric = (ladder.intertwining_residual(ladder.metric_operator(fac), number),
@@ -292,20 +295,24 @@ def cmd_analyze(cfg: dict) -> int:
     del number
 
     dual = riesz.dual_family(fac)
+    kappa = fac.kappa
     table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
-              linalg.error_bound(dim, kappa=fac.kappa ** 2))
-    table.add("ladder actions (phi side)", phi_actions, ladder.action_bound(fac.kappa, phi_full))
+              linalg.error_bound(dim, kappa=kappa ** 2))
+    table.add("ladder actions (phi side)", phi_actions, ladder.action_bound(kappa, phi_full))
+    # The psi side reads the dual and adjoint(T) alone: T, phi and the
+    # factorization, with the T^-1 it caches, are freed before it.
+    T_adj = linalg.adjoint(T)
+    del T, phi_full, fac
     table.add("ladder actions (psi side)",
-              ladder.action_defect(ladder.transported(dual.coeffs, linalg.adjoint(T)), dual,
-                                   dim - 2),
-              ladder.action_bound(fac.kappa, dual))
+              ladder.action_defect(ladder.transported(dual.coeffs, T_adj), dual, dim - 2),
+              ladder.action_bound(kappa, dual))
     table.add("metric intertwining", *metric)
 
     if d_psi > 0.5:
         table.info(f"WARNING  psi-side span is far from e_0 "
                    f"(distance {d_psi:.3f}): psi span likely non-dense")
 
-    text = table.render(f"analyze: dim {dim}, kappa(T) {fac.kappa:.3e}")
+    text = table.render(f"analyze: dim {dim}, kappa(T) {kappa:.3e}")
     _emit(cfg, "analyze.txt", text)
     return EXIT_CHECK if table.failed else EXIT_OK
 

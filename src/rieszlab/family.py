@@ -87,9 +87,13 @@ class BiorthogonalPair:
 
     @cached_property
     def pairing_residual(self) -> float:
-        """max_{n,m} |(phi_n | psi_m) - delta_nm| over the family columns."""
-        defect = gram_defect(self.phi, self.psi)
-        return float(defect.max()) if defect.size else 0.0
+        """max_{n,m} |(phi_n | psi_m) - delta_nm| over the family columns.
+
+        The defect is formed for one block of psi columns m at a time.
+        """
+        blocks = linalg.blocks(self.psi.size, linalg.BLOCK)
+        return float(np.max([gram_defect(self.phi, self.psi, rows).max() for rows in blocks],
+                            initial=0.0))
 
 
 def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
@@ -98,14 +102,17 @@ def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
             f"families disagree in shape: ({phi.dim},{phi.size}) vs ({psi.dim},{psi.size})")
 
 
-def gram_defect(phi: SequenceFamily, psi: SequenceFamily) -> np.ndarray:
-    """|(phi_n | psi_m) - delta_nm| over the family columns, indexed [m, n].
+def gram_defect(phi: SequenceFamily, psi: SequenceFamily, rows: slice = slice(None)) -> np.ndarray:
+    """|(phi_n | psi_m) - delta_nm| over the phi columns n and the psi columns m in rows.
 
-    The 1s are subtracted in place from the product of the conjugate transpose
-    of psi and phi.
+    rows is a slice of step 1; the result is indexed [m - rows.start, n]:
+    the rows of the whole defect that rows selects (on the bits, see
+    linalg.blocks).  The 1s are subtracted in place from the product of the
+    conjugate transpose of those psi columns and phi.
     """
-    d = psi.coeffs.conj().T @ phi.coeffs
-    d.flat[::d.shape[0] + 1] -= 1.0
+    start, stop, _ = rows.indices(psi.size)
+    d = psi.coeffs[:, start:stop].conj().T @ phi.coeffs
+    d.flat[start::d.shape[1] + 1] -= 1.0
     return np.abs(d, out=d if d.dtype == np.float64 else None)
 
 
@@ -121,14 +128,20 @@ def check_pairing(phi: SequenceFamily, psi: SequenceFamily) -> BiorthogonalPair:
     """Verify (phi_n | psi_m) = delta_nm over the family columns, within pairing_bound.
 
     Gates on the pair's pairing_residual; only a failing pair rebuilds the
-    defect matrix, to raise NotBiorthogonalError carrying the worst (n, m).
+    defect, one block of rows at a time up to the first that holds the
+    residual, to raise NotBiorthogonalError carrying the worst (n, m): the
+    first in row-major order, as np.argmax over the whole defect picks it.
     """
     pair = BiorthogonalPair(phi=phi, psi=psi)
     tolerance = pairing_bound(phi, psi)
     if pair.pairing_residual > tolerance:
-        defect = gram_defect(phi, psi)
-        m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)
-        raise NotBiorthogonalError(n=n, m=m, value=pair.pairing_residual, tolerance=tolerance)
+        for rows in linalg.blocks(psi.size, linalg.BLOCK):
+            defect = gram_defect(phi, psi, rows)
+            m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)
+            if defect[m, n] == pair.pairing_residual:
+                break
+        raise NotBiorthogonalError(n=n, m=rows.start + m, value=pair.pairing_residual,
+                                   tolerance=tolerance)
     return pair
 
 

@@ -25,19 +25,26 @@ from . import linalg
 from .errors import DimensionMismatchError
 from .family import SequenceFamily
 
-def _shifted(M: np.ndarray, which: int) -> np.ndarray:
-    """M S_- (which = 0), M S_+ (1) or M N0 (2), a shift of M's columns, as a new array.
+def _shift_parts(M: np.ndarray, which: int) -> tuple[np.ndarray, slice, slice]:
+    """(weights, source columns, target columns) of M S_- (which = 0), M S_+ (1) or M N0 (2).
 
     Column k of M S_- is sqrt(k) M e_{k-1}, column k of M S_+ is
-    sqrt(k+1) M e_{k+1}, and column k of M N0 is k M e_k.  M's rows span the
-    truncated space, whose dimension must be at least 2.
+    sqrt(k+1) M e_{k+1}, and column k of M N0 is k M e_k: the target columns
+    are the weighted source columns, every other column is 0.  M's rows span
+    the truncated space, whose dimension must be at least 2.
     """
     if M.shape[0] < 2:
         raise DimensionMismatchError("shift matrices need dimension >= 2")
     ks = np.arange(1, M.shape[1], dtype=np.float64)
     src, dst = ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (np.s_[1:], np.s_[1:]))[which]
+    return ks if which == 2 else np.sqrt(ks), src, dst
+
+
+def _shifted(M: np.ndarray, which: int) -> np.ndarray:
+    """M S_- (which = 0), M S_+ (1) or M N0 (2), a shift of M's columns, as a new array."""
+    weights, src, dst = _shift_parts(M, which)
     out = np.zeros_like(M)
-    np.multiply(M[:, src], ks if which == 2 else np.sqrt(ks), out=out[:, dst])
+    np.multiply(M[:, src], weights, out=out[:, dst])
     return out
 
 
@@ -101,9 +108,16 @@ def dual_ladder(T, side: str = "psi") -> LadderSet:
 
 
 def _image_defect(image: np.ndarray, which: int, cols: np.ndarray, window: int) -> float:
-    """Largest checked column norm of image - cols S, for image = op cols, which it overwrites."""
+    """Largest checked column norm of image - cols S, for image = op cols, which it overwrites.
+
+    cols S is subtracted one block of its weighted columns at a time, never
+    formed whole; the products and differences are those of image - cols S.
+    """
     limit = max(0, min(window, cols.shape[1]))
-    image -= _shifted(cols, which)
+    weights, src, dst = _shift_parts(cols, which)
+    source, target = cols[:, src], image[:, dst]
+    for s in linalg.blocks(weights.size):
+        target[:, s] -= source[:, s] * weights[s]
     return linalg.max_column_norm(image[:, :max(0, limit - 1) if which == 1 else limit])
 
 
@@ -161,22 +175,29 @@ def metric_operator(T) -> np.ndarray:
     """Metric G = adjoint(T^-1) T^-1 for the quasi-Hermitian number operator.
 
     G is positive and self-adjoint and intertwines N and N*.  T may be a
-    linalg.Factorization; its inverse is reused.
+    linalg.Factorization; its inverse is reused.  G is formed one block of
+    rows at a time, G[rows] = adjoint(T^-1[:, rows]) T^-1, so that
+    adjoint(T^-1) never exists whole (on the bits, see linalg.blocks).
     """
     inverse = linalg.as_factorization(T).inverse
-    return linalg.adjoint(inverse) @ inverse
+    G = np.empty(inverse.shape, dtype=inverse.dtype)
+    for rows in linalg.blocks(inverse.shape[0], linalg.BLOCK):
+        np.matmul(linalg.adjoint(inverse[:, rows]), inverse, out=G[rows])
+    return G
 
 
 def intertwining_residual(G, number_op) -> float:
     """Max-norm defect of G N - adjoint(N) G.
 
-    adjoint(N) G is formed first, and adjoint(N) freed, before G N exists;
-    their difference overwrites G N.
+    It is formed one block of rows at a time, G[rows] N - adjoint(N[:, rows]) G,
+    so that neither adjoint(N), G N nor adjoint(N) G exists whole (on the
+    bits, see linalg.blocks).
     """
     G = linalg.as_operator(G)
     N = linalg.as_operator(number_op)
-    NG = linalg.adjoint(N) @ G
-    GN = G @ N
-    GN -= NG
-    del NG
-    return linalg.max_abs(GN)
+    worst = []
+    for rows in linalg.blocks(G.shape[0], linalg.BLOCK):
+        defect = G[rows] @ N
+        defect -= linalg.adjoint(N[:, rows]) @ G
+        worst.append(linalg.max_abs(defect))
+    return float(np.max(worst, initial=0.0))

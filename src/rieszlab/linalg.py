@@ -110,23 +110,33 @@ def rank_tolerance(values) -> float:
     return error_bound(values.size, float(np.abs(values).max(initial=0.0)))
 
 
-#: Width of the column (or row) blocks in which the O(N^2) reductions below
-#: run, so that none forms an N x N temporary such as |M| or |M|^2.
+#: Width of the column (or row) blocks in which the O(N^2) reductions below,
+#: and the row-blocked products of ladder and family, run, so that none
+#: forms an N x N temporary such as |M|, |M|^2 or a whole product.
 BLOCK = 64
 
 
-def blocks(n: int) -> list[slice]:
-    """Slices of 0..n-1, BLOCK long but the last; a last block of one joins the one before.
+def blocks(n: int, least: int = 2) -> list[slice]:
+    """Slices of 0..n-1, BLOCK long but the last, joined to the one before if shorter than least.
 
     numpy sums the columns of a C-ordered block two or more wide in row
     order, as it sums those of the whole matrix, but a lone column pairwise;
-    so no block is one wide unless the whole matrix is, and each block-wise
-    reduction below gives the bits of its whole-matrix formula.
+    so with least = 2 each block-wise reduction below gives the bits of its
+    whole-matrix formula.
+
+    A product formed one row block at a time (ladder.metric_operator,
+    ladder.intertwining_residual, family.gram_defect) takes least = BLOCK,
+    since BLAS computes a product of a few rows with other kernels, or on
+    fewer threads, than the whole.  It then has the bits of the whole
+    product where BLAS rounds each row alike in both: on OpenBLAS 0.3.31
+    (x86-64, AVX-512) at one BLAS thread, for complex input, and for real
+    input up to N = 192 and at every N that is a multiple of 8.  A real
+    product of another N may differ in the last bit of a few entries.
     """
-    starts = list(range(0, n, BLOCK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
+    edges = [*range(0, n, BLOCK), n]
+    if len(edges) > 2 and n - edges[-2] < least:
+        del edges[-2]
+    return [slice(i, j) for i, j in zip(edges, edges[1:])]
 
 
 def _by_blocks(reduce, M: np.ndarray, axis: int = 1) -> np.ndarray:

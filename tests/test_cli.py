@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from rieszlab import linalg
+from rieszlab import ladder, linalg
 from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, build_parser, main
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_matrix, save_family, save_matrix
@@ -48,6 +49,26 @@ class TestAnalyze:
                      f"file:{tmp_path / 'phi.csv'},{tmp_path / 'psi.csv'}"])
         capsys.readouterr()
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("model", ["random_regular:50", "paper_example", "diagonal:k+1"])
+    def test_psi_side_runs_after_T_and_its_inverse_are_freed(self, monkeypatch, capsys, model):
+        # The first transported call is the phi side's, transported(T, T^-1)
+        # with T^-1 the Factorization's cached inverse; by the psi side's
+        # call both arrays must be gone, with no collector run needed.
+        transported = ladder.transported
+        refs, alive = [], []
+
+        def watched(M, M_inv):
+            if refs:
+                alive.append([ref() is not None for ref in refs])
+            else:
+                refs.extend([weakref.ref(M), weakref.ref(M_inv)])
+            return transported(M, M_inv)
+
+        monkeypatch.setattr(ladder, "transported", watched)
+        assert main(["analyze", "--model", model, "--dim", "70", "--seed", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert alive == [[False, False]]
 
     def test_non_biorthogonal_file_pair_is_check_failure(self, tmp_path, capsys):
         save_family(SequenceFamily.identity(6), tmp_path / "phi.csv")

@@ -164,6 +164,55 @@ class TestPairingResidual:
         assert kept == []
 
 
+
+class TestGramDefectRows:
+    """gram_defect(phi, psi, rows) forms the defect for the psi columns in
+    rows alone; the pairing residual and check_pairing's worst entry take
+    it one block of linalg.blocks rows at a time.  The families hold small
+    integers, so every product is exact and the comparisons with the whole
+    defect do not depend on how BLAS orders its sums."""
+
+    @staticmethod
+    def _integer_pair(n, m, seed=4):
+        rng = np.random.default_rng(seed)
+        phi, psi = rng.integers(-3, 4, (2, n, m)).astype(float)
+        phi[np.arange(m), np.arange(m)] = 5.0  # no zero column
+        return SequenceFamily(phi), SequenceFamily(psi + np.eye(n, m))
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("n_extra", [0, 3])
+    def test_rows_are_the_rows_of_the_whole_defect(self, m, n_extra):
+        phi, psi = self._integer_pair(m + n_extra, m)
+        whole = gram_defect(phi, psi)
+        explicit = np.abs(psi.coeffs.T @ phi.coeffs - np.eye(m))
+        assert np.array_equal(whole, explicit)
+        # Blocks that start off the diagonal of the whole defect, an empty one
+        # and one that runs past the last column.
+        for rows in [*linalg.blocks(m, linalg.BLOCK), slice(m // 3, m // 2 + 1), slice(m - 1, m),
+                     slice(m // 2, m // 2), slice(m // 2, m + 5)]:
+            assert np.array_equal(gram_defect(phi, psi, rows), whole[rows]), rows
+        assert BiorthogonalPair(phi, psi).pairing_residual == float(whole.max())
+
+    @pytest.mark.parametrize("later, named", [(4.0, (7, 70)), (5.0, (3, 100))])
+    def test_worst_entry_across_blocks(self, later, named):
+        # Entries 4 at (n, m) = (7, 70) and `later` at (3, 100), in different
+        # row blocks of the defect: of equal worst entries the first in
+        # row-major order (m, n) is named, as np.argmax over the whole defect
+        # picks it, and a larger one in a later block wins.
+        psi = np.eye(130)
+        psi[7, 70], psi[3, 100] = 4.0, later
+        phi, psi = SequenceFamily.identity(130), SequenceFamily(psi)
+        with pytest.raises(NotBiorthogonalError) as exc:
+            check_pairing(phi, psi)
+        m, n = np.unravel_index(np.argmax(gram_defect(phi, psi)), (130, 130))
+        assert (exc.value.n, exc.value.m) == (n, m) == named
+        assert exc.value.value == later
+
+    def test_family_without_columns(self):
+        empty = SequenceFamily(np.zeros((4, 0)))
+        assert gram_defect(empty, empty).shape == (0, 0)
+        assert BiorthogonalPair(empty, empty).pairing_residual == 0.0
+
 class TestVerifyLeftInverse:
     def test_identity_pair(self):
         fam = SequenceFamily.identity(6)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import linalg
+from rieszlab import ladder, linalg
 from rieszlab.family import SequenceFamily, pad_to_square
 from rieszlab.ladder import (
     action_bound,
@@ -12,6 +12,7 @@ from rieszlab.ladder import (
     dual_ladder,
     intertwining_residual,
     metric_operator,
+    shift_defect,
     shift_matrices,
     verify_ladder_actions,
 )
@@ -184,3 +185,24 @@ class TestMetricOperator:
         metric = metric_operator(T)
         wrong = np.diag(np.arange(6, dtype=float)) + 0.5
         assert intertwining_residual(metric, wrong) > 1e-3
+
+
+
+class TestShiftDefectBlocks:
+    """The shifted family is subtracted from the image one block of columns
+    at a time, never formed whole: the products and differences are those
+    of the whole formula, so each defect has its bits."""
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("m", [2, 63, 64, 65, 129])
+    def test_bits_of_the_whole_formula(self, rng, m, complex_, which):
+        def operator(n):
+            M = rng.standard_normal((n, n))
+            return M + 1j * rng.standard_normal((n, n)) if complex_ else M
+        fam = SequenceFamily(operator(m + 3)[:, 3:])
+        op = operator(m + 3)
+        for window in (m, m // 2):
+            limit = window - 1 if which == 1 else window
+            whole = op @ fam.coeffs - ladder._shifted(fam.coeffs, which)
+            assert shift_defect(op, which, fam, window) == linalg.max_column_norm(whole[:, :limit])
