@@ -12,8 +12,9 @@ Each command of COMMANDS runs as `python -m rieszlab.cli` from the `src/` of
 the checkout (default: the one this script lives in), in its own working
 directory, with `--out` pointing at a relative directory, so that no absolute
 path reaches stdout or the written files.  For every command the output holds
-its exit code, one digest of its stdout and one digest per written file (paths
-relative to the output directory).  A second, masked digest of stdout and
+its exit code, the number of lines it wrote to stderr (so that a traceback
+or a numpy warning shows), one digest of its stdout and one digest per
+written file (paths relative to the output directory).  A second, masked digest of stdout and
 of each written table (`*.txt`) replaces every `(tolerance ...)` field by
 `(tolerance *)`, and one of `ladder.meta.json` leaves out its
 `ladder_tolerance`: a change of the
@@ -31,7 +32,11 @@ offset of N x M columns is N - M).  The complex pair is written with its im
 cells, which perfbench's writer leaves 0.  Further runs spell a number with
 a digit separator, a plus sign or non-ASCII digits, give a negative seed (to
 a model that reads it and to one that does not) or leave a `--dims` entry
-empty, each of which is bad input too.  One run per command
+empty, each of which is bad input too.  The scaled runs read finite
+entries whose products leave float64's range (SCALED_INPUTS): analyze of
+phi = s I, psi = I / s at N = 8, ladder of phi = psi = 1e200 I, whose
+pairing overflows, and pseudoboson of a = 1e200 S_-, b = S_+ / 1e200 at
+N = 16, S_- the truncated lowering shift.  One run per command
 reads its settings from a `--config run.yaml` written from CONFIGS, so that
 the config path is under the gate too.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
@@ -78,6 +83,16 @@ CONFIGS = {
              "probes: [e_0, 'geom:0.5']\n",
     "pseudoboson": "model: similarity:1.01^k\ndim: 64\nwindow: 32\n",
     "ladder": f"model: random_regular:50\ndim: 64\nseed: {SEED}\nside: psi\n",
+}
+#: The five scales s of the analyze runs on phi = s I, psi = I / s.
+SCALES = ("1e-200", "1e-150", "1e150", "1e155", "1e200")
+SHIFT_DOWN = np.diag(np.sqrt(np.arange(1.0, 16.0)), 1)
+#: Per scaled file model: the matrices of its two files, in the order of the spec.
+SCALED_INPUTS = {
+    **{f"file:phi{s}.csv,psi{s}.csv": (float(s) * np.eye(8), np.eye(8) / float(s))
+       for s in SCALES},
+    "file:phiinf.csv,psiinf.csv": (1e200 * np.eye(8), 1e200 * np.eye(8)),
+    "file:ascaled.csv,bscaled.csv": (1e200 * SHIFT_DOWN, SHIFT_DOWN.T / 1e200),
 }
 
 
@@ -133,6 +148,9 @@ def _command_list() -> list[list[str]]:
     cmds += [["analyze", "--model", "random_regular:50", "--dim", "16", "--seed", "-1"],
              ["sweep", "--model", "paper_example", "--dims", "16,32", "--seed", "-1"],
              ["sweep", "--model", "identity", "--dims", "8,,16,"]]
+    cmds += [["analyze", "--model", f"file:phi{s}.csv,psi{s}.csv"] for s in SCALES]
+    cmds += [["ladder", "--model", "file:phiinf.csv,psiinf.csv"],
+             ["pseudoboson", "--model", "file:ascaled.csv,bscaled.csv"]]
     return cmds
 
 
@@ -209,11 +227,15 @@ def run_all(checkout: Path, work: Path) -> list[str]:
             (cwd / argv[2]).write_text(CONFIGS[argv[0]])
         elif argv[2] in FAMILY_MODELS:
             _write_family_pair(cwd, argv[2])
+        elif argv[2] in SCALED_INPUTS:
+            for name, mat in zip(argv[2][5:].split(","), SCALED_INPUTS[argv[2]]):
+                _write_matrix_csv(cwd / name, mat)
         elif argv[2].startswith("file:"):
             write_inputs(PIPELINE, "full", SEED, cwd)
         proc = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--out", "out"],
                               cwd=cwd, env=env, capture_output=True, timeout=600)
         lines.append(f"exit {proc.returncode}  {' '.join(argv)}")
+        lines.append(f"  {len(proc.stderr.splitlines())}  stderr lines")
         lines.append(f"  {_sha(proc.stdout)}  stdout")
         lines.append(f"  {_sha(_masked_table(proc.stdout))}  stdout, masked")
         out = cwd / "out"

@@ -87,13 +87,8 @@ class BiorthogonalPair:
 
     @cached_property
     def pairing_residual(self) -> float:
-        """max_{n,m} |(phi_n | psi_m) - delta_nm| over the family columns.
-
-        The defect is formed for one block of psi columns m at a time.
-        """
-        blocks = linalg.blocks(self.psi.size, linalg.BLOCK)
-        return float(np.max([gram_defect(self.phi, self.psi, rows).max() for rows in blocks],
-                            initial=0.0))
+        """max_{n,m} |(phi_n | psi_m) - delta_nm| over the family columns (worst_pairing)."""
+        return worst_pairing(self.phi, self.psi)[0]
 
 
 def _require_compatible(phi: SequenceFamily, psi: SequenceFamily) -> None:
@@ -108,12 +103,29 @@ def gram_defect(phi: SequenceFamily, psi: SequenceFamily, rows: slice = slice(No
     rows is a slice of step 1; the result is indexed [m - rows.start, n]:
     the rows of the whole defect that rows selects (on the bits, see
     linalg.blocks).  The 1s are subtracted in place from the product of the
-    conjugate transpose of those psi columns and phi.
+    conjugate transpose of those psi columns and phi.  worst_pairing walks the blocks.
     """
     start, stop, _ = rows.indices(psi.size)
     d = psi.coeffs[:, start:stop].conj().T @ phi.coeffs
     d.flat[start::d.shape[1] + 1] -= 1.0
     return np.abs(d, out=d if d.dtype == np.float64 else None)
+
+
+def worst_pairing(phi: SequenceFamily, psi: SequenceFamily,
+                  bound=lambda rows: 1.0) -> tuple[float, float, int, int]:
+    """(defect, bound, n, m) of the gram_defect entry with the largest defect / bound.
+
+    The defect is formed one block of linalg.blocks(psi.size) rows at a time,
+    against bound(rows) (by default 1.0).  The first of equal ratios in
+    row-major order (m, n) wins, and a NaN wins, as np.argmax picks it.
+    """
+    worst, top = (0.0, 1.0, 0, 0), None
+    for rows in linalg.blocks(psi.size):
+        defect, b, i = linalg.worst_ratio(gram_defect(phi, psi, rows), bound(rows))
+        ratio = np.float64(defect) / b
+        if top is None or ratio > top or np.isnan(ratio) and not np.isnan(top):
+            worst, top = (defect, b, i % phi.size, rows.start + i // phi.size), ratio
+    return worst
 
 
 def pairing_bound(phi: SequenceFamily, psi: SequenceFamily) -> float:
@@ -127,21 +139,14 @@ def pairing_bound(phi: SequenceFamily, psi: SequenceFamily) -> float:
 def check_pairing(phi: SequenceFamily, psi: SequenceFamily) -> BiorthogonalPair:
     """Verify (phi_n | psi_m) = delta_nm over the family columns, within pairing_bound.
 
-    Gates on the pair's pairing_residual; only a failing pair rebuilds the
-    defect, one block of rows at a time up to the first that holds the
-    residual, to raise NotBiorthogonalError carrying the worst (n, m): the
-    first in row-major order, as np.argmax over the whole defect picks it.
+    A residual or bound that is not finite fails; only a failing pair walks the
+    defect again, for the worst (n, m) of worst_pairing that NotBiorthogonalError names.
     """
     pair = BiorthogonalPair(phi=phi, psi=psi)
     tolerance = pairing_bound(phi, psi)
-    if pair.pairing_residual > tolerance:
-        for rows in linalg.blocks(psi.size, linalg.BLOCK):
-            defect = gram_defect(phi, psi, rows)
-            m, n = np.unravel_index(int(np.argmax(defect)), defect.shape)
-            if defect[m, n] == pair.pairing_residual:
-                break
-        raise NotBiorthogonalError(n=n, m=rows.start + m, value=pair.pairing_residual,
-                                   tolerance=tolerance)
+    if not pair.pairing_residual <= tolerance < np.inf:
+        _, _, n, m = worst_pairing(phi, psi)
+        raise NotBiorthogonalError(n=n, m=m, value=pair.pairing_residual, tolerance=tolerance)
     return pair
 
 

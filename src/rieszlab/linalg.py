@@ -125,13 +125,17 @@ def blocks(n: int, least: int = 2) -> list[slice]:
     whole-matrix formula.
 
     A product formed one row block at a time (ladder.metric_operator,
-    ladder.intertwining_residual, family.gram_defect) takes least = BLOCK,
-    since BLAS computes a product of a few rows with other kernels, or on
-    fewer threads, than the whole.  It then has the bits of the whole
-    product where BLAS rounds each row alike in both: on OpenBLAS 0.3.31
-    (x86-64, AVX-512) at one BLAS thread, for complex input, and for real
-    input up to N = 192 and at every N that is a multiple of 8.  A real
-    product of another N may differ in the last bit of a few entries.
+    ladder.intertwining_residual) takes least = BLOCK, since BLAS computes a
+    product of a few rows with other kernels, or on fewer threads, than the
+    whole.  It then has the bits of the whole product where BLAS rounds each
+    row alike in both: on OpenBLAS 0.3.31 (x86-64, AVX-512) at one BLAS
+    thread, for complex input, and for real input up to N = 192 and at every
+    N that is a multiple of 8.  A real product of another N may differ in the
+    last bit of a few entries.  The pairing walk (family.worst_pairing) takes
+    least = 2, so that each block and its bounds hold at most BLOCK + 1 rows:
+    at one BLAS thread it had the whole product's bits wherever least = BLOCK
+    had them (every N from 2 to 199 and nine up to 513), at two threads not
+    for real N from 101 to 128 and complex N from 130 to 132.
     """
     edges = [*range(0, n, BLOCK), n]
     if len(edges) > 2 and n - edges[-2] < least:
@@ -166,11 +170,11 @@ def column_norms(M) -> np.ndarray:
     return top * _by_blocks(lambda b: np.linalg.norm(b / top, axis=0), M)
 
 
-def worst_ratio(residuals, bounds) -> tuple[float, float]:
-    """(residual, bound) of the entry with the largest residual / bound."""
+def worst_ratio(residuals, bounds) -> tuple[float, float, int]:
+    """(residual, bound, flat index) of the largest residual / bound, the entry np.argmax picks."""
     residuals, bounds = np.broadcast_arrays(residuals, bounds)
     i = int(np.argmax(residuals / bounds))
-    return float(residuals.flat[i]), float(bounds.flat[i])
+    return float(residuals.flat[i]), float(bounds.flat[i]), i
 
 
 @dataclass(frozen=True, eq=False)

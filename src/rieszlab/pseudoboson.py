@@ -224,21 +224,14 @@ def pairing_check(sys: PseudoBosonSystem, phi: SequenceFamily,
                   psi: SequenceFamily) -> tuple[float, float]:
     """Worst-ratio entry of |(phi_n | psi_m) - delta_nm| against its bound, as (residual, bound).
 
-    The bound of entry (n, m) is linalg.error_bound with k = n + m + 1
-    applications of b and adjoint(a), kappa_vac and scale ||phi_n|| ||psi_m||.
-    It is formed for one block of rows m at a time; of equal worst ratios the
-    first in row-major order wins, as np.argmax picks it.
+    The bound of entry (n, m) is linalg.error_bound with k = n + m + 1 applications of b and
+    adjoint(a), kappa_vac and scale ||phi_n|| ||psi_m||, per block of family.worst_pairing.
     """
-    defect = family.gram_defect(phi, psi)
     phi_norms, psi_norms = linalg.column_norms(phi.coeffs), linalg.column_norms(psi.coeffs)
     ks = np.arange(phi.size)
-    worst = np.array([
-        linalg.worst_ratio(defect[rows], linalg.error_bound(
-            sys.dim, np.outer(psi_norms[rows], phi_norms), k=ks[rows, None] + ks + 1,
-            kappa=sys.kappa_vac))
-        for rows in linalg.blocks(psi.size)])
-    residual, bound = worst[int(np.argmax(worst[:, 0] / worst[:, 1]))]
-    return float(residual), float(bound)
+    return family.worst_pairing(phi, psi, lambda rows: linalg.error_bound(
+        sys.dim, np.outer(psi_norms[rows], phi_norms), k=ks[rows, None] + ks + 1,
+        kappa=sys.kappa_vac))[:2]
 
 
 def falling_factorial_identity(sys: PseudoBosonSystem, n: int, m: int) -> float:
@@ -334,7 +327,7 @@ def restriction_containment(sys: PseudoBosonSystem, ls: LadderSet,
 
     phi side: ||(a - A) phi_n|| and ||(b - B) phi_n||.
     psi side: ||(adjoint(b) - A) psi_n|| and ||(adjoint(a) - B) psi_n||.
-    Quantified over n < window, raising comparisons stop one column earlier.
+    Quantified over n < min(window, fam.size); raising comparisons stop one column earlier.
     """
     if side == "phi":
         pairs = ((sys.a, ls.lowering), (sys.b, ls.raising))
@@ -344,8 +337,7 @@ def restriction_containment(sys: PseudoBosonSystem, ls: LadderSet,
         raise ValueError(f"unknown side {side!r}")
     worst = 0.0
     for i, (op, transported) in enumerate(pairs):
-        # index 1 of each pair raises the family; skip the top column there.
-        limit = min(sys.window, fam.size - (1 if i == 1 else 0))
+        limit = min(sys.window, fam.size) - i  # index 1 of each pair raises the family
         diff = (op - transported) @ fam.coeffs[:, :limit]
         worst = max(worst, linalg.max_column_norm(diff))
     return worst

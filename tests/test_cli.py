@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from rieszlab import ladder, linalg
-from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, build_parser, main
+from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, CheckTable, build_parser, main
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_matrix, save_family, save_matrix
 
@@ -261,6 +261,35 @@ class TestLadder:
                      "--out", str(tmp_path)]) == EXIT_INPUT
         assert "side: must be phi or psi" in capsys.readouterr().err
         assert not (tmp_path / "ladder.meta.json").exists()
+
+
+class TestNonFiniteResiduals:
+    """A line passes only when its residual and its bound are finite."""
+
+    @pytest.mark.parametrize("residual, tolerance", [
+        (np.inf, np.inf), (np.nan, 1.0), (np.nan, np.nan), (np.inf, 1.0), (0.0, np.inf),
+        (0.0, np.nan)])
+    def test_line_fails(self, residual, tolerance):
+        table = CheckTable()
+        table.add("x", residual, tolerance)
+        assert table.failed and table.lines[0].startswith("FAIL  x: ")
+
+    def test_finite_line_at_its_bound_passes(self):
+        table = CheckTable()
+        table.add("x", 1.0, 1.0)
+        assert not table.failed and table.lines == ["PASS  x: residual 1.000e+00 "
+                                                    "(tolerance 1.000e+00)"]
+
+    @pytest.mark.parametrize("command", ["ladder", "analyze"])
+    def test_pair_whose_gram_overflows_is_a_check_failure(self, tmp_path, capsys, command):
+        # phi = psi = 1e200 I: the residual and its bound are both inf.
+        save_matrix(1e200 * np.eye(8), tmp_path / "phi.csv")
+        model = f"file:{tmp_path / 'phi.csv'},{tmp_path / 'phi.csv'}"
+        assert main([command, "--model", model, "--out", str(tmp_path / "out")]) == EXIT_CHECK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("check failure: pairing defect inf at (n, m)=(0, 0) exceeds "
+                                "tolerance inf\n")
 
 
 def _run_python(*args):

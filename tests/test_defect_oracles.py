@@ -62,7 +62,7 @@ def pairing_oracle(sys_, phi, psi):
     ks = np.arange(phi.size)
     scale = np.outer(np.linalg.norm(psi.coeffs, axis=0), np.linalg.norm(phi.coeffs, axis=0))
     bound = linalg.error_bound(sys_.dim, scale, k=ks[:, None] + ks + 1, kappa=sys_.kappa_vac)
-    return linalg.worst_ratio(family.gram_defect(phi, psi), bound)
+    return linalg.worst_ratio(family.gram_defect(phi, psi), bound)[:2]
 
 
 def generation_oracle(op, start, count):

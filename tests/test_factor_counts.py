@@ -139,17 +139,20 @@ def test_no_command_computes_singular_vectors(factor_counts, tmp_path, capsys, a
 ])
 def test_pseudoboson_computes_one_pairing_gram(monkeypatch, capsys, argv, count):
     # The table's pairing line is the one pairing check of a pseudoboson run,
-    # over the count generated columns it reports.
+    # over the count generated columns it reports: one walk of row blocks
+    # whose rows cover the count psi columns once.
     from rieszlab import family
 
-    sizes = []
+    blocks = []
     gram_defect = family.gram_defect
 
-    def counted_gram_defect(phi, psi):
-        sizes.append(phi.size)
-        return gram_defect(phi, psi)
+    def counted_gram_defect(phi, psi, rows):
+        blocks.append((phi.size, *rows.indices(psi.size)[:2]))
+        return gram_defect(phi, psi, rows)
 
     monkeypatch.setattr(family, "gram_defect", counted_gram_defect)
     assert main(["pseudoboson", *argv]) == EXIT_OK
     capsys.readouterr()
-    assert sizes == [count]
+    assert {size for size, _, _ in blocks} == {count}
+    assert [start for _, start, _ in blocks] == [0, *(stop for _, _, stop in blocks[:-1])]
+    assert blocks[-1][2] == count

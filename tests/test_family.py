@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rieszlab import linalg
+from rieszlab import family, linalg
 from rieszlab.cli import EXIT_OK, main
 from rieszlab.errors import (
     DimensionMismatchError,
@@ -23,6 +23,7 @@ from rieszlab.family import (
     pad_to_square,
     pairing_bound,
     verify_left_inverse,
+    worst_pairing,
 )
 from rieszlab.io import load_family, save_matrix
 from rieszlab.models import paper_example_pair
@@ -212,6 +213,65 @@ class TestGramDefectRows:
         empty = SequenceFamily(np.zeros((4, 0)))
         assert gram_defect(empty, empty).shape == (0, 0)
         assert BiorthogonalPair(empty, empty).pairing_residual == 0.0
+        assert worst_pairing(empty, empty) == (0.0, 1.0, 0, 0)
+
+
+class TestWorstPairing:
+    """worst_pairing names the entry np.argmax picks over the whole ratio
+    matrix, though it forms the defect and asks for the bounds one row block
+    at a time: of equal ratios the first in row-major order (m, n), and a NaN
+    ratio before any number.  The families hold small integers, so every
+    defect is exact."""
+
+    M = 2 * linalg.BLOCK + 3
+
+    @staticmethod
+    def _oracle(phi, psi, bounds):
+        defect, bound, i = linalg.worst_ratio(gram_defect(phi, psi), bounds)
+        m, n = divmod(i, phi.size)
+        return defect, bound, n, m
+
+    @pytest.mark.parametrize("nans", [(), ((100, 3),), ((10, 5),), ((10, 5), (100, 3)),
+                                      ((130, 0), (70, 9))])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_whole_matrix(self, nans, seed):
+        rng = np.random.default_rng(seed)
+        phi, psi = TestGramDefectRows._integer_pair(self.M, self.M, seed)
+        # Bounds of two values make equal ratios in every row block.
+        bounds = rng.choice([1.0, 2.0], (self.M, self.M))
+        for m, n in nans:
+            bounds[m, n] = np.nan
+        got = worst_pairing(phi, psi, lambda rows: bounds[rows])
+        np.testing.assert_equal(got, self._oracle(phi, psi, bounds))  # NaN equals NaN
+        if nans:
+            assert np.isnan(got[0] / got[1]) and got[2:] == min(nans)[::-1]
+
+
+class TestNonFinitePairing:
+    """A pairing whose Gram overflows (inf) or is undefined (NaN) never holds,
+    even against a bound that overflows with it."""
+
+    def test_inf(self):
+        # phi = psi = 1e200 I: the Gram's diagonal and its bound overflow alike.
+        fam = SequenceFamily(1e200 * np.eye(8))
+        with np.errstate(all="ignore"), pytest.raises(NotBiorthogonalError) as exc:
+            check_pairing(fam, fam)
+        assert exc.value.value == exc.value.tolerance == np.inf
+        assert (exc.value.n, exc.value.m) == (0, 0)
+
+    def test_nan(self, monkeypatch):
+        # An overflowing Gram product holds inf - inf where BLAS rounds the
+        # partial products first (an FMA kernel keeps inf): a defect with a
+        # NaN entry, after a larger finite one, names the NaN.
+        defect = np.zeros((8, 8))
+        defect[1, 2], defect[3, 4] = 5.0, np.nan
+        monkeypatch.setattr(family, "gram_defect", lambda phi, psi, rows: defect[rows].copy())
+        fam = SequenceFamily.identity(8)
+        with pytest.raises(NotBiorthogonalError) as exc:
+            check_pairing(fam, fam)
+        assert np.isnan(exc.value.value)
+        assert (exc.value.n, exc.value.m) == (4, 3)
+
 
 class TestVerifyLeftInverse:
     def test_identity_pair(self):

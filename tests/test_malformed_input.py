@@ -85,6 +85,41 @@ class TestFileModelsBelowTheMinimumDimension:
         capsys.readouterr()
 
 
+class TestValuesOutsideTheRangeOfFloat64:
+    """Finite entries whose products overflow or underflow float64 exit 1 with
+    one line, neither a traceback nor a numpy warning.  phi = s I, psi = I / s
+    is a biorthogonal pair at every s; analyze squares sigma_min(T) = s."""
+
+    def _analyze(self, tmp_path, s):
+        save_matrix(s * np.eye(8), tmp_path / "phi.csv")
+        save_matrix(np.eye(8) / s, tmp_path / "psi.csv")
+        return main(["analyze", "--model", _files(tmp_path, "phi.csv", "psi.csv")])
+
+    @pytest.mark.parametrize("s", [1e155, 1e160, 1e200, 1e-200])
+    def test_analyze_exits_1(self, tmp_path, capsys, s):
+        assert self._analyze(tmp_path, s) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: values outside the range of float64: ")
+
+    @pytest.mark.parametrize("s", [1e150, 1e-150])
+    def test_analyze_within_the_range_runs(self, tmp_path, capsys, s):
+        assert self._analyze(tmp_path, s) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and "FAIL" not in captured.out
+
+    def test_pseudoboson_exits_1(self, tmp_path, capsys):
+        # a = 1e200 S_-, b = S_+ / 1e200: the vacuum solve of a is of order
+        # 1e-200, and the squares of its norm underflow to 0.
+        s_minus, s_plus, _ = shift_matrices(16)
+        save_matrix(1e200 * s_minus, tmp_path / "a.csv")
+        save_matrix(s_plus / 1e200, tmp_path / "b.csv")
+        assert main(["pseudoboson", "--model", _files(tmp_path, "a.csv", "b.csv")]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: values outside the range of float64: ")
+
+
 class TestSweepInput:
     def test_probe_beyond_the_smallest_dimension(self, capsys):
         argv = ["sweep", "--model", "identity", "--dims", "8,16", "--probe", "e_12"]

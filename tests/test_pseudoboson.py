@@ -7,7 +7,7 @@ import pytest
 from rieszlab import linalg
 from rieszlab.errors import AmbiguousVacuumError, SingularOperatorError
 from rieszlab.family import BiorthogonalPair, SequenceFamily, build_analysis
-from rieszlab.ladder import action_bound, action_defect, build_ladder, shift_matrices
+from rieszlab.ladder import LadderSet, action_bound, action_defect, build_ladder, shift_matrices
 from rieszlab.models import ModelSpec, instantiate_system
 from rieszlab.pseudoboson import (
     PseudoBosonSystem,
@@ -288,6 +288,20 @@ class TestLadderAgreement:
                                        rel=1e-12, abs=1e-15)
         assert abs(closed - restriction_containment(sys, ls, phi, side="phi")) \
             <= action_bound(ls.kappa, phi)
+
+    @pytest.mark.parametrize("which, column, seen", [
+        ("raising", 7, False), ("raising", 6, True), ("lowering", 7, True)])
+    def test_window_below_the_family_size(self, which, column, seen):
+        # W = 8 < M = 12 columns: lowering compares n < 8 and raising n < 7,
+        # the window rule of ladder.shift_defect.  For ccr, phi_n = e_n, so a
+        # defect 1e-3 in one column of A or B shows there alone.
+        sys = ccr_system(12, window=8)
+        phi, _ = generate_families(sys, 12)
+        assert np.array_equal(phi.coeffs, np.eye(12))
+        ops = {"lowering": sys.a.copy(), "raising": sys.b.copy()}
+        ops[which][0, column] += 1e-3
+        ls = LadderSet(**ops, number=sys.b @ sys.a, side="phi", window=8, kappa=1.0)
+        assert restriction_containment(sys, ls, phi, side="phi") == (1e-3 if seen else 0.0)
 
     def test_reconstruction(self):
         # the transported raising operator regenerates phi_n = B^n phi_0 / sqrt(n!)

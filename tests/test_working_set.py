@@ -34,7 +34,8 @@ def _argv(command: str, dim: int, out) -> list[str]:
 
 
 #: Per command: the dtype of its N x N arrays and its bound in such arrays.
-#: Measured peaks (numpy 2.4, N = 256): 4.8, 5.2, 6.0, 3.2, 5.3 and 6.1 arrays.
+#: Measured peaks (numpy 2.4, N = 256): 4.8, 5.2, 6.0, 3.2, 5.3 and 5.6 arrays;
+#: the last was 6.1 before the pairing check stopped forming the whole defect.
 #: The first two were 8.4 and 8.5 before analyze checked each transported
 #: ladder operator as it was formed and freed it, and the first four 16.3,
 #: 19.3, 9.3 and 5.2 before build_analysis stopped copying T and each check
