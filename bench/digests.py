@@ -35,8 +35,10 @@ a model that reads it and to one that does not) or leave a `--dims` entry
 empty, each of which is bad input too.  The scaled runs read finite
 entries whose products leave float64's range (SCALED_INPUTS): analyze of
 phi = s I, psi = I / s at N = 8, ladder of phi = psi = 1e200 I, whose
-pairing overflows, and pseudoboson of a = 1e200 S_-, b = S_+ / 1e200 at
-N = 16, S_- the truncated lowering shift.  One run per command
+pairing overflows, and pseudoboson of a = s S_-, b = S_+ / s at N = 16,
+S_- the truncated lowering shift: at s = 1e200 the vacuum solve leaves the
+range (exit 1), at s = 1e50 the generated phi_n, of order s^-n, underflows
+to a zero column, a check failure (exit 2).  One run per command
 reads its settings from a `--config run.yaml` written from CONFIGS, so that
 the config path is under the gate too.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
@@ -93,6 +95,7 @@ SCALED_INPUTS = {
        for s in SCALES},
     "file:phiinf.csv,psiinf.csv": (1e200 * np.eye(8), 1e200 * np.eye(8)),
     "file:ascaled.csv,bscaled.csv": (1e200 * SHIFT_DOWN, SHIFT_DOWN.T / 1e200),
+    "file:a1e50.csv,b1e50.csv": (1e50 * SHIFT_DOWN, SHIFT_DOWN.T / 1e50),
 }
 
 
@@ -150,7 +153,8 @@ def _command_list() -> list[list[str]]:
              ["sweep", "--model", "identity", "--dims", "8,,16,"]]
     cmds += [["analyze", "--model", f"file:phi{s}.csv,psi{s}.csv"] for s in SCALES]
     cmds += [["ladder", "--model", "file:phiinf.csv,psiinf.csv"],
-             ["pseudoboson", "--model", "file:ascaled.csv,bscaled.csv"]]
+             ["pseudoboson", "--model", "file:ascaled.csv,bscaled.csv"],
+             ["pseudoboson", "--model", "file:a1e50.csv,b1e50.csv"]]
     return cmds
 
 

@@ -17,6 +17,7 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -221,99 +222,93 @@ def _write(text: str) -> None:
         _drop_stdout()
 
 
-def _emit(cfg: dict, name: str, text: str) -> None:
+@dataclass(frozen=True)
+class Check:
+    """One PASS/FAIL line: a residual against the bound that gates it, or why a stage gave none."""
+
+    name: str
+    residual: float | None
+    bound: float | None
+    reason: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None and self.residual <= self.bound < np.inf  # no inf or NaN passes
+
+    def __str__(self) -> str:
+        if self.reason is not None:
+            return f"FAIL  {self.name}: {self.reason}"
+        return (f"{'PASS' if self.ok else 'FAIL'}  {self.name}: "
+                f"residual {self.residual:.3e} (tolerance {self.bound:.3e})")
+
+
+def _report(cfg: dict, name: str, title: str, checks: list[Check], notes=()) -> int:
+    """Print title, checks and notes, write them to --out/name; exit 2 if a check failed."""
+    text = "\n".join([title, *map(str, checks), *notes]) + "\n"
     _write(text)
     out = cfg.get("out")
     if out:
         io.atomic_write_text(Path(out) / name, text)
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_CHECK
 
 
-class CheckTable:
-    """Accumulates residual lines with the bounds that gate them."""
+def _analyze_pair(cfg: dict):
+    """The four pairing and embedding lines and the psi span note, with phi
+    padded to square and the one factorization of T that every later line reads."""
+    pair = _load_pair_model(cfg, _dim(_require(cfg, "dim", 16)))
+    dim = pair.dim  # file models carry their own dimension
+    checks = [Check("pairing residual", pair.pairing_residual, pairing_bound(pair.phi, pair.psi))]
+    d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
+    notes = [f"WARNING  psi-side span is far from e_0 (distance {d_psi:.3f}): "
+             "psi span likely non-dense"] if d_psi > 0.5 else []
+    phi = pad_to_square(pair.phi)
+    fac = linalg.Factorization(build_analysis(phi))
+    exact = linalg.error_bound(dim, phi.max_norm)
+    checks += [Check("coanalysis == adjoint(analysis)",
+                     linalg.max_abs(build_coanalysis(phi) - linalg.adjoint(fac.T)), exact),
+               Check("analysis action T e_k == phi_k",
+                     linalg.max_column_norm(fac.T - phi.coeffs), exact)]
+    sq = embed_pair(pair, fac)
+    del pair  # freed before the left-inverse walk, which a stage of its own would only wrap
+    checks.append(Check("left-inverse identity", verify_left_inverse(sq),
+                        pairing_bound(sq.phi, sq.psi)))
+    return checks, notes, phi, fac
 
-    def __init__(self):
-        self.lines: list[str] = []
-        self.failed = False
 
-    def add(self, name: str, residual: float, tolerance: float) -> None:
-        ok = residual <= tolerance < np.inf  # both finite: no inf or NaN passes
-        self.failed = self.failed or not ok
-        status = "PASS" if ok else "FAIL"
-        self.lines.append(f"{status}  {name}: residual {residual:.3e} (tolerance {tolerance:.3e})")
+def _analyze_phi_ladder(phi: SequenceFamily, fac: linalg.Factorization) -> tuple[float, Check]:
+    """The phi-side ladder defect, checking each transported operator as it is
+    formed, and the metric line, which reads the number operator; both die on
+    return, with the generator, before the dual family is formed."""
+    dim = fac.dim
+    ops = ladder.transported(fac.T, fac.inverse)
+    actions = ladder.action_defect(itertools.islice(ops, 2), phi, dim - 2)
+    number = next(ops)
+    actions = max(actions, ladder.shift_defect(number, 2, phi, dim - 2))
+    residual = ladder.intertwining_residual(ladder.metric_operator(fac), number)
+    # ||G|| = 1 / sigma_min(T)^2 for G = adjoint(T^-1) T^-1.
+    return actions, Check("metric intertwining", residual, linalg.error_bound(
+        dim, linalg.norm_estimate(number) / fac.sigma_min ** 2, kappa=fac.kappa))
 
-    def fail(self, name: str, reason: str) -> None:
-        """A FAIL line for a stage that raised instead of giving a residual."""
-        self.failed = True
-        self.lines.append(f"FAIL  {name}: {reason}")
 
-    def info(self, text: str) -> None:
-        self.lines.append(text)
-
-    def render(self, title: str) -> str:
-        return title + "\n" + "\n".join(self.lines) + "\n"
+def _analyze_phi(cfg: dict):
+    """Every line but the psi-side ladder, with kappa(T) and what that line reads:
+    the dual family and adjoint(T).  T, T^-1 and phi die on return."""
+    checks, notes, phi, fac = _analyze_pair(cfg)
+    actions, metric = _analyze_phi_ladder(phi, fac)
+    dual = riesz.dual_family(fac)
+    checks += [Check("dual family pairing", BiorthogonalPair(phi, dual).pairing_residual,
+                     linalg.error_bound(fac.dim, kappa=fac.kappa ** 2)),
+               Check("ladder actions (phi side)", actions, ladder.action_bound(fac.kappa, phi))]
+    return checks, notes, metric, fac.kappa, dual, linalg.adjoint(fac.T)
 
 
 def cmd_analyze(cfg: dict) -> int:
-    dim = _dim(_require(cfg, "dim", 16))
-    pair = _load_pair_model(cfg, dim)
-    dim = pair.dim  # file models carry their own dimension
-
-    table = CheckTable()
-    table.add("pairing residual", pair.pairing_residual, pairing_bound(pair.phi, pair.psi))
-    # Read now, so that the pair is freed after the left-inverse line; printed last.
-    d_psi = diagnostics.span_distance(pair.psi, linalg.basis_vector(0, dim))
-
-    # The one factorization of T: every check below reads from it.
-    phi_full = pad_to_square(pair.phi)
-    fac = linalg.Factorization(build_analysis(phi_full))
-    T = fac.T
-    exact = linalg.error_bound(dim, phi_full.max_norm)
-    table.add("coanalysis == adjoint(analysis)",
-              linalg.max_abs(build_coanalysis(phi_full) - linalg.adjoint(T)), exact)
-    table.add("analysis action T e_k == phi_k", linalg.max_column_norm(T - phi_full.coeffs), exact)
-    sq = embed_pair(pair, fac)
-    del pair
-    table.add("left-inverse identity", verify_left_inverse(sq), pairing_bound(sq.phi, sq.psi))
-    del sq
-
-    # Each transported operator is checked as soon as it is formed and freed
-    # after its check, but for the phi-side number operator, which the metric
-    # reads: the metric runs next, so that it is freed before the dual family
-    # is formed.  The phi-side generator, drawn three times and never
-    # exhausted, is dropped at once: its frame holds T and T^-1.  The lines
-    # are printed in their usual order.
-    phi_ops = ladder.transported(T, fac.inverse)
-    phi_actions = ladder.action_defect(itertools.islice(phi_ops, 2), phi_full, dim - 2)
-    number = next(phi_ops)
-    del phi_ops
-    phi_actions = max(phi_actions, ladder.shift_defect(number, 2, phi_full, dim - 2))
-    # ||G|| = 1 / sigma_min(T)^2 for G = adjoint(T^-1) T^-1.
-    metric = (ladder.intertwining_residual(ladder.metric_operator(fac), number),
-              linalg.error_bound(dim, linalg.norm_estimate(number) / fac.sigma_min ** 2,
-                                 kappa=fac.kappa))
-    del number
-
-    dual = riesz.dual_family(fac)
-    kappa = fac.kappa
-    table.add("dual family pairing", BiorthogonalPair(phi_full, dual).pairing_residual,
-              linalg.error_bound(dim, kappa=kappa ** 2))
-    table.add("ladder actions (phi side)", phi_actions, ladder.action_bound(kappa, phi_full))
-    # The psi side reads the dual and adjoint(T) alone: T, phi and the
-    # factorization, with the T^-1 it caches, are freed before it.
-    T_adj = linalg.adjoint(T)
-    del T, phi_full, fac
-    table.add("ladder actions (psi side)",
-              ladder.action_defect(ladder.transported(dual.coeffs, T_adj), dual, dim - 2),
-              ladder.action_bound(kappa, dual))
-    table.add("metric intertwining", *metric)
-
-    if d_psi > 0.5:
-        table.info(f"WARNING  psi-side span is far from e_0 "
-                   f"(distance {d_psi:.3f}): psi span likely non-dense")
-
-    text = table.render(f"analyze: dim {dim}, kappa(T) {kappa:.3e}")
-    _emit(cfg, "analyze.txt", text)
-    return EXIT_CHECK if table.failed else EXIT_OK
+    checks, notes, metric, kappa, dual, T_adj = _analyze_phi(cfg)
+    psi_actions = ladder.action_defect(ladder.transported(dual.coeffs, T_adj), dual, dual.dim - 2)
+    checks += [Check("ladder actions (psi side)", psi_actions, ladder.action_bound(kappa, dual)),
+               metric]
+    return _report(cfg, "analyze.txt", f"analyze: dim {dual.dim}, kappa(T) {kappa:.3e}",
+                   checks, notes)
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -354,22 +349,23 @@ def _load_system(cfg: dict, dim: int, window: int | None):
     return pseudoboson.PseudoBosonSystem.build(a, b, window=window)
 
 
-def cmd_pseudoboson(cfg: dict) -> int:
+def _pseudoboson_system(cfg: dict):
+    """Every line that reads a and b, with the restriction lines apart (they print
+    after the number line) and what the number line reads: N = b a, the families
+    and kappa_vac.  a and b die on return, before N is powered."""
     dim = _dim(_require(cfg, "dim", 32))
     window = cfg.get("window")
     window = diagnostics.ascii_int(window, "window") if window is not None else None
     system = _load_system(cfg, dim, window)
-    n, window, kappa_vac = system.dim, system.window, system.kappa_vac
+    n, window = system.dim, system.window
     norm_a, norm_b = linalg.norm_estimate(system.a), linalg.norm_estimate(system.b)
-
-    table = CheckTable()
-    table.add("vacuum residual ||a phi_0||",
-              float(np.linalg.norm(system.a @ system.phi0)), linalg.error_bound(n, norm_a))
-    table.add("vacuum residual ||adjoint(b) psi_0||",
-              float(np.linalg.norm(linalg.adjoint(system.b) @ system.psi0)),
-              linalg.error_bound(n, norm_b))
-    table.add(f"commutator defect on window {window}",
-              system.commutator_defect(), linalg.error_bound(n, norm_a * norm_b, k=2))
+    checks = [Check("vacuum residual ||a phi_0||", float(np.linalg.norm(system.a @ system.phi0)),
+                    linalg.error_bound(n, norm_a)),
+              Check("vacuum residual ||adjoint(b) psi_0||",
+                    float(np.linalg.norm(linalg.adjoint(system.b) @ system.psi0)),
+                    linalg.error_bound(n, norm_b)),
+              Check(f"commutator defect on window {window}", system.commutator_defect(),
+                    linalg.error_bound(n, norm_a * norm_b, k=2))]
 
     # phi is generated at full truncation, which kappa(T_gen) below reads, and
     # psi to the window W alone.  Each column is computed from the one before,
@@ -377,35 +373,34 @@ def cmd_pseudoboson(cfg: dict) -> int:
     # checks read those alone.
     sq_phi, psi = pseudoboson.generate_families(system, n, psi_count=window)
     phi = SequenceFamily(sq_phi.coeffs[:, :window])
-    table.add("generated pairing residual", *pseudoboson.pairing_check(system, phi, psi))
+    checks.append(Check("generated pairing residual",
+                        *pseudoboson.pairing_check(system, phi, psi)))
 
     nmax = min(6, window // 2)
     residuals, bounds = pseudoboson.falling_factorial_checks(system, nmax)
     for (npow, mpow), r in np.ndenumerate(residuals):
-        table.add(f"falling-factorial n={npow} m={mpow}", r, bounds[npow, mpow])
+        checks.append(Check(f"falling-factorial n={npow} m={mpow}", r, bounds[npow, mpow]))
 
     # The ladder transported by the family's analysis operator T acts on the family
     # exactly, so the restriction line compares a and b with that action in closed
-    # form; its bound reads kappa(T) alone.  It is computed before the number
-    # relations, so that a and b are freed before N = b a is powered.
+    # form; its bound reads kappa(T) alone.
     try:
-        tol_ladder = ladder.action_bound(linalg.Factorization(build_analysis(sq_phi)).kappa, sq_phi)
-        restriction = ladder.action_defect((system.a, system.b), phi, window)
-    except SingularOperatorError as exc:  # the lines above stand; the two below cannot be bounded
-        tol_ladder, singular = None, str(exc)
-    number = system.b @ system.a
-    del system  # a and b: the number relations read N alone
-    table.add("number eigen-relations (m <= 3)", *linalg.worst_ratio(
-        *pseudoboson.number_eigen_relations(number, (phi, psi), 3, window, kappa_vac))[:2])
-    if tol_ladder is None:
-        table.fail("transported ladder (phi side)", singular)
-    else:
-        table.add("restriction containment (phi side)", restriction, tol_ladder)
-        table.add("span invariance (phi side)", 0.0, tol_ladder)  # a square family spans it all
+        tol = ladder.action_bound(linalg.Factorization(build_analysis(sq_phi)).kappa, sq_phi)
+        restriction = [Check("restriction containment (phi side)",
+                             ladder.action_defect((system.a, system.b), phi, window), tol),
+                       # a square family spans it all
+                       Check("span invariance (phi side)", 0.0, tol)]
+    except SingularOperatorError as exc:  # the lines above stand; these cannot be bounded
+        restriction = [Check("transported ladder (phi side)", None, None, str(exc))]
+    title = f"pseudoboson: dim {n}, window {window}, generated columns {window}"
+    return title, checks, restriction, system.b @ system.a, (phi, psi), system.kappa_vac
 
-    text = table.render(f"pseudoboson: dim {n}, window {window}, generated columns {window}")
-    _emit(cfg, "pseudoboson.txt", text)
-    return EXIT_CHECK if table.failed else EXIT_OK
+
+def cmd_pseudoboson(cfg: dict) -> int:
+    title, checks, restriction, number, families, kappa_vac = _pseudoboson_system(cfg)
+    relations = pseudoboson.number_eigen_relations(number, families, 3, families[0].size, kappa_vac)
+    checks.append(Check("number eigen-relations (m <= 3)", *linalg.worst_ratio(*relations)[:2]))
+    return _report(cfg, "pseudoboson.txt", title, checks + restriction)
 
 
 def cmd_ladder(cfg: dict) -> int:

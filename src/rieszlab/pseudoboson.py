@@ -203,7 +203,8 @@ def generate_families(sys: PseudoBosonSystem, count: int,
     pairing is the caller's check.  The overlap of two real vacua is a float,
     so that a real system generates both families in float64.  Columns above
     the system window are untrusted at the truncation edge; neither count may
-    exceed the dimension.
+    exceed the dimension.  A generated column that under- or overflows to 0 or
+    inf raises RieszLabError, as unpaired vacua do.
     """
     psi_count = count if psi_count is None else psi_count
     for what, n in (("count", count), ("psi_count", psi_count)):
@@ -215,8 +216,11 @@ def generate_families(sys: PseudoBosonSystem, count: int,
         raise RieszLabError(f"vacua cannot be paired: |(phi0|psi0)| = {abs(overlap):.3e}"
                             f" <= cut N*eps={cut:.3e}")
     psi0 = sys.psi0 / np.conj(overlap)
-    phi = SequenceFamily(_generate(sys.b, sys.phi0, count))
-    psi = SequenceFamily(_generate(linalg.adjoint(sys.a), psi0, psi_count))
+    try:
+        phi = SequenceFamily(_generate(sys.b, sys.phi0, count))
+        psi = SequenceFamily(_generate(linalg.adjoint(sys.a), psi0, psi_count))
+    except ValueError as exc:  # a column under- or overflowed: an outcome, not bad input
+        raise RieszLabError(f"generated family left the range of float64: {exc}") from exc
     return phi, psi
 
 

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from rieszlab import ladder, linalg
-from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, CheckTable, build_parser, main
+from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, Check, build_parser, main
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_matrix, save_family, save_matrix
 
@@ -266,19 +266,21 @@ class TestLadder:
 class TestNonFiniteResiduals:
     """A line passes only when its residual and its bound are finite."""
 
-    @pytest.mark.parametrize("residual, tolerance", [
+    @pytest.mark.parametrize("residual, bound", [
         (np.inf, np.inf), (np.nan, 1.0), (np.nan, np.nan), (np.inf, 1.0), (0.0, np.inf),
         (0.0, np.nan)])
-    def test_line_fails(self, residual, tolerance):
-        table = CheckTable()
-        table.add("x", residual, tolerance)
-        assert table.failed and table.lines[0].startswith("FAIL  x: ")
+    def test_line_fails(self, residual, bound):
+        check = Check("x", residual, bound)
+        assert not check.ok and str(check).startswith("FAIL  x: residual ")
 
     def test_finite_line_at_its_bound_passes(self):
-        table = CheckTable()
-        table.add("x", 1.0, 1.0)
-        assert not table.failed and table.lines == ["PASS  x: residual 1.000e+00 "
-                                                    "(tolerance 1.000e+00)"]
+        check = Check("x", 1.0, 1.0)
+        assert check.ok and str(check) == "PASS  x: residual 1.000e+00 (tolerance 1.000e+00)"
+
+    @pytest.mark.parametrize("residual, bound", [(0.0, 1.0), (None, None)])
+    def test_line_with_a_reason_fails(self, residual, bound):
+        check = Check("x", residual, bound, reason="operator numerically singular")
+        assert not check.ok and str(check) == "FAIL  x: operator numerically singular"
 
     @pytest.mark.parametrize("command", ["ladder", "analyze"])
     def test_pair_whose_gram_overflows_is_a_check_failure(self, tmp_path, capsys, command):

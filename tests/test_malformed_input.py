@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszlab.cli import EXIT_INPUT, EXIT_OK, main
+from rieszlab.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 from rieszlab.diagnostics import ProbeSpec, ascii_int
 from rieszlab.family import SequenceFamily
 from rieszlab.io import load_family, save_family, save_matrix
@@ -88,7 +88,9 @@ class TestFileModelsBelowTheMinimumDimension:
 class TestValuesOutsideTheRangeOfFloat64:
     """Finite entries whose products overflow or underflow float64 exit 1 with
     one line, neither a traceback nor a numpy warning.  phi = s I, psi = I / s
-    is a biorthogonal pair at every s; analyze squares sigma_min(T) = s."""
+    is a biorthogonal pair at every s; analyze squares sigma_min(T) = s.  A
+    column that pseudoboson generates from well-formed a and b and that leaves
+    the range is a check failure instead (exit 2)."""
 
     def _analyze(self, tmp_path, s):
         save_matrix(s * np.eye(8), tmp_path / "phi.csv")
@@ -118,6 +120,20 @@ class TestValuesOutsideTheRangeOfFloat64:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("input error: values outside the range of float64: ")
+
+    @pytest.mark.parametrize("s", [1e50, 1e150])
+    def test_pseudoboson_generated_column_leaves_the_range(self, tmp_path, capsys, s):
+        # a = s S_-, b = S_+ / s: the vacua are e_0, but phi_n = b^n phi_0 / sqrt(n!)
+        # is of order s^-n and underflows to 0.  The files are fine; the
+        # generated family is not, which is a check failure.
+        s_minus, s_plus, _ = shift_matrices(16)
+        save_matrix(s * s_minus, tmp_path / "a.csv")
+        save_matrix(s_plus / s, tmp_path / "b.csv")
+        assert main(["pseudoboson", "--model", _files(tmp_path, "a.csv", "b.csv")]) == EXIT_CHECK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("check failure: generated family left the range of float64: "
+                                "zero column in family: every phi_k must be nonzero\n")
 
 
 class TestSweepInput:

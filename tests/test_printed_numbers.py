@@ -1,12 +1,13 @@
-"""The printed numbers of a few runs at N = 16, against recorded values.
+"""The numbers of the check lines of a few runs at N = 16, against recorded values.
 
-Other tests pin exit codes, statuses and check names; these pin the numbers
-each PASS/FAIL line prints, tolerant of last-bit drift:
+Other tests pin exit codes, statuses and check names; these pin the residual
+and bound of each PASS/FAIL line, read at full precision from its `Check`
+record as the command hands it to `cli._report`, tolerant of last-bit drift:
 
 - a residual recorded as exactly 0 must stay 0;
 - any other residual must stay within a factor of 10 of its record;
-- each tolerance, and kappa(T) in an analyze header, must agree with its
-  record to a relative 1e-9.
+- each bound, and kappa(T) as an analyze header prints it, must agree with
+  its record to a relative 1e-9.
 
 So a check whose residual is replaced by 0, or whose bound moves, fails here.
 The records are in printed_numbers.json; `python tests/test_printed_numbers.py`
@@ -39,7 +40,6 @@ RUNS = {
     "pseudoboson dense file": ["pseudoboson", "--model", "file:a.csv,b.csv"],
 }
 
-CHECK_LINE = re.compile(r"(PASS|FAIL)  (.+): residual (\S+) \(tolerance (\S+)\)")
 KAPPA = re.compile(r"kappa\(T\) (\S+)")
 
 
@@ -61,18 +61,24 @@ def _write_dense_pair(workdir: Path) -> None:
 
 
 def observe(label: str, workdir: Path, monkeypatch) -> dict:
-    """Exit code, header kappa and (status, name, residual, tolerance) of each check line."""
-    from rieszlab.cli import main
+    """Exit code, header kappa and (status, name, residual, bound) of each check with numbers."""
+    from rieszlab import cli
+
+    report, seen = cli._report, {}
+
+    def captured(cfg, name, title, checks, notes=()):
+        seen.update(title=title, checks=checks)
+        return report(cfg, name, title, checks, notes)
 
     if label == "pseudoboson dense file":
         _write_dense_pair(workdir)
     monkeypatch.chdir(workdir)
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = main(RUNS[label])
-    text = out.getvalue()
-    kappa = KAPPA.search(text.splitlines()[0])
-    lines = [[m[1], m[2], float(m[3]), float(m[4])]
-             for m in map(CHECK_LINE.fullmatch, text.splitlines()) if m]
+    monkeypatch.setattr(cli, "_report", captured)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(RUNS[label])
+    kappa = KAPPA.search(seen["title"])
+    lines = [["PASS" if c.ok else "FAIL", c.name, float(c.residual), float(c.bound)]
+             for c in seen["checks"] if c.reason is None]
     return {"exit": code, "kappa": float(kappa[1]) if kappa else None, "lines": lines}
 
 
@@ -86,14 +92,14 @@ def test_printed_numbers_match_the_record(label, tmp_path, monkeypatch):
     else:
         assert seen["kappa"] == pytest.approx(record["kappa"], rel=1e-9, abs=0)
     assert [line[:2] for line in seen["lines"]] == [line[:2] for line in record["lines"]]
-    for (status, name, residual, tolerance), (*_, rec_residual, rec_tolerance) in zip(
+    for (status, name, residual, bound), (*_, rec_residual, rec_bound) in zip(
             seen["lines"], record["lines"]):
         if rec_residual == 0:
             assert residual == 0, f"{name}: residual {residual:.3e}, recorded 0"
         else:
             assert rec_residual / 10 <= residual <= rec_residual * 10, \
                 f"{name}: residual {residual:.3e}, recorded {rec_residual:.3e}"
-        assert tolerance == pytest.approx(rec_tolerance, rel=1e-9, abs=0), name
+        assert bound == pytest.approx(rec_bound, rel=1e-9, abs=0), name
 
 
 if __name__ == "__main__":

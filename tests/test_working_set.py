@@ -34,23 +34,8 @@ def _argv(command: str, dim: int, out) -> list[str]:
 
 
 #: Per command: the dtype of its N x N arrays and its bound in such arrays.
-#: Measured peaks (numpy 2.4, N = 256): 4.8, 5.2, 6.0, 3.2, 5.3 and 5.6 arrays;
-#: the last was 6.1 before the pairing check stopped forming the whole defect.
-#: The first two were 8.4 and 8.5 before analyze checked each transported
-#: ladder operator as it was formed and freed it, and the first four 16.3,
-#: 19.3, 9.3 and 5.2 before build_analysis stopped copying T and each check
-#: freed its arrays; before the pseudo-boson system stopped keeping b a and
-#: its adjoint for the whole run, the last two were 10.7 and 11.1, and 8.5 and
-#: 9.2 before the commutator formed only its window columns and the dual
-#: number relation stopped copying adjoint(b a).  They were 7.5 and 8.2 (and
-#: the sweep 3.4) before the column norms, max-norms and norm estimates ran
-#: in column blocks and pseudoboson freed the shift matrices before the
-#: vacua, generated psi to the window alone, bounded the pairing one row
-#: block at a time and freed a and b before the number relations.  The
-#: first two were 6.4 and 6.5, and the last two 5.8 and 6.5, before analyze
-#: freed T and T^-1 before its psi side, the metric, the intertwining defect
-#: and the pairing defects were formed one block of rows at a time, and the
-#: shift defects subtracted the shifted family one block of columns at a time.
+#: Measured peaks (numpy 2.4, one BLAS thread, N = 256), in this order: 4.79,
+#: 5.21, 6.04, 3.23, 5.17 and 5.65 arrays; CHANGES.md has how each came down.
 BOUNDS = {
     "analyze random_regular": (np.complex128, 5.8),
     "analyze paper_example": (np.float64, 6.2),
