@@ -31,8 +31,9 @@ square identity pair whose sidecars claim offset 1, which is bad input (the
 offset of N x M columns is N - M).  The complex pair is written with its im
 cells, which perfbench's writer leaves 0.  Further runs spell a number with
 a digit separator, a plus sign or non-ASCII digits, give a negative seed (to
-a model that reads it and to one that does not) or leave a `--dims` entry
-empty, each of which is bad input too.  The scaled runs read finite
+a model that reads it and to one that does not), leave a `--dims` entry
+empty or sweep a file model (the N = 64 family pair), each of which is bad
+input too.  The scaled runs read finite
 entries whose products leave float64's range (SCALED_INPUTS): analyze of
 phi = s I, psi = I / s at N = 8, ladder of phi = psi = 1e200 I, whose
 pairing overflows, and pseudoboson of a = s S_-, b = S_+ / s at N = 16,
@@ -155,6 +156,7 @@ def _command_list() -> list[list[str]]:
     cmds += [["ladder", "--model", "file:phiinf.csv,psiinf.csv"],
              ["pseudoboson", "--model", "file:ascaled.csv,bscaled.csv"],
              ["pseudoboson", "--model", "file:a1e50.csv,b1e50.csv"]]
+    cmds.append(["sweep", "--model", FAMILY_MODEL, "--dims", "8,16"])
     return cmds
 
 

@@ -323,6 +323,9 @@ def cmd_sweep(cfg: dict) -> int:
     if len(set(dims)) < 2:
         raise ValueError("dims: a sweep needs at least two distinct dimensions")
     probes = cfg.get("probes") or ["e_0", "e_1"]
+    if str(_require(cfg, "model")).startswith("file:"):
+        raise ValueError("model: sweep rebuilds its model at each dimension, and a "
+                         "file:... model has only the dimension of its files")
     spec = _model_spec(cfg, max(dims))
     report = diagnostics.run_sweep(models.pair_factory(spec), dims, probes)
     csv_text = report.to_csv()

@@ -1,8 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from rieszlab import linalg
-from rieszlab.pseudoboson import border_vector
+# One BLAS thread, set before numpy loads its BLAS: the count at which
+# bench/digests.py, bench/working_set.py and the recorded numbers define bits
+# and peaks.  At two threads beside a busy process, small products wait for
+# time slices, and a test with a wall-clock limit fails.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from rieszlab import linalg  # noqa: E402
+from rieszlab.pseudoboson import border_vector  # noqa: E402
 
 
 def random_complex(rng, *shape):

@@ -2,9 +2,9 @@
 
 Every public top-level function or class of src/rieszlab must be named
 somewhere outside its own definition: in another statement of src/rieszlab
-(the package's __init__.py, which only re-exports, does not count) or in
-tests/test_acceptance.py.  A name that only the unit tests call is code that
-no command runs.
+or in tests/test_acceptance.py.  A name that only the unit tests call is code
+that no command runs.  The package's __init__.py imports nothing and has no
+__all__, so each object has one import path: the module that defines it.
 
 A private name (one leading underscore) belongs to its module: no other
 module of src/rieszlab imports it or reads it as an attribute.  A helper that
@@ -17,7 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rieszlab"
-MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+INIT = PACKAGE / "__init__.py"
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p != INIT]
 USERS = [*MODULES, ROOT / "tests" / "test_acceptance.py"]
 
 
@@ -59,6 +60,13 @@ def unreferenced() -> list[str]:
 def test_every_public_function_and_class_has_a_user():
     missing = unreferenced()
     assert not missing, "no command or acceptance test uses: " + ", ".join(missing)
+
+
+def test_package_root_binds_no_module_name():
+    bound = [node for node in ast.walk(ast.parse(INIT.read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             or isinstance(node, ast.Name) and node.id == "__all__"]
+    assert not bound, f"{INIT.name} imports or lists names: lines {[n.lineno for n in bound]}"
 
 
 def _is_private(name: str) -> bool:

@@ -153,6 +153,15 @@ class TestSweepInput:
         assert main(["sweep", "--model", "identity", "--dims", dims]) == EXIT_INPUT
         assert capsys.readouterr().err == f"input error: dims: empty entry in {dims!r}\n"
 
+    def test_file_model(self, tmp_path, capsys):
+        # Refused before any file is read: neither CSV exists.
+        argv = ["sweep", "--model", _files(tmp_path, "a.csv", "b.csv"), "--dims", "8,16"]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("input error: model: sweep rebuilds its model at each dimension, "
+                       "and a file:... model has only the dimension of its files\n")
+
 
 class TestNegativeSeed:
     # -1 passes the number grammar; random_regular was refused by numpy with a
