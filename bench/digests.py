@@ -13,7 +13,9 @@ the checkout (default: the one this script lives in), in its own working
 directory, with `--out` pointing at a relative directory, so that no absolute
 path reaches stdout or the written files.  For every command the output holds
 its exit code, the number of lines it wrote to stderr (so that a traceback
-or a numpy warning shows), one digest of its stdout and one digest per
+or a numpy warning shows), a digest of that stderr when there is any (an
+error or check-failure message, with the numbers it quotes), one digest of
+its stdout and one digest per
 written file (paths relative to the output directory).  A second, masked digest of stdout and
 of each written table (`*.txt`) replaces every `(tolerance ...)` field by
 `(tolerance *)`, and one of `ladder.meta.json` leaves out its
@@ -39,7 +41,12 @@ phi = s I, psi = I / s at N = 8, ladder of phi = psi = 1e200 I, whose
 pairing overflows, and pseudoboson of a = s S_-, b = S_+ / s at N = 16,
 S_- the truncated lowering shift: at s = 1e200 the vacuum solve leaves the
 range (exit 1), at s = 1e50 the generated phi_n, of order s^-n, underflows
-to a zero column, a check failure (exit 2).  One run per command
+to a zero column, a check failure (exit 2).  Two analyze runs of
+diagonal models fail the rank gate (exit 2, with sigma_min and the cut) on
+either side of the range 2^-459 <= max|T| <= 2^459 inside which
+linalg.singular_values takes LAPACK's bidiagonal solver: diagonal:1.5^k at
+N = 400 (max|T| about 1.5e70) inside it, diagonal:3^k at N = 300 (about
+1.4e142) beyond it, where np.linalg.svd rescales T.  One run per command
 reads its settings from a `--config run.yaml` written from CONFIGS, so that
 the config path is under the gate too.  BLAS runs on one thread, so that the digests do not depend
 on the thread count of the machine.
@@ -157,6 +164,8 @@ def _command_list() -> list[list[str]]:
              ["pseudoboson", "--model", "file:ascaled.csv,bscaled.csv"],
              ["pseudoboson", "--model", "file:a1e50.csv,b1e50.csv"]]
     cmds.append(["sweep", "--model", FAMILY_MODEL, "--dims", "8,16"])
+    cmds += [["analyze", "--model", "diagonal:1.5^k", "--dim", "400"],
+             ["analyze", "--model", "diagonal:3^k", "--dim", "300"]]
     return cmds
 
 
@@ -242,6 +251,8 @@ def run_all(checkout: Path, work: Path) -> list[str]:
                               cwd=cwd, env=env, capture_output=True, timeout=600)
         lines.append(f"exit {proc.returncode}  {' '.join(argv)}")
         lines.append(f"  {len(proc.stderr.splitlines())}  stderr lines")
+        if proc.stderr:
+            lines.append(f"  {_sha(proc.stderr)}  stderr")
         lines.append(f"  {_sha(proc.stdout)}  stdout")
         lines.append(f"  {_sha(_masked_table(proc.stdout))}  stdout, masked")
         out = cwd / "out"

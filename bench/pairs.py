@@ -17,7 +17,18 @@ first alternates from pair to pair, so drift of a shared machine hits both
 sides alike.  Then one `--trace 1` run per side records the per-layer
 factorization counts.  The output holds, per workload and end-to-end metric,
 the median and quartiles of each side, the change/parent ratio of the
-medians, and the number of pairs the change won.
+medians, the number of pairs the change won (ties count for neither side),
+and two verdicts:
+
+- `claim_met`: a claimed gain holds when the change wins at least
+  CLAIM_WINS of the PAIRS pairs and its median beats the parent's by more
+  than the parent's own spread, the distance q3 - q1 between its quartiles.
+  A 10% gain on a workload whose parent IQR is 16% of its median is short.
+- `within_bound`: the change's median is at most parent median x (1 + bound),
+  the bound of the metric in BENCHMARK.json; for a metric where higher is
+  better, at least parent median x (1 - bound).
+
+One summary line per workload goes to stdout as each workload finishes.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ TRACE_KEYS = ("linalg.factorizations", "linalg.svd_calls", "linalg.svd_values_ca
               "linalg.solve_calls", "linalg.qr_calls", "linalg.factor_s",
               "linalg.distinct_factor_ratio", "io.write_s")
 PAIRS = 10
+#: Pairs out of PAIRS a claimed gain must win: nine tenths.
+CLAIM_WINS = 9
 BASE_SEED = 100
 
 
@@ -51,6 +64,32 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "samples": values}
 
 
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> dict:
+    """The entry of one metric: both sides' quartiles, wins and the claim_met / within_bound rules."""
+    sign = 1.0 if better == "lower" else -1.0  # gains are positive: parent - change for "lower"
+    par, chg = quartiles(parent), quartiles(change)
+    wins = sum(sign * (p - c) > 0 for c, p in zip(change, parent))
+    return {
+        "parent": par,
+        "change": chg,
+        "ratio_of_medians": chg["median"] / par["median"],
+        "change_wins": wins,
+        "claim_met": wins >= CLAIM_WINS and sign * (par["median"] - chg["median"]) > par["iqr"],
+        "within_bound": sign * (par["median"] - chg["median"]) >= -bound * par["median"],
+    }
+
+
+def summary(workload: str, entry: dict, metrics: list[str]) -> str:
+    """One line: per metric, the change/parent ratio, the wins and which verdicts hold."""
+    cells = []
+    for m in metrics:
+        e = entry[m]
+        flags = ("claim met" if e["claim_met"] else "no claim") + (
+            "" if e["within_bound"] else ", OUT OF BOUND")
+        cells.append(f"{m} {e['ratio_of_medians']:.3f}x {e['change_wins']}/{PAIRS} ({flags})")
+    return f"{workload}: " + "; ".join(cells)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -60,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
+    metrics = list(end_to_end)
     sides = {"parent": args.parent, "change": args.change}
     report: dict = {"pairs": PAIRS, "seconds": seconds, "workloads": {}}
     for checkout in sides.values():
@@ -81,13 +121,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(f"{workload} pair {i + 1}/{PAIRS} done\n")
         entry: dict = {"failed": failed}
         for m in metrics:
-            par, chg = samples["parent"][m], samples["change"][m]
-            entry[m] = {
-                "parent": quartiles(par),
-                "change": quartiles(chg),
-                "ratio_of_medians": statistics.median(chg) / statistics.median(par),
-                "change_wins": sum(c < p for c, p in zip(chg, par)),
-            }
+            entry[m] = verdict(samples["parent"][m], samples["change"][m],
+                               end_to_end[m]["bound"], end_to_end[m]["better"])
         entry["trace"] = {}
         for side, checkout in sides.items():
             info, result = run(checkout, workload, BASE_SEED, seconds, 1)
@@ -95,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
             entry["trace"][side]["command_counts"] = info["command_counts"]
         report["workloads"][workload] = entry
         args.out.write_text(json.dumps(report, indent=2) + "\n")
+        print(summary(workload, entry, metrics), flush=True)
     return 0
 
 

@@ -19,6 +19,16 @@ on one thread, as in bench/digests.py:
 - once untraced, for the peak resident set size of the process from
   getrusage(RUSAGE_SELF), interpreter and imports included.
 
+The children run with GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072, a
+setting of the child process alone.  By default glibc raises its mmap
+threshold each time a large block is freed (up to 32 MB), after which large
+arrays come from the heap, where a freed one can stay resident under a
+live neighbour; the peak RSS then moves with the order of allocations even
+where the traced peak does not.  With the threshold fixed, every block of
+128 KiB or more (an N x N float64 array from N = 128) is its own mapping,
+given back when freed, so the RSS column is the interpreter and its imports
+plus the small-object heap plus the large arrays live at the peak.
+
 So that the traced peak is a function of the checkout's src/ alone, to the
 byte, each interpreter runs from a copy of that src/ at a temporary path of
 fixed length (the paths of the imported modules are part of the peak), with
@@ -84,7 +94,8 @@ def size_and_itemsize(argv: list[str]) -> tuple[int, int]:
 
 def measure(src: Path, argv: list[str], workload: str, seed: int) -> dict:
     env = dict(PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               GLIBC_TUNABLES="glibc.malloc.mmap_threshold=131072")
     result = {}
     for traced in ("1", "0"):
         with tempfile.TemporaryDirectory(prefix="rieszlab-ws-") as cwd:

@@ -11,14 +11,16 @@ the second.
 
 Every operator T is factorized once (see Factorization): one values-only SVD
 for the rank gate, kappa and sigma_min, one LU solve for the inverse.  Every
-tolerance of the package, the rank cut included, is an error_bound.
+tolerance of the package, the rank cut included, is an error_bound.  The SVD
+of a real upper-bidiagonal T skips its O(N^3) reduction, bits kept (see singular_values).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -86,7 +88,50 @@ def adjoint(T) -> np.ndarray:
 
 
 def singular_values(T) -> np.ndarray:
-    return np.linalg.svd(as_operator(T), compute_uv=False)
+    """Singular values of T, decreasing: the bits of np.linalg.svd(T, compute_uv=False).
+
+    That svd is LAPACK's dgesdd: a reduction to bidiagonal form (dgebrd,
+    O(N^3)), then the bidiagonal solver dbdsdc('U', 'N').  A real T, N >= 2,
+    with every nonzero on the diagonal or the first superdiagonal and
+    2^-459 <= max|T| <= 2^459 (where dgesdd does not rescale) is already that
+    form, which dgebrd hands back unchanged (every Householder tau is 0): it
+    goes to numpy's own dbdsdc directly, in O(N^2).  Any other T, and every T
+    where numpy exports no dbdsdc, goes to np.linalg.svd.
+    """
+    T = as_operator(T)
+    if T.dtype == np.float64 and T.shape[0] >= 2:
+        d, e = np.diagonal(T), np.diagonal(T, 1)
+        if (np.count_nonzero(T) == np.count_nonzero(d) + np.count_nonzero(e)
+                and 2.0 ** -459 <= max(np.abs(d).max(), np.abs(e).max()) <= 2.0 ** 459
+                and (solver := _bidiagonal_solver()) is not None):
+            return _bidiagonal_values(solver, d, e)
+    return np.linalg.svd(T, compute_uv=False)
+
+
+@cache
+def _bidiagonal_solver():
+    """numpy's own ILP64 dbdsdc, typed, or None: the one place that opens numpy's LAPACK."""
+    try:
+        from numpy.linalg import _umath_linalg
+        solver = ctypes.CDLL(_umath_linalg.__file__).scipy_dbdsdc_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    solver.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
+    solver.restype = None
+    return solver
+
+
+def _bidiagonal_values(solver, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """dbdsdc('U', 'N') of the matrix with diagonal d and superdiagonal e, on copies of both."""
+    d, e, work, iwork = d.copy(), e.copy(), np.empty(4 * d.size), np.empty(8 * d.size, np.int64)
+    n, one, info = ctypes.c_int64(d.size), ctypes.c_int64(1), ctypes.c_int64()
+    # COMPQ = 'N' reads neither U, VT, Q nor IQ; the two string lengths come last.
+    solver(b"U", b"N", ctypes.byref(n), d.ctypes, e.ctypes, work.ctypes, ctypes.byref(one),
+           work.ctypes, ctypes.byref(one), work.ctypes, iwork.ctypes, work.ctypes, iwork.ctypes,
+           ctypes.byref(info), 1, 1)
+    if info.value != 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return d
 
 
 def error_bound(n: int, scale=1.0, k=1.0, kappa=1.0):

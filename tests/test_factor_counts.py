@@ -1,6 +1,9 @@
 """Each operator is factorized once per command.
 
-numpy.linalg.svd, solve and qr are counted around one CLI call.  An analyze
+numpy.linalg.svd, solve and qr are counted around one CLI call, and so is
+linalg's bidiagonal kernel, which gives the values-only SVD of a real
+upper-bidiagonal operator (a weighted shift, a diagonal) without calling
+numpy.linalg.svd: it counts as svd_values.  An analyze
 run factors its analysis operator T once (one values-only SVD for the rank
 gate and kappa, one solve for the inverse) and spends one QR on the psi-side
 span distance when the psi family is not square; every other check reuses
@@ -11,7 +14,9 @@ whole truncation, so its span distances do not factor it.  A pseudoboson
 run generates each family once, at full truncation, finds each vacuum from
 one values-only SVD and one bordered solve, and takes kappa of the generated
 family from one more values-only SVD; it neither inverts that family nor
-transports a ladder through it.  No command computes singular vectors.
+transports a ladder through it.  No command computes singular vectors.  The
+ccr and similarity ladders and their generated families, and the diagonal
+models, are bidiagonal: their SVDs never reach numpy.linalg.svd.
 """
 
 from collections import Counter
@@ -19,7 +24,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rieszlab import pseudoboson
+from rieszlab import linalg, pseudoboson
 from rieszlab.cli import EXIT_OK, main
 
 
@@ -41,7 +46,14 @@ def factor_counts(monkeypatch):
         counts["qr"] += 1
         return qr(a, *args, **kwargs)
 
+    bidiagonal_values = linalg._bidiagonal_values
+
+    def counted_bidiagonal_values(*args):
+        counts["svd_values"] += 1
+        return bidiagonal_values(*args)
+
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(linalg, "_bidiagonal_values", counted_bidiagonal_values)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     return counts
@@ -131,6 +143,31 @@ def test_no_command_computes_singular_vectors(factor_counts, tmp_path, capsys, a
     capsys.readouterr()
     assert factor_counts["svd"] == 0
     assert factor_counts["svd_values"] > 0
+
+
+@pytest.mark.parametrize("argv, dense_svds", [
+    (["pseudoboson", "--model", "ccr", "--dim", "32"], 0),
+    (["pseudoboson", "--model", "similarity:1.01^k", "--dim", "32"], 0),
+    (["analyze", "--model", "diagonal:k+1", "--dim", "32"], 0),
+    (["analyze", "--model", "paper_example", "--dim", "32"], 1),
+    (["analyze", "--model", "random_regular:50", "--dim", "32"], 1),
+])
+def test_bidiagonal_operators_skip_the_dense_svd(monkeypatch, capsys, argv, dense_svds):
+    # a, adjoint(b) and the generated family of ccr and similarity, and T of
+    # diagonal:k+1, are real upper-bidiagonal: numpy.linalg.svd runs for none
+    # of them.  paper_example's T has nonzeros above the superdiagonal and
+    # random_regular's is complex.
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == dense_svds
 
 
 @pytest.mark.parametrize("argv, count", [

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,130 @@ class TestBlockwiseReductions:
         norms = linalg.column_norms(M)
         assert np.isfinite(norms).all()
         assert np.array_equal(norms, top * np.linalg.norm(M / top, axis=0))
+
+
+def _bidiagonals(seed):
+    """Seeded real upper-bidiagonal and diagonal matrices, each with its transposed view.
+
+    Shifts (a zero diagonal), diagonals, signed zeros, negative entries and
+    entries spread over e^+-200, at N in 2, 3, 4, 25, 26, 129 and 512.
+    """
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 4, 25, 26, 129, 512):
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        spread = np.exp(rng.uniform(-200.0, 200.0, n))
+        signed_zeros, sup_zeros = d.copy(), e.copy()
+        signed_zeros[::3] = -0.0
+        signed_zeros[1::3] = 0.0
+        sup_zeros[1::2] = -0.0
+        for diag, sup in ((d, e), (0 * d, np.sqrt(np.arange(1.0, n))), (d, 0 * e),
+                          (1.01 ** -np.arange(n), -np.abs(e)), (signed_zeros, sup_zeros),
+                          (d * spread, e * spread[1:])):
+            T = np.diag(diag) + np.diag(sup, 1)
+            yield T
+            yield np.ascontiguousarray(T.T).T
+
+
+class TestSingularValues:
+    """singular_values gives the bits of np.linalg.svd(T, compute_uv=False).
+
+    A real upper-bidiagonal T with 2^-459 <= max|T| <= 2^459 takes LAPACK's
+    bidiagonal solver directly; every other T takes np.linalg.svd."""
+
+    KERNEL = linalg._bidiagonal_solver() is not None
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"kernel": 0, "svd": 0}
+        kernel, svd = linalg._bidiagonal_values, np.linalg.svd
+
+        def counted_kernel(*args):
+            counts["kernel"] += 1
+            return kernel(*args)
+
+        def counted_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_bidiagonal_values", counted_kernel)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        return counts
+
+    @staticmethod
+    def _dense(T):
+        return np.linalg.svd(T, compute_uv=False)
+
+    def test_bits_of_the_dense_svd(self, calls):
+        n = 0
+        for T in _bidiagonals(0):
+            assert np.array_equal(linalg.singular_values(T), self._dense(T))
+            n += 1
+        assert calls == {"kernel": n if self.KERNEL else 0, "svd": n if self.KERNEL else 2 * n}
+
+    @pytest.mark.parametrize("top", [2.0 ** -459, 2.0 ** 459])
+    @pytest.mark.parametrize("n", [2, 25, 129])
+    def test_bits_at_the_ends_of_the_unscaled_range(self, rng, calls, top, n):
+        d, e = top * rng.uniform(0.5, 1.0, n), top * rng.uniform(-0.9, 0.9, n - 1)
+        d[n // 2] = top
+        T = np.diag(d) + np.diag(e, 1)
+        assert np.array_equal(linalg.singular_values(T), self._dense(T))
+        assert calls["kernel"] == self.KERNEL
+
+    def test_a_rescaled_operator_takes_the_dense_svd(self, calls):
+        # dgesdd scales this T (max|T| = 3.84e152 > 2^459) down before its
+        # bidiagonal solve; the solver on the unscaled diagonals gives other bits.
+        T = np.diag(1e150 * np.arange(1.0, 385.0))
+        sigma = linalg.singular_values(T)
+        assert np.array_equal(sigma, self._dense(T))
+        assert calls == {"kernel": 0, "svd": 2}
+        if self.KERNEL:
+            unscaled = linalg._bidiagonal_values(linalg._bidiagonal_solver(), np.diagonal(T),
+                                                 np.diagonal(T, 1))
+            assert not np.array_equal(unscaled, sigma)
+
+    @pytest.mark.parametrize("T", [
+        np.diag(np.arange(1.0, 6.0) + 1j),           # complex
+        np.triu(np.ones((5, 5))),                    # a nonzero above the superdiagonal
+        np.diag(np.ones(4), -1) + np.eye(5),         # lower bidiagonal
+        np.array([[3.0]]),                           # N = 1
+        np.zeros((4, 4)),                            # max|T| = 0, below the range
+    ], ids=["complex", "upper", "lower", "n1", "zero"])
+    def test_other_operators_take_the_dense_svd(self, calls, T):
+        assert np.array_equal(linalg.singular_values(T), self._dense(T))
+        assert calls == {"kernel": 0, "svd": 2}
+
+    def test_a_nan_fails_as_in_the_dense_svd(self, calls):
+        # max|T| is NaN, inside no range: np.linalg.svd runs, and raises.
+        T = np.diag([1.0, np.nan, 2.0])
+        for svd in (self._dense, linalg.singular_values):
+            with pytest.raises(np.linalg.LinAlgError):
+                svd(T)
+        assert calls == {"kernel": 0, "svd": 2}
+
+    def test_without_the_solver_every_operator_takes_the_dense_svd(self, monkeypatch, calls):
+        monkeypatch.setattr(linalg, "_bidiagonal_solver", lambda: None)
+        n = 0
+        for T in _bidiagonals(1):
+            assert np.array_equal(linalg.singular_values(T), self._dense(T))
+            n += 1
+        assert calls == {"kernel": 0, "svd": 2 * n}
+
+    def test_bits_of_the_dense_svd_at_two_blas_threads(self):
+        # The suite runs at one BLAS thread (conftest); dgesdd's reduction
+        # splits over threads, so compare at two as well.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            [str(src), str(Path(__file__).resolve().parent),
+             *filter(None, [os.environ.get("PYTHONPATH")])]))
+        script = ("import numpy as np\nfrom rieszlab import linalg\n"
+                  "from test_linalg import _bidiagonals\n"
+                  "print(all(np.array_equal(linalg.singular_values(T),\n"
+                  "                         np.linalg.svd(T, compute_uv=False))\n"
+                  "          for T in _bidiagonals(2)))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
 
 
 @settings(max_examples=25, deadline=None)
